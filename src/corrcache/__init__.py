@@ -21,7 +21,6 @@ from .engine import (
     ConfigurationError,
     ConsistencyError,
     SimulationMetrics,
-    admit_with_eviction,
     config_digest,
     measured_hit_ratio,
     normalized_model_hit_rate,
@@ -78,7 +77,6 @@ __all__ = [
     "__version__",
     "CacheConfig",
     "config_digest",
-    "admit_with_eviction",
     "CacheState",
     "CapacityGrid",
     "CharacteristicTime",

@@ -166,35 +166,6 @@ def config_digest(policy_label: str, config: CacheConfig, trace: Trace) -> str:
     return h.hexdigest()[:16]
 
 
-def admit_with_eviction(
-    state: CacheState, key: int, size: float, policy: "Policy"
-) -> list[int]:
-    """Admit one identity, evicting policy victims until it fits.
-
-    Returns the evicted keys in eviction order.  The incoming identity must
-    not be resident and must fit the cache at all (``size <= capacity``);
-    the identity is inserted at the most-recent end.  A victim that is not
-    resident is an internal-consistency failure.
-    """
-    order = state.order
-    if key in order:
-        raise ConsistencyError(f"identity {key} is already resident")
-    if size > state.capacity:
-        raise ConfigurationError("identity larger than the cache capacity")
-    evicted: list[int] = []
-    used = sum(order.values())
-    while used + size > state.capacity:
-        v = policy.victim()
-        if v not in order:
-            raise ConsistencyError(f"policy returned non-resident victim {v}")
-        used -= order.pop(v)
-        policy.on_evict(v)
-        evicted.append(v)
-    order[key] = size
-    policy.on_admit(key)
-    return evicted
-
-
 def _local_filter(
     keys: list, clients: list, sizes: list, local_capacity: float
 ) -> tuple[np.ndarray, int]:

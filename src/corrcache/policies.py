@@ -375,43 +375,153 @@ class StaticOptPolicy(Policy):
         raise RuntimeError("static_opt never evicts")
 
 
-class _FollowPolicyBase(Policy):
-    """Shared machinery for the follow-aware policies.
+class LFRUSPolicy(Policy):
+    """Follow-aware eviction with geometric recency weights.
 
     Per client, a window of the outcomes of its last window+1 requests is
     kept.  A request's outcome is the client it followed: the previous
     requester of the object, recorded only when the request hit and the
-    previous requester is a different client; otherwise None.  The follow
-    matrix F[c1][c2] scores how strongly client c2 follows client c1 over
-    c2's current window; a client's row score is its best column.  Eviction
-    removes the resident whose last requester has the lowest row score,
-    breaking ties toward least-recently-used.  window=0 is the degenerate
-    case and behaves exactly like LRU.
+    previous requester is a different client; otherwise None.  An outcome at
+    lag k in client c2's window (lag 0 = newest request) weighs gamma**k, and
+    the follow matrix entry F[c1][c2] is the floor of the summed weights of
+    c1 over c2's window, so gamma=1 gives the plain follow counts of lfru.  A
+    client's row score is its best column.  Eviction removes the resident
+    whose last requester has the lowest row score, breaking ties toward
+    least-recently-used.  window=0 is the degenerate case and behaves exactly
+    like LRU.
+
+    Invariants:
+
+    * ``rows[c1][c2]`` holds the floored entry F[c1][c2]; zero entries and
+      empty rows are never stored.
+    * gamma=1 updates ``rows`` in O(1) per request: the new outcome is added
+      and the one sliding out of the window expires.  This is exact, since a
+      floored sum of 1.0s is the count.
+    * gamma<1 requests only append to the window and mark the client stale.
+      The next score read (``_row_scores``, ``follow_counts``, ``victim``)
+      recomputes each stale client's column in the from-scratch summation
+      order (newest first, adding gamma**lag), so the floats are bit-identical
+      to a full rebuild, and patches the row entries that changed.
+      Appending None to a client whose column is empty and up to date does
+      not mark it stale: every remaining weight only shrinks (gamma**k falls
+      with k), so its floored sums stay zero.
+    * Row scores are cached; a score read recomputes only the rows touched
+      since the previous read.
     """
 
-    def __init__(self, window: int):
+    name = "lfrus"
+
+    def __init__(self, window: int = 20, gamma: float = 0.5):
         if window < 0:
             raise PolicyConfigError("window must be >= 0")
+        if not 0 < gamma <= 1:
+            raise PolicyConfigError("gamma must be in (0, 1]")
         self.window = window
+        self.gamma = float(gamma)
+        self._gamma_pow = [self.gamma**k for k in range(window + 1)]
         self.windows: dict[int, deque] = {}
+        self.rows: dict[int, dict[int, int]] = {}
+        # gamma<1 only: each client's column as last patched into rows (so
+        # cols[c2][c1] == rows[c1][c2]), and the clients whose window changed
+        # since
+        self._cols: dict[int, dict[int, int]] = {}
+        self._stale: set[int] = set()
+        self._scores: dict[int, int] = {}
+        self._touched: set[int] = set()  # rows whose cached score is out of date
 
-    def _outcome(self, client: int, key: int, hit: bool) -> int | None:
-        if not hit:
-            return None
-        prev = self.state.last_requester.get(key)
-        if prev is None or prev == client:
-            return None
-        return prev
+    def on_request(self, client: int, key: int, hit: bool) -> None:
+        if self.window == 0:
+            return
+        outcome = None
+        if hit:
+            prev = self.state.last_requester.get(key)
+            if prev is not None and prev != client:
+                outcome = prev
+        dq = self.windows.get(client)
+        if dq is None:
+            dq = self.windows[client] = deque(maxlen=self.window + 1)
+        if self.gamma < 1:
+            dq.append(outcome)
+            if outcome is not None or client in self._cols:
+                self._stale.add(client)
+            return
+        if len(dq) == dq.maxlen:
+            expired = dq[0]
+            if expired is not None:
+                row = self.rows[expired]
+                n = row[client] - 1
+                if n:
+                    row[client] = n
+                else:
+                    del row[client]
+                    if not row:
+                        del self.rows[expired]
+                self._touched.add(expired)
+        dq.append(outcome)
+        if outcome is not None:
+            row = self.rows.setdefault(outcome, {})
+            row[client] = row.get(client, 0) + 1
+            self._touched.add(outcome)
+
+    def _patch_stale_columns(self) -> None:
+        gp = self._gamma_pow
+        rows = self.rows
+        cols = self._cols
+        touched = self._touched
+        for c2 in self._stale:
+            sums: dict[int, float] = {}
+            # rightmost entry is the newest request -> lag 0
+            for lag, outcome in enumerate(reversed(self.windows[c2])):
+                if outcome is not None:
+                    sums[outcome] = sums.get(outcome, 0.0) + gp[lag]
+            col = {}
+            for c1, v in sums.items():
+                n = math.floor(v)
+                if n:
+                    col[c1] = n
+            old = cols.get(c2, {})
+            if col == old:
+                continue
+            for c1 in old:
+                if c1 not in col:
+                    row = rows[c1]
+                    del row[c2]
+                    if not row:
+                        del rows[c1]
+                    touched.add(c1)
+            for c1, n in col.items():
+                if old.get(c1) != n:
+                    rows.setdefault(c1, {})[c2] = n
+                    touched.add(c1)
+            if col:
+                cols[c2] = col
+            else:
+                del cols[c2]
+        self._stale.clear()
+
+    def _row_scores(self) -> dict[int, int]:
+        """Best column per row (the cached dict itself; do not mutate)."""
+        if self._stale:
+            self._patch_stale_columns()
+        if self._touched:
+            scores = self._scores
+            rows = self.rows
+            for c1 in self._touched:
+                row = rows.get(c1)
+                if row:
+                    scores[c1] = max(row.values())
+                else:
+                    scores.pop(c1, None)
+            self._touched.clear()
+        return self._scores
 
     def window_snapshot(self) -> dict[int, tuple]:
         """Outcome windows, oldest first (for consistency checks)."""
         return {c: tuple(dq) for c, dq in self.windows.items()}
 
-    def _row_scores(self) -> dict[int, int]:
-        raise NotImplementedError
-
     def follow_counts(self) -> dict[tuple[int, int], int]:
-        raise NotImplementedError
+        self._row_scores()  # patches stale columns into rows
+        return {(c1, c2): n for c1, row in self.rows.items() for c2, n in row.items()}
 
     def follow_matrix_csv(self) -> str:
         """Current follow matrix as ``c1,c2,count`` rows (debugging aid)."""
@@ -439,93 +549,13 @@ class _FollowPolicyBase(Policy):
         return best_key
 
 
-class LFRUPolicy(_FollowPolicyBase):
-    """Follow-count eviction: keep objects whose last requester is followed."""
+class LFRUPolicy(LFRUSPolicy):
+    """Follow-count eviction: lfrus at gamma=1, the integer-count path."""
 
     name = "lfru"
 
     def __init__(self, window: int = 20):
-        super().__init__(window)
-        # incremental F: rows[c1][c2] = follows of c1 within c2's window
-        self.rows: dict[int, dict[int, int]] = {}
-
-    def on_request(self, client: int, key: int, hit: bool) -> None:
-        if self.window == 0:
-            return
-        outcome = self._outcome(client, key, hit)
-        dq = self.windows.get(client)
-        if dq is None:
-            dq = self.windows[client] = deque(maxlen=self.window + 1)
-        if len(dq) == dq.maxlen:
-            expired = dq[0]
-            if expired is not None:
-                row = self.rows[expired]
-                row[client] -= 1
-                if row[client] == 0:
-                    del row[client]
-                    if not row:
-                        del self.rows[expired]
-        dq.append(outcome)
-        if outcome is not None:
-            row = self.rows.setdefault(outcome, {})
-            row[client] = row.get(client, 0) + 1
-
-    def _row_scores(self) -> dict[int, int]:
-        return {c1: max(row.values()) for c1, row in self.rows.items()}
-
-    def follow_counts(self) -> dict[tuple[int, int], int]:
-        return {
-            (c1, c2): n for c1, row in self.rows.items() for c2, n in row.items() if n
-        }
-
-
-class LFRUSPolicy(_FollowPolicyBase):
-    """Follow scoring with geometric recency weights.
-
-    An outcome at lag k in a client's window (lag 0 = newest request)
-    contributes gamma**k; entries are floored before comparison.  gamma=1
-    reproduces the plain follow counts.
-    """
-
-    name = "lfrus"
-
-    def __init__(self, window: int = 20, gamma: float = 0.5):
-        super().__init__(window)
-        if not 0 < gamma <= 1:
-            raise PolicyConfigError("gamma must be in (0, 1]")
-        self.gamma = float(gamma)
-        self._gamma_pow = [self.gamma**k for k in range(window + 1)]
-
-    def on_request(self, client: int, key: int, hit: bool) -> None:
-        if self.window == 0:
-            return
-        outcome = self._outcome(client, key, hit)
-        dq = self.windows.get(client)
-        if dq is None:
-            dq = self.windows[client] = deque(maxlen=self.window + 1)
-        dq.append(outcome)
-
-    def follow_counts(self) -> dict[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = {}
-        gp = self._gamma_pow
-        for c2, dq in self.windows.items():
-            sums: dict[int, float] = {}
-            # rightmost entry is the newest request -> lag 0
-            for lag, outcome in enumerate(reversed(dq)):
-                if outcome is not None:
-                    sums[outcome] = sums.get(outcome, 0.0) + gp[lag]
-            for c1, v in sums.items():
-                n = math.floor(v)
-                if n:
-                    out[(c1, c2)] = n
-        return out
-
-    def _row_scores(self) -> dict[int, int]:
-        scores: dict[int, int] = {}
-        for (c1, _c2), n in self.follow_counts().items():
-            if n > scores.get(c1, 0):
-                scores[c1] = n
-        return scores
+        super().__init__(window, gamma=1.0)
 
 
 def build_policy(

@@ -181,6 +181,61 @@ def naive_sieve(keys, capacity: int):
     return hits, victims
 
 
+def naive_follow_counts(windows, gamma) -> dict:
+    """Floored follow matrix {(c1, c2): n} rebuilt from outcome windows.
+
+    ``windows`` maps each client c2 to its outcomes, oldest first.  The
+    outcome at lag k (lag 0 = newest) weighs gamma**k; the weights of each
+    followed client c1 are summed newest first and floored.
+    """
+    out = {}
+    for c2, window in windows.items():
+        sums: dict = {}
+        for lag, outcome in enumerate(reversed(window)):
+            if outcome is not None:
+                sums[outcome] = sums.get(outcome, 0.0) + gamma**lag
+        for c1, v in sums.items():
+            n = math.floor(v)
+            if n:
+                out[(c1, c2)] = n
+    return out
+
+
+def naive_follow_scores(windows, gamma) -> dict:
+    """Row score per followed client: its best floored column."""
+    scores: dict = {}
+    for (c1, _c2), n in naive_follow_counts(windows, gamma).items():
+        scores[c1] = max(scores.get(c1, 0), n)
+    return scores
+
+
+def naive_follow(keys, clients, capacity: int, window: int, gamma: float):
+    """Follow-aware eviction (lfrus; lfru at gamma=1) scored from scratch.
+
+    Each client keeps the outcomes of its last window+1 requests: the other
+    client it followed on a hit, else None.  Every victim choice rebuilds the
+    follow matrix from the windows, then takes the least-recent resident
+    among those whose last requester has the lowest row score.
+    """
+    last_req: dict = {}
+    windows: dict = {}
+
+    def on_request(pos, key, hit):
+        c = clients[pos]
+        prev = last_req.get(key)
+        if window > 0:
+            w = windows.setdefault(c, [])
+            w.append(prev if hit and prev is not None and prev != c else None)
+            del w[: -(window + 1)]
+        last_req[key] = c
+
+    def victim(resident, pos):
+        scores = naive_follow_scores(windows, gamma)
+        return min(resident, key=lambda k: (scores.get(last_req[k], 0), resident.index(k)))
+
+    return naive_run(keys, capacity, victim, on_request=on_request)
+
+
 NAIVE = {"lru": naive_lru, "lfu": naive_lfu, "belady": naive_belady, "sieve": naive_sieve}
 
 

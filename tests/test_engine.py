@@ -11,10 +11,8 @@ import pytest
 
 from corrcache.engine import (
     CacheConfig,
-    CacheState,
     ConfigurationError,
     ConsistencyError,
-    admit_with_eviction,
     check_metrics,
     config_digest,
     measured_hit_ratio,
@@ -24,7 +22,7 @@ from corrcache.engine import (
 from corrcache.policies import LRUPolicy, PolicyParams
 from corrcache.trace import pack_key
 
-from conftest import make_trace, random_unit_trace
+from conftest import make_trace, naive_lru, random_unit_trace
 
 
 def sim(events, capacity, policy="lru", sizes=None, **kw):
@@ -109,49 +107,49 @@ def test_unknown_catalog_object_is_rejected():
 # ---------------------------------------------------------------------------
 
 
-def bound_lru(state: CacheState) -> LRUPolicy:
-    pol = LRUPolicy()
-    pol.bind(state)
-    return pol
+def key(object_id: int) -> int:
+    return pack_key(object_id, None)
 
 
 def test_admit_with_free_space_evicts_nothing():
-    state = CacheState(10.0)
-    pol = bound_lru(state)
-    assert admit_with_eviction(state, 1, 4.0, pol) == []
-    assert admit_with_eviction(state, 2, 6.0, pol) == []
-    assert list(state.order) == [1, 2]
+    pol = LRUPolicy()
+    tr = make_trace([(1, 1, 1), (2, 1, 2)], sizes={1: 4.0, 2: 6.0})
+    m = simulate(tr, pol, CacheConfig(10.0), record_evictions=True)
+    assert m.eviction_log == []
+    assert list(pol.state.order) == [key(1), key(2)]
 
 
 def test_admit_unit_full_cache_evicts_exactly_one():
-    state = CacheState(2.0)
-    pol = bound_lru(state)
-    admit_with_eviction(state, 1, 1.0, pol)
-    admit_with_eviction(state, 2, 1.0, pol)
-    assert admit_with_eviction(state, 3, 1.0, pol) == [1]
+    m = sim([(1, 1, 1), (2, 1, 2), (3, 1, 3)], 2.0, record_evictions=True)
+    assert m.eviction_log == [key(1)]
 
 
 def test_admit_large_object_evicts_until_it_fits():
-    state = CacheState(9.0)
-    pol = bound_lru(state)
-    for key, size in [(1, 5.0), (2, 2.0), (3, 2.0)]:
-        admit_with_eviction(state, key, size, pol)
-    # used 9 of 9; an incoming size-5 object needs both d1 (5) gone and,
-    # depending on order, nothing more: evicting d1 alone frees exactly 5
-    assert admit_with_eviction(state, 4, 5.0, pol) == [1]
-    assert sum(state.order.values()) == 9.0
-    # now order is [2,3,4] with sizes 2,2,5; incoming 4.0 forces two evictions
-    assert admit_with_eviction(state, 5, 4.0, pol) == [2, 3]
+    sizes = {1: 5.0, 2: 2.0, 3: 2.0, 4: 5.0, 5: 4.0}
+    events = [(t, 1, t) for t in range(1, 6)]
+    # used 9 of 9 after d1..d3; an incoming size-5 object needs d1 (5) gone,
+    # and evicting d1 alone frees exactly 5
+    pol = LRUPolicy()
+    m = simulate(
+        make_trace(events[:4], sizes=sizes), pol, CacheConfig(9.0), record_evictions=True
+    )
+    assert m.eviction_log == [key(1)]
+    assert sum(pol.state.order.values()) == 9.0
+    # then order is [2,3,4] with sizes 2,2,5; incoming 4.0 forces two evictions
+    m = sim(events, 9.0, sizes=sizes, record_evictions=True)
+    assert m.eviction_log == [key(1), key(2), key(3)]
 
 
 def test_admit_rejects_resident_and_oversized():
-    state = CacheState(4.0)
-    pol = bound_lru(state)
-    admit_with_eviction(state, 1, 1.0, pol)
-    with pytest.raises(ConsistencyError, match="already resident"):
-        admit_with_eviction(state, 1, 1.0, pol)
-    with pytest.raises(ConfigurationError, match="larger than the cache"):
-        admit_with_eviction(state, 2, 5.0, pol)
+    # a resident is never admitted twice (the repeat is a hit), and an object
+    # larger than the cache passes through as an oversized miss
+    pol = LRUPolicy()
+    tr = make_trace([(1, 1, 1), (2, 1, 1), (3, 1, 2)], sizes={2: 5.0})
+    m = simulate(tr, pol, CacheConfig(4.0), record_evictions=True)
+    assert m.hits == 1
+    assert m.oversized_misses == 1
+    assert m.eviction_log == []
+    assert list(pol.state.order) == [key(1)]
 
 
 def test_admit_detects_non_resident_victim():
@@ -159,29 +157,17 @@ def test_admit_detects_non_resident_victim():
         def victim(self):
             return 777
 
-    state = CacheState(1.0)
-    pol = BadPolicy()
-    pol.bind(state)
-    admit_with_eviction(state, 1, 1.0, pol)
+    tr = make_trace([(1, 1, 1), (2, 1, 2)])
     with pytest.raises(ConsistencyError, match="non-resident victim"):
-        admit_with_eviction(state, 2, 1.0, pol)
+        simulate(tr, BadPolicy(), CacheConfig(1.0), record_evictions=True)
 
 
 def test_simulate_matches_manual_admission_replay():
     tr = random_unit_trace(4, 800, 20, 3)
     m = simulate(tr, PolicyParams("lru"), CacheConfig(6.0), record_evictions=True)
-    state = CacheState(6.0)
-    pol = bound_lru(state)
-    log: list[int] = []
-    hits = 0
-    for key in tr.identity_keys().tolist():
-        if key in state.order:
-            state.order.move_to_end(key)
-            hits += 1
-        else:
-            log.extend(admit_with_eviction(state, key, 1.0, pol))
-    assert m.eviction_log == log
-    assert m.hits == hits
+    hits, victims = naive_lru(tr.identity_keys().tolist(), 6)
+    assert m.eviction_log == victims
+    assert m.hits == sum(hits)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,15 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrcache.engine import CacheConfig, ConfigurationError, simulate
 from corrcache.policies import (
     LFRUPolicy,
     LFRUSPolicy,
     POLICY_KINDS,
+    Policy,
     PolicyConfigError,
     PolicyParams,
     build_policy,
@@ -21,6 +24,9 @@ from corrcache.policies import (
 from conftest import (
     NAIVE,
     make_trace,
+    naive_follow,
+    naive_follow_counts,
+    naive_follow_scores,
     random_unit_trace,
     unpacked_eviction_objects,
     victim_sequence,
@@ -172,6 +178,68 @@ def test_victims_match_naive_reference(kind, seed):
     hits, victims = NAIVE[kind](tr.objects.tolist(), 12)
     assert unpacked_eviction_objects(m) == victims
     assert m.hits == sum(hits)
+
+
+@pytest.mark.parametrize("window", [0, 1, 3, 8, 20])
+@pytest.mark.parametrize("gamma", [0.5, 0.7, 1.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_follow_victims_match_naive_reference(window, gamma, seed):
+    # no follow_counts() call during the run: it would refresh the cached
+    # scores and hide a stale score read by victim()
+    tr = random_unit_trace(seed, 1500, 30, 5)
+    m = simulate(tr, LFRUSPolicy(window, gamma), CacheConfig(8.0), record_evictions=True)
+    hits, victims = naive_follow(tr.objects.tolist(), tr.clients.tolist(), 8, window, gamma)
+    assert unpacked_eviction_objects(m) == victims
+    assert m.hits == sum(hits)
+
+
+class _FromScratchFollow(Policy):
+    """Follow-aware policy that rebuilds every score from the windows."""
+
+    def __init__(self, window: int, gamma: float):
+        self.window = window
+        self.gamma = gamma
+        self.windows: dict = {}
+
+    def on_request(self, client, key, hit):
+        if self.window == 0:
+            return
+        prev = self.state.last_requester.get(key)
+        w = self.windows.setdefault(client, [])
+        w.append(prev if hit and prev is not None and prev != client else None)
+        del w[: -(self.window + 1)]
+
+    def follow_counts(self):
+        return naive_follow_counts(self.windows, self.gamma)
+
+    def victim(self):
+        scores = naive_follow_scores(self.windows, self.gamma)
+        last_req = self.state.last_requester
+        ranked = enumerate(self.state.order)
+        return min(ranked, key=lambda ik: (scores.get(last_req[ik[1]], 0), ik[0]))[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 4), st.integers(1, 10)), min_size=1, max_size=120),
+    st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=10, max_size=10),
+    st.integers(3, 10),
+    st.sampled_from([0, 1, 2, 3, 6]),
+    st.sampled_from([0.5, 0.7, 1.0]),
+)
+def test_follow_policy_matches_from_scratch_with_sizes(requests, sizes, capacity, window, gamma):
+    # sizes 1-3 make one admission evict several residents at once
+    tr = make_trace(
+        [(t, c, o) for t, (c, o) in enumerate(requests, start=1)],
+        sizes={o: s for o, s in enumerate(sizes, start=1)},
+    )
+    fast = LFRUSPolicy(window, gamma)
+    slow = _FromScratchFollow(window, gamma)
+    a = simulate(tr, fast, CacheConfig(float(capacity)), record_evictions=True)
+    b = simulate(tr, slow, CacheConfig(float(capacity)), record_evictions=True)
+    assert a.eviction_log == b.eviction_log
+    assert a.hits == b.hits
+    assert fast.follow_counts() == slow.follow_counts()
 
 
 # ---------------------------------------------------------------------------
