@@ -1,10 +1,10 @@
 """Show how group dynamics interact with the follow window and smoothing.
 
 On the toroidal random-walk workload, clients follow whoever is nearby, so
-the follow structure drifts over time.  When group membership is shuffled
-every few slots, a short follow window adapts faster than a long one; when
-leadership switches between clients, geometric smoothing of the follow
-counts helps again.
+the follow structure drifts over time.  When follower delays are pair-swapped
+every 50 slots, a short follow window adapts faster than a long one; when
+followers re-pick their leader every 50 slots, geometric smoothing of the
+follow counts helps again.
 
 Run:  python3 demos/demo_toroid_dynamics.py
 """
@@ -39,16 +39,16 @@ def main() -> None:
         "toroid-shuffle",
         (PolicyParams("lfru", window=2), PolicyParams("lfru", window=20)),
     )
-    print("toroid-shuffle (membership reshuffled at a short period):")
+    print("toroid-shuffle (follower delays pair-swapped every 50 slots):")
     for label in ("lfru(w=2)", "lfru(w=20)"):
         print(f"  {label:<14} mean hit ratio {shuffle[label]:.4f}")
-    print("  -> the short window tracks the reshuffled groups better\n")
+    print("  -> the short window tracks the swapped delays better\n")
 
     switch = mean_ratios(
         "toroid-switch",
         (PolicyParams("lfrus", window=2, gamma=0.5), PolicyParams("lfru", window=2)),
     )
-    print("toroid-switch (leadership rotates inside each group):")
+    print("toroid-switch (followers re-pick their leader every 50 slots):")
     for label in ("lfrus(w=2,g=0.5)", "lfru(w=2)"):
         print(f"  {label:<16} mean hit ratio {switch[label]:.4f}")
     print("  -> discounting stale follow events gives a small but consistent edge")

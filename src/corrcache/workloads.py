@@ -13,11 +13,13 @@ Two request-stream families:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .trace import NO_VERSION, ObjectCatalog, Trace
 
@@ -309,6 +311,16 @@ class ToroidSpec:
             raise ValueError("horizon_slots must be >= 1")
         if not self.groups:
             raise ValueError("need at least one group")
+        if not self.side > 0:
+            raise ValueError(f"side must be > 0, got {self.side}")
+        if self.direction_period < 1:
+            raise ValueError(f"direction_period must be >= 1, got {self.direction_period}")
+        if self.num_objects < 1:
+            raise ValueError(f"num_objects must be >= 1, got {self.num_objects}")
+        if not self.visibility_radius > 0:
+            raise ValueError(f"visibility_radius must be > 0, got {self.visibility_radius}")
+        if not self.near_radius >= 0:
+            raise ValueError(f"near_radius must be >= 0, got {self.near_radius}")
         max_delay = max((max(g.follower_delays, default=0) for g in self.groups), default=0)
         if max_delay >= self.horizon_slots:
             raise ValueError("horizon must exceed the largest follower delay")
@@ -399,21 +411,34 @@ def apply_leader_switch(
     return out
 
 
-def _torus_distance_sq(
-    points: np.ndarray, objects: np.ndarray, side: float
-) -> np.ndarray:
-    """Squared minimal-image distance between points (..., 3) and objects (D, 3).
+def _torus_visible_pairs(
+    points: np.ndarray, objects: np.ndarray, side: float, radius: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (point, object) pair within `radius` on the torus of edge `side`.
 
-    Accumulates one axis at a time so the peak temporary is (..., D) rather
-    than (..., D, 3).
+    A periodic k-d tree over the objects proposes candidates at a radius
+    inflated past any rounding of its own distance arithmetic; each candidate
+    is then rechecked exactly with the minimal-image distance, per axis
+    min(|dx|, side - |dx|) squared and summed as (x + y) + z, and kept when
+    d2 <= radius**2.  Returns (point_idx, object_idx, d2), sorted by point
+    index and then object index.
     """
-    out = None
+    # the tree needs data in [0, side); % maps a coordinate equal to side to 0
+    tree = cKDTree(objects % side, boxsize=side)
+    hits = tree.query_ball_point(points, radius + 1e-9 * (radius + side), return_sorted=True)
+    counts = np.fromiter(map(len, hits), dtype=np.int64, count=len(hits))
+    oi = np.fromiter(
+        itertools.chain.from_iterable(hits), dtype=np.int64, count=int(counts.sum())
+    )
+    pi = np.repeat(np.arange(len(points), dtype=np.int64), counts)
+    d2 = None
     for k in range(3):
-        diff = np.abs(points[..., k, None] - objects[:, k])
+        diff = np.abs(points[pi, k] - objects[oi, k])
         np.minimum(diff, side - diff, out=diff)
         diff *= diff
-        out = diff if out is None else out + diff
-    return out
+        d2 = diff if d2 is None else d2 + diff
+    keep = d2 <= radius**2
+    return pi[keep], oi[keep], d2[keep]
 
 
 def gen_toroid_trace(
@@ -422,7 +447,12 @@ def gen_toroid_trace(
     seed: int = 0,
     meta: dict[str, str] | None = None,
 ) -> Trace:
-    """Generate the toroid trace; slot numbers become event times."""
+    """Generate the toroid trace; slot numbers become event times.
+
+    Every client stands on some leader's path point in every slot it is
+    active, so visibility is computed once per path point and gathered per
+    (client, slot).
+    """
     rng = np.random.default_rng(seed)
     side = spec.side
     H = spec.horizon_slots
@@ -459,56 +489,47 @@ def gen_toroid_trace(
             leader_by_slot[fi, n] = li
             delay_by_slot[fi, n] = d
 
-    # client numbering mirrors the grouped generator: leader then its followers
-    numbering: list[tuple[str, int]] = []
-    fi = 0
-    for li, g in enumerate(spec.groups):
-        numbering.append(("leader", li))
-        for _ in g.follower_delays:
-            numbering.append(("follower", fi))
-            fi += 1
-    C = len(numbering)
-
-    positions = np.full((C, H, 3), np.nan)
+    # src_pt[c, n]: flat index li * H + slot of the path point client c stands
+    # on in slot n, -1 before a follower starts.  Client numbering mirrors the
+    # grouped generator: leader then its followers.
+    C = spec.client_count()
     slots = np.arange(H)
-    for ci, (role, idx) in enumerate(numbering):
-        if role == "leader":
-            positions[ci] = paths[idx]
-        else:
-            src = slots - delay_by_slot[idx]
-            ok = src >= 0
-            positions[ci, ok] = paths[leader_by_slot[idx, ok], src[ok]]
+    src_pt = np.empty((C, H), dtype=np.int64)
+    ci = fi = 0
+    for li, g in enumerate(spec.groups):
+        src_pt[ci] = li * H + slots
+        ci += 1
+        for _ in g.follower_delays:
+            src = slots - delay_by_slot[fi]
+            src_pt[ci] = np.where(src >= 0, leader_by_slot[fi] * H + src, -1)
+            ci += 1
+            fi += 1
 
-    r2 = spec.visibility_radius**2
-    near2 = spec.near_radius**2
-    times_parts: list[np.ndarray] = []
-    client_parts: list[np.ndarray] = []
-    object_parts: list[np.ndarray] = []
-    version_parts: list[np.ndarray] = []
-    prev_visible = np.zeros((C, spec.num_objects), dtype=bool)
+    # visible objects of every path point, as CSR rows in object order
+    pair_pt, pair_obj, pair_d2 = _torus_visible_pairs(
+        paths.reshape(-1, 3), objects_pos, side, spec.visibility_radius
+    )
+    row_start = np.zeros(n_leaders * H + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pair_pt, minlength=n_leaders * H), out=row_start[1:])
 
-    chunk = max(1, int(2_000_000 // max(1, C * spec.num_objects)))
-    for start in range(0, H, chunk):
-        stop = min(H, start + chunk)
-        pos = positions[:, start:stop]  # (C, S, 3)
-        with np.errstate(invalid="ignore"):
-            d2 = _torus_distance_sq(pos, objects_pos, side)  # (C, S, D)
-            visible = d2 <= r2
-        visible &= ~np.isnan(pos[..., 0])[..., None]
-        if spec.newly_visible_only:
-            request = visible.copy()
-            request[:, 0, :] &= ~prev_visible
-            if stop - start > 1:
-                request[:, 1:, :] &= ~visible[:, :-1, :]
-            prev_visible = visible[:, -1, :].copy()
-        else:
-            request = visible
-        ci, si, oi = np.nonzero(request)
-        times_parts.append((start + si).astype(np.float64))
-        client_parts.append((ci + 1).astype(np.int64))
-        object_parts.append((oi + 1).astype(np.int64))
-        if spec.versioned:
-            version_parts.append(np.where(d2[ci, si, oi] < near2, 0, 1).astype(np.int64))
+    # gather: one event per pair in the row of each active (client, slot);
+    # an event's pair index is its row start plus its rank within the row
+    flat = src_pt.ravel()
+    active = np.flatnonzero(flat >= 0)
+    pt = flat[active]
+    width = row_start[pt + 1] - row_start[pt]
+    ev = np.repeat(row_start[pt] - (np.cumsum(width) - width), width)
+    ev += np.arange(len(ev), dtype=np.int64)
+    ev_cs = np.repeat(active, width)  # client * H + slot of each event
+    if spec.newly_visible_only:
+        # drop (c, n, o) when o was visible from the point c stood on at n-1.
+        # Keys pt * D + o are unique and below L * H * D; an inactive previous
+        # slot (point -1, or n == 0) gives a negative key that matches nothing.
+        D = spec.num_objects
+        prev = np.where(ev_cs % H > 0, flat[ev_cs - 1], -1)
+        keep = ~np.isin(prev * D + pair_obj[ev], pair_pt * D + pair_obj)
+        ev, ev_cs = ev[keep], ev_cs[keep]
+    ev_ci, ev_slot = np.divmod(ev_cs, H)
 
     catalog = ObjectCatalog()
     if spec.versioned:
@@ -519,11 +540,11 @@ def gen_toroid_trace(
         for oid in range(1, spec.num_objects + 1):
             catalog.add(oid, 1.0)
 
-    times = np.concatenate(times_parts) if times_parts else np.empty(0)
-    cl = np.concatenate(client_parts) if client_parts else np.empty(0, dtype=np.int64)
-    ob = np.concatenate(object_parts) if object_parts else np.empty(0, dtype=np.int64)
+    times = ev_slot.astype(np.float64)
+    cl = ev_ci + 1
+    ob = pair_obj[ev] + 1
     if spec.versioned:
-        vr = np.concatenate(version_parts) if version_parts else np.empty(0, dtype=np.int64)
+        vr = np.where(pair_d2[ev] < spec.near_radius**2, 0, 1).astype(np.int64)
     else:
         vr = None
     base_meta = {

@@ -333,6 +333,145 @@ def toroid_oracle_events(spec, seed):
     return events
 
 
+def _naive_torus_distance_sq(points, objects, side):
+    """Squared minimal-image distance between points (..., 3) and objects (D, 3)."""
+    out = None
+    for k in range(3):
+        diff = np.abs(points[..., k, None] - objects[:, k])
+        np.minimum(diff, side - diff, out=diff)
+        diff *= diff
+        out = diff if out is None else out + diff
+    return out
+
+
+def naive_toroid_trace(spec, dynamics=None, seed=0):
+    """gen_toroid_trace the dense way: every (client, slot, object) distance.
+
+    Positions are laid out per client and slot (NaN before a follower
+    starts), distances are taken against every object in slot chunks, and
+    newly-visible filtering compares each slot with the one before.  Same
+    randomness consumption order and meta as the library generator, so the
+    two must agree byte for byte.  The dynamics steps are the package's own
+    apply_order_shuffle/apply_leader_switch, which have tests of their own.
+    """
+    from corrcache.workloads import OrderShuffle, apply_leader_switch, apply_order_shuffle
+
+    rng = np.random.default_rng(seed)
+    side = spec.side
+    H = spec.horizon_slots
+    n_leaders = len(spec.groups)
+
+    objects_pos = rng.uniform(0.0, side, size=(spec.num_objects, 3))
+
+    def unit(rng):
+        while True:
+            v = rng.normal(size=3)
+            n = np.linalg.norm(v)
+            if n > 1e-12:
+                return v / n
+
+    paths = np.empty((n_leaders, H, 3))
+    for li in range(n_leaders):
+        pos = rng.uniform(0.0, side, size=3)
+        direction = unit(rng)
+        for n in range(H):
+            if n > 0 and n % spec.direction_period == 0:
+                direction = unit(rng)
+            if n > 0:
+                pos = (pos + spec.speed * direction) % side
+            paths[li, n] = pos
+
+    assignments = []
+    for li, g in enumerate(spec.groups):
+        assignments.extend((li, d) for d in g.follower_delays)
+    n_followers = len(assignments)
+    leader_by_slot = np.empty((n_followers, H), dtype=np.int64)
+    delay_by_slot = np.empty((n_followers, H), dtype=np.int64)
+    for n in range(H):
+        if dynamics is not None:
+            if isinstance(dynamics, OrderShuffle):
+                assignments = apply_order_shuffle(assignments, dynamics.period, n)
+            else:
+                assignments = apply_leader_switch(assignments, dynamics, n, rng)
+        for fi, (li, d) in enumerate(assignments):
+            leader_by_slot[fi, n] = li
+            delay_by_slot[fi, n] = d
+
+    numbering = []
+    fi = 0
+    for li, g in enumerate(spec.groups):
+        numbering.append(("leader", li))
+        for _ in g.follower_delays:
+            numbering.append(("follower", fi))
+            fi += 1
+    C = len(numbering)
+
+    positions = np.full((C, H, 3), np.nan)
+    slots = np.arange(H)
+    for ci, (role, idx) in enumerate(numbering):
+        if role == "leader":
+            positions[ci] = paths[idx]
+        else:
+            src = slots - delay_by_slot[idx]
+            ok = src >= 0
+            positions[ci, ok] = paths[leader_by_slot[idx, ok], src[ok]]
+
+    r2 = spec.visibility_radius**2
+    near2 = spec.near_radius**2
+    times_parts, client_parts, object_parts, version_parts = [], [], [], []
+    prev_visible = np.zeros((C, spec.num_objects), dtype=bool)
+
+    chunk = max(1, int(2_000_000 // max(1, C * spec.num_objects)))
+    for start in range(0, H, chunk):
+        stop = min(H, start + chunk)
+        pos = positions[:, start:stop]  # (C, S, 3)
+        with np.errstate(invalid="ignore"):
+            d2 = _naive_torus_distance_sq(pos, objects_pos, side)  # (C, S, D)
+            visible = d2 <= r2
+        visible &= ~np.isnan(pos[..., 0])[..., None]
+        if spec.newly_visible_only:
+            request = visible.copy()
+            request[:, 0, :] &= ~prev_visible
+            if stop - start > 1:
+                request[:, 1:, :] &= ~visible[:, :-1, :]
+            prev_visible = visible[:, -1, :].copy()
+        else:
+            request = visible
+        ci, si, oi = np.nonzero(request)
+        times_parts.append((start + si).astype(np.float64))
+        client_parts.append((ci + 1).astype(np.int64))
+        object_parts.append((oi + 1).astype(np.int64))
+        if spec.versioned:
+            version_parts.append(np.where(d2[ci, si, oi] < near2, 0, 1).astype(np.int64))
+
+    catalog = ObjectCatalog()
+    for oid in range(1, spec.num_objects + 1):
+        if spec.versioned:
+            for tier, size in enumerate(spec.tier_sizes):
+                catalog.add(oid, size, tier)
+        else:
+            catalog.add(oid, 1.0)
+
+    meta = {
+        "generator": "toroid",
+        "seed": str(seed),
+        "horizon_slots": str(H),
+        "clients": str(C),
+    }
+    if dynamics is not None:
+        meta["dynamics"] = type(dynamics).__name__.lower()
+    trace = Trace(
+        np.concatenate(times_parts),
+        np.concatenate(client_parts),
+        np.concatenate(object_parts),
+        np.concatenate(version_parts) if spec.versioned else None,
+        catalog,
+        meta,
+    )
+    trace.sort_events()
+    return trace
+
+
 def trace_event_set(trace) -> set:
     return set(
         zip(

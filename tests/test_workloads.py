@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from corrcache.trace import trace_to_string, validate_trace
@@ -27,9 +29,14 @@ from corrcache.workloads import (
     sample_delays,
     zipf_pmf,
 )
-from corrcache.workloads import _torus_distance_sq
+from corrcache.workloads import _torus_visible_pairs
 
-from conftest import tiny_toroid_spec, toroid_oracle_events, trace_event_set  # noqa: F401
+from conftest import (  # noqa: F401
+    naive_toroid_trace,
+    tiny_toroid_spec,
+    toroid_oracle_events,
+    trace_event_set,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +314,114 @@ def test_toroid_spec_validation():
         ToroidSpec(groups=(ToroidGroup((5,)),), horizon_slots=5)
     with pytest.raises(ValueError):
         ToroidSpec(groups=(), horizon_slots=10)
+    groups = (ToroidGroup((2,)),)
+    for field, value in [
+        ("side", 0.0),
+        ("side", -5.0),
+        ("side", float("nan")),
+        ("direction_period", 0),
+        ("num_objects", 0),
+        ("visibility_radius", 0.0),
+        ("visibility_radius", -1.0),
+        ("near_radius", -0.5),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            ToroidSpec(groups=groups, horizon_slots=10, **{field: value})
+    # the boundary values that stay legal
+    ToroidSpec(groups=groups, horizon_slots=10, direction_period=1, num_objects=1, near_radius=0.0)
 
 
 def test_torus_minimal_image_distance():
     objs = np.array([[99.0, 0.0, 0.0], [49.0, 0.0, 0.0]])
     pts = np.zeros((1, 3))
-    d2 = _torus_distance_sq(pts, objs, 100.0)
-    assert np.allclose(d2[0], [1.0, 49.0**2])
+    pi, oi, d2 = _torus_visible_pairs(pts, objs, 100.0, 50.0)
+    assert pi.tolist() == [0, 0] and oi.tolist() == [0, 1]
+    assert np.allclose(d2, [1.0, 49.0**2])
+
+
+def test_torus_visible_pairs_exact_boundary_cases():
+    side = 100.0
+    # an object exactly at the radius: 30^2 + 40^2 == 50^2 in floats
+    pi, oi, d2 = _torus_visible_pairs(np.array([[30.0, 40.0, 0.0]]), np.zeros((1, 3)), side, 50.0)
+    assert d2.tolist() == [2500.0] and pi.tolist() == [0] and oi.tolist() == [0]
+    # one ulp less of radius and it is out
+    assert len(_torus_visible_pairs(np.array([[30.0, 40.0, 0.0]]), np.zeros((1, 3)), side,
+                                    np.nextafter(50.0, 0.0))[0]) == 0
+    # across the seam: 99.9 and 0.05 are 0.15 apart, not 99.85
+    pi, oi, d2 = _torus_visible_pairs(
+        np.array([[99.9, 50.0, 50.0]]), np.array([[0.05, 50.0, 50.0]]), side, 0.2
+    )
+    assert oi.tolist() == [0] and d2[0] == pytest.approx(0.15**2)
+    # a point that `% side` rounded up to side itself sits on the origin
+    edge = -1e-20 % side
+    assert edge == side
+    objs = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 50.0], [side - 0.1, 0.0, 0.0]])
+    pi, oi, d2 = _torus_visible_pairs(np.array([[edge, 0.0, 0.0]]), objs, side, 1.0)
+    assert oi.tolist() == [0, 2] and d2[0] == 0.0
+    # an object coordinate equal to side is found from the origin as well
+    pi, oi, d2 = _torus_visible_pairs(np.zeros((1, 3)), np.array([[side, 0.0, 0.0]]), side, 1.0)
+    assert oi.tolist() == [0] and d2.tolist() == [0.0]
+
+
+def test_torus_visible_pairs_match_dense_distances():
+    rng = np.random.default_rng(5)
+    side = 60.0
+    pts = rng.uniform(0.0, side, size=(40, 3))
+    objs = rng.uniform(0.0, side, size=(70, 3))
+    delta = np.abs(pts[:, None, :] - objs[None, :, :])
+    delta = np.minimum(delta, side - delta) ** 2
+    dense = (delta[..., 0] + delta[..., 1]) + delta[..., 2]
+    for radius in (3.0, 17.0, side / 2, 0.9 * side):
+        pi, oi, d2 = _torus_visible_pairs(pts, objs, side, radius)
+        want_pi, want_oi = np.nonzero(dense <= radius**2)
+        assert pi.tolist() == want_pi.tolist() and oi.tolist() == want_oi.tolist()
+        assert d2.tolist() == dense[want_pi, want_oi].tolist()
+
+
+@st.composite
+def toroid_cases(draw):
+    n_groups = draw(st.integers(1, 3))
+    groups = tuple(
+        ToroidGroup(tuple(draw(st.lists(st.integers(1, 4), max_size=3))))
+        for _ in range(n_groups)
+    )
+    side = draw(st.sampled_from([40.0, 100.0, 123.5]))
+    versioned = draw(st.booleans())
+    spec = ToroidSpec(
+        groups=groups,
+        horizon_slots=draw(st.integers(5, 24)),
+        side=side,
+        num_objects=draw(st.integers(1, 40)),
+        speed=draw(st.floats(0.0, 0.6 * side)),
+        direction_period=draw(st.integers(1, 6)),
+        # up to and past side/2, where one point sees objects on both sides
+        visibility_radius=side * draw(st.floats(0.02, 0.95)),
+        versioned=versioned,
+        near_radius=side * draw(st.floats(0.0, 0.4)),
+        newly_visible_only=draw(st.booleans()),
+    )
+    kind = draw(st.sampled_from(["none", "shuffle", "switch"]))
+    if kind == "shuffle":
+        dynamics = OrderShuffle(period=draw(st.integers(1, 6)))
+    elif kind == "switch":
+        weights = draw(st.lists(st.integers(1, 5), min_size=n_groups, max_size=n_groups))
+        dynamics = LeaderSwitch(
+            period=draw(st.integers(1, 6)),
+            probabilities=tuple(w / sum(weights) for w in weights),
+            step_delay=draw(st.integers(1, 3)),
+        )
+    else:
+        dynamics = None
+    return spec, dynamics, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(toroid_cases())
+def test_toroid_matches_dense_reference(case):
+    spec, dynamics, seed = case
+    fast = gen_toroid_trace(spec, dynamics=dynamics, seed=seed)
+    slow = naive_toroid_trace(spec, dynamics, seed)
+    assert trace_to_string(fast) == trace_to_string(slow)
 
 
 def test_toroid_matches_bruteforce_oracle(tiny_toroid_spec):
