@@ -22,7 +22,6 @@ from .engine import (
     ConsistencyError,
     SimulationMetrics,
     config_digest,
-    measured_hit_ratio,
     normalized_model_hit_rate,
     simulate,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "gen_toroid_trace",
     "get_preset",
     "group_window_integral",
-    "measured_hit_ratio",
     "normalized_model_hit_rate",
     "parse_experiment_config",
     "parse_policy_spec",

@@ -147,13 +147,6 @@ class SimulationMetrics:
         fh.write("\n")
 
 
-def measured_hit_ratio(metrics: SimulationMetrics) -> float:
-    """Hit ratio over forwarded requests; errors when nothing was forwarded."""
-    if metrics.forwarded == 0:
-        raise ConsistencyError("no forwarded requests: hit ratio undefined")
-    return metrics.hits / metrics.forwarded
-
-
 def config_digest(policy_label: str, config: CacheConfig, trace: Trace) -> str:
     """Short stable digest tying a metrics file to its inputs."""
     h = hashlib.sha256()

@@ -289,6 +289,11 @@ def _fill_policy_params(
 def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     """Run every (policy, capacity, seed) cell; rows in configuration order."""
     preset, build = _resolve_trace_source(cfg)
+    return _run_sweep(cfg, preset, build)
+
+
+def _run_sweep(cfg: ExperimentConfig, preset: Preset | None, build) -> SweepReport:
+    """run_sweep over the traces ``build(seed)`` returns."""
     local = cfg.local_fraction
     if local is None:
         local = preset.local_fraction if preset is not None else 0.0
@@ -641,7 +646,8 @@ def _reproduce_sweep(preset: Preset, scale: float, seed: int, horizon):
         scale=scale,
         horizon=horizon,
     )
-    report = run_sweep(cfg)
+    # the probe is the trace run_sweep would build for this seed
+    report = _run_sweep(cfg, preset, lambda _seed: probe)
     comparisons = compare_policies(report)
     sweep_buf = io.StringIO()
     report.to_csv(sweep_buf)

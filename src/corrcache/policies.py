@@ -110,28 +110,64 @@ class LFUPolicy(Policy):
 
     Counts accumulate over the whole run and survive eviction; ties fall back
     to least-recently-used.
+
+    Victims come from a lazy min-heap of ``(count, stamp, key)``.  ``stamp``
+    numbers the requests, and ``_stamps`` holds each key's latest one; among
+    residents that stamp orders keys exactly as the recency order does, so
+    the heap minimum is the smallest count with the LRU tie-break.  An entry
+    is live while its key is resident and its stamp is the key's latest.  A
+    hit pushes in ``on_request``; a miss pushes in ``on_admit``, because
+    ``victim()`` runs while the missed key is counted but not yet resident
+    and would discard an entry pushed earlier.  Once stale entries make the
+    heap longer than ``HEAP_SLACK`` times the residents plus ``HEAP_EXTRA``,
+    it is rebuilt from the residents, so its size is bounded by the cache,
+    not by the trace.
     """
 
     name = "lfu"
+    HEAP_SLACK = 4
+    HEAP_EXTRA = 64
 
     def __init__(self):
         self.counts: dict[int, int] = {}
+        self._stamps: dict[int, int] = {}
+        self._stamp = 0
+        self._heap: list[tuple[int, int, int]] = []
 
     def on_request(self, client: int, key: int, hit: bool) -> None:
-        self.counts[key] = self.counts.get(key, 0) + 1
+        n = self.counts.get(key, 0) + 1
+        self.counts[key] = n
+        stamp = self._stamp = self._stamp + 1
+        self._stamps[key] = stamp
+        if hit:
+            heap = self._heap
+            heapq.heappush(heap, (n, stamp, key))
+            if len(heap) > self.HEAP_SLACK * len(self.state.order) + self.HEAP_EXTRA:
+                self._rebuild()
+
+    def on_admit(self, key: int) -> None:
+        heap = self._heap
+        heapq.heappush(heap, (self.counts[key], self._stamps[key], key))
+        if len(heap) > self.HEAP_SLACK * len(self.state.order) + self.HEAP_EXTRA:
+            self._rebuild()
+
+    def _rebuild(self) -> None:
+        """Replace the heap by one live entry per resident."""
+        counts = self.counts
+        stamps = self._stamps
+        heap = self._heap
+        heap[:] = [(counts[k], stamps[k], k) for k in self.state.order]
+        heapq.heapify(heap)
 
     def victim(self) -> int:
-        counts = self.counts
-        best_key = None
-        best = None
-        # iteration starts at the least-recent end, so the first strict
-        # minimum seen is automatically the LRU tie-break winner
-        for key in self.state.order:
-            c = counts.get(key, 0)
-            if best is None or c < best:
-                best = c
-                best_key = key
-        return best_key
+        order = self.state.order
+        stamps = self._stamps
+        heap = self._heap
+        while heap:
+            _, stamp, key = heapq.heappop(heap)
+            if stamps[key] == stamp and key in order:
+                return key
+        raise RuntimeError("lfu victim requested with no resident candidates")
 
 
 class _SieveNode:

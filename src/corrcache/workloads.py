@@ -453,10 +453,15 @@ def gen_toroid_trace(
     active, so visibility is computed once per path point and gathered per
     (client, slot).
     """
+    n_leaders = len(spec.groups)
+    if isinstance(dynamics, LeaderSwitch) and len(dynamics.probabilities) > n_leaders:
+        raise ValueError(
+            f"LeaderSwitch has {len(dynamics.probabilities)} probabilities but the spec "
+            f"has {n_leaders} groups; probabilities must not outnumber groups"
+        )
     rng = np.random.default_rng(seed)
     side = spec.side
     H = spec.horizon_slots
-    n_leaders = len(spec.groups)
 
     objects_pos = rng.uniform(0.0, side, size=(spec.num_objects, 3))
 

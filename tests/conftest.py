@@ -126,6 +126,41 @@ def naive_lfu(keys, capacity: int):
     return naive_run(keys, capacity, victim, on_request=on_request)
 
 
+def naive_sized_lfu(keys, sizes, capacity):
+    """LFU over a byte budget, one size per request.
+
+    Every request counts, also one for an object larger than the whole cache,
+    which is never admitted.  A miss that fits evicts the smallest-count
+    resident (ties to least-recently-used) until it does.
+    Returns (hit flags, victims in eviction order).
+    """
+    resident: list = []  # recency order, least recent first
+    size_of: dict = {}
+    counts: dict = {}
+    used = 0
+    hits = []
+    victims = []
+    for key, size in zip(keys, sizes):
+        counts[key] = counts.get(key, 0) + 1
+        if key in resident:
+            resident.remove(key)
+            resident.append(key)
+            hits.append(True)
+            continue
+        hits.append(False)
+        if size > capacity:
+            continue
+        while used + size > capacity:
+            v = min(resident, key=lambda k: (counts[k], resident.index(k)))
+            resident.remove(v)
+            used -= size_of.pop(v)
+            victims.append(v)
+        resident.append(key)
+        size_of[key] = size
+        used += size
+    return hits, victims
+
+
 def naive_belady(keys, capacity: int):
     n = len(keys)
 

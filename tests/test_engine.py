@@ -15,7 +15,6 @@ from corrcache.engine import (
     ConsistencyError,
     check_metrics,
     config_digest,
-    measured_hit_ratio,
     normalized_model_hit_rate,
     simulate,
 )
@@ -218,18 +217,16 @@ def test_local_tier_ignores_objects_larger_than_private_capacity():
 
 def test_hit_ratio_extremes():
     none = sim([(1, 1, 1), (2, 1, 2)], 5.0)
-    assert measured_hit_ratio(none) == 0.0
+    assert none.hit_ratio == 0.0
     all_hits = sim([(1, 1, 1), (2, 1, 1), (3, 1, 1)], 5.0)
     assert all_hits.hits == 2  # cold miss then hits
-    assert measured_hit_ratio(sim([(1, 1, 1), (2, 1, 1)], 5.0)) == 0.5
+    assert sim([(1, 1, 1), (2, 1, 1)], 5.0).hit_ratio == 0.5
 
 
 def test_hit_ratio_undefined_without_forwarded_requests():
     m = sim([(1, 1, 1)], 5.0)
     m.forwarded = 0
     assert math.isnan(m.hit_ratio)
-    with pytest.raises(ConsistencyError, match="undefined"):
-        measured_hit_ratio(m)
 
 
 def test_per_client_breakdown():

@@ -12,6 +12,7 @@ from corrcache.engine import CacheConfig, ConfigurationError, simulate
 from corrcache.policies import (
     LFRUPolicy,
     LFRUSPolicy,
+    LFUPolicy,
     POLICY_KINDS,
     Policy,
     PolicyConfigError,
@@ -27,6 +28,7 @@ from conftest import (
     naive_follow,
     naive_follow_counts,
     naive_follow_scores,
+    naive_sized_lfu,
     random_unit_trace,
     unpacked_eviction_objects,
     victim_sequence,
@@ -178,6 +180,69 @@ def test_victims_match_naive_reference(kind, seed):
     hits, victims = NAIVE[kind](tr.objects.tolist(), 12)
     assert unpacked_eviction_objects(m) == victims
     assert m.hits == sum(hits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 3), st.integers(1, 10)), min_size=1, max_size=150),
+    st.lists(st.sampled_from([1, 2, 3, 11]), min_size=10, max_size=10),
+    st.integers(3, 10),
+)
+def test_lfu_matches_sized_naive_reference(requests, sizes, capacity):
+    # sizes 1-3 make one admission evict several residents; size 11 never
+    # fits and is bypassed, but still counted
+    tr = make_trace(
+        [(t, c, o) for t, (c, o) in enumerate(requests, start=1)],
+        sizes={o: float(s) for o, s in enumerate(sizes, start=1)},
+    )
+    m = victim_sequence(tr, "lfu", float(capacity))
+    objects = tr.objects.tolist()
+    hits, victims = naive_sized_lfu(objects, [sizes[o - 1] for o in objects], capacity)
+    assert unpacked_eviction_objects(m) == victims
+    assert m.hits == sum(hits)
+    want: dict = {}
+    for c, o, h in zip(tr.clients.tolist(), objects, hits):
+        want[(c, o)] = want.get((c, o), 0) + h
+    got = zip(m.pair_clients.tolist(), m.pair_objects.tolist(), m.pair_hits.tolist())
+    assert {(c, o): h for c, o, h in got} == want
+
+
+class _WatchedLFU(LFUPolicy):
+    """LFU that checks its heap length after every push and counts rebuilds."""
+
+    def __init__(self):
+        super().__init__()
+        self.worst = 0.0  # largest heap length / bound seen after a push
+        self.rebuilds = 0
+
+    def _watch(self, before):
+        n = len(self._heap)
+        self.rebuilds += n <= before  # a push that did not grow the heap rebuilt it
+        self.worst = max(self.worst, n / (4 * len(self.state.order) + 64))
+
+    def on_request(self, client, key, hit):
+        before = len(self._heap)
+        super().on_request(client, key, hit)
+        if hit:
+            self._watch(before)
+
+    def on_admit(self, key):
+        before = len(self._heap)
+        super().on_admit(key)
+        self._watch(before)
+
+
+def test_lfu_heap_stays_bounded_by_the_cache():
+    # the heap never holds more than 4 entries per resident plus 64,
+    # however long the trace
+    tr = random_unit_trace(7, 30_000, 400, 6)
+    pol = _WatchedLFU()
+    m = simulate(tr, pol, CacheConfig(40.0), record_evictions=True)
+    assert m.evictions > 10_000
+    assert pol.rebuilds > 50
+    assert pol.worst <= 1.0
+    hits, victims = NAIVE["lfu"](tr.objects.tolist(), 40)
+    assert unpacked_eviction_objects(m) == victims and m.hits == sum(hits)
 
 
 @pytest.mark.parametrize("window", [0, 1, 3, 8, 20])

@@ -302,6 +302,41 @@ def test_dynamics_validation():
         LeaderSwitch(period=5, probabilities=(1.5, -0.5))
 
 
+def test_leader_switch_rejects_more_probabilities_than_groups(monkeypatch):
+    spec = ToroidSpec(groups=(ToroidGroup(()),), horizon_slots=10)
+    dyn = LeaderSwitch(period=5, probabilities=(0.0, 1.0))
+
+    def no_draws(seed=None):
+        raise AssertionError("the generator drew before checking its dynamics")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match=r"2 probabilities.* 1 groups"):
+        gen_toroid_trace(spec, dynamics=dyn, seed=0)
+
+
+def test_leader_switch_with_fewer_probabilities_than_groups():
+    # clients: 1 = leader 0, 2 = leader 1, 3 = leader 1's follower (delay 1);
+    # from slot 4 on the follower trails leader 0 by 2 slots
+    spec = ToroidSpec(
+        groups=(ToroidGroup(()), ToroidGroup((1,))),
+        horizon_slots=12,
+        side=100.0,
+        num_objects=300,
+        speed=7.0,
+        direction_period=3,
+        visibility_radius=30.0,
+    )
+    dyn = LeaderSwitch(period=4, probabilities=(1.0,), step_delay=2)
+    tr = gen_toroid_trace(spec, dynamics=dyn, seed=3)
+    assert trace_to_string(tr) == trace_to_string(naive_toroid_trace(spec, dyn, 3))
+    seen: dict = {}
+    for t, c, o in zip(tr.times.tolist(), tr.clients.tolist(), tr.objects.tolist()):
+        seen.setdefault((c, int(t)), set()).add(o)
+    for n in range(4, 12):
+        assert seen.get((1, n - 2))
+        assert seen.get((3, n)) == seen[(1, n - 2)]
+
+
 # ---------------------------------------------------------------------------
 # toroid generator
 # ---------------------------------------------------------------------------
@@ -422,6 +457,47 @@ def test_toroid_matches_dense_reference(case):
     fast = gen_toroid_trace(spec, dynamics=dynamics, seed=seed)
     slow = naive_toroid_trace(spec, dynamics, seed)
     assert trace_to_string(fast) == trace_to_string(slow)
+
+
+class _ScriptedRng:
+    """Stands in for np.random.default_rng: hands out fixed draws in order."""
+
+    def __init__(self, uniforms, normals):
+        self.uniforms = list(uniforms)
+        self.normals = list(normals)
+
+    def uniform(self, low, high, size):
+        return np.array(self.uniforms.pop(0), dtype=np.float64).reshape(size)
+
+    def normal(self, size):
+        return np.array(self.normals.pop(0), dtype=np.float64).reshape(size)
+
+
+def test_toroid_version_tier_boundary_is_exact(monkeypatch):
+    # one leader standing on the origin for one slot; object 1 sits exactly
+    # at the near radius (3^2 + 4^2 == 5^2 in floats), object 2 one ulp of
+    # its y coordinate closer
+    closer = np.nextafter(4.0, 0.0)
+    assert 3.0**2 + closer**2 < 25.0
+    objects = [[3.0, 4.0, 0.0], [3.0, closer, 0.0]]
+    monkeypatch.setattr(
+        np.random,
+        "default_rng",
+        lambda seed=None: _ScriptedRng([objects, [0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]]),
+    )
+    spec = ToroidSpec(
+        groups=(ToroidGroup(()),),
+        horizon_slots=1,
+        side=100.0,
+        num_objects=2,
+        visibility_radius=10.0,
+        versioned=True,
+        near_radius=5.0,
+    )
+    want = {(0.0, 1, 1, 1), (0.0, 1, 2, 0)}  # far tier at the radius, near inside
+    assert trace_event_set(gen_toroid_trace(spec, seed=0)) == want
+    assert toroid_oracle_events(spec, 0) == want
+    assert trace_event_set(naive_toroid_trace(spec, None, 0)) == want
 
 
 def test_toroid_matches_bruteforce_oracle(tiny_toroid_spec):
