@@ -23,7 +23,9 @@ from .engine import (
     simulate,
 )
 from .harness import (
+    CapacityGrid,
     HarnessConfigError,
+    _field_float,
     capacity_summary_csv,
     compare_policies,
     comparison_csv,
@@ -205,15 +207,6 @@ def _load_source_config(source: str, allowed: set[str], what: str) -> dict[str, 
     return {"preset": source}
 
 
-def _field_float(fields: dict[str, str], key: str):
-    if key not in fields:
-        return None
-    try:
-        return float(fields[key])
-    except ValueError:
-        raise HarnessConfigError(f"{key} must be a number") from None
-
-
 def _cmd_generate(args) -> int:
     fields = _load_source_config(args.source, _GENERATE_KEYS, "generate")
     preset = get_preset(fields["preset"])
@@ -241,16 +234,6 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _resolve_capacity(value: float, base: str, trace) -> float:
-    if base == "absolute":
-        return value
-    if not 0 < value:
-        raise ConfigurationError("fractional capacity must be positive")
-    if base == "volume":
-        return value * trace.catalog.total_volume()
-    return value * float(trace_stats(trace).distinct_identities)
-
-
 def _cmd_simulate(args) -> int:
     trace = read_trace(args.trace)
     report = validate_trace(trace)
@@ -259,7 +242,7 @@ def _cmd_simulate(args) -> int:
             "trace failed validation: " + "; ".join(report.violations[:3])
         )
     params = parse_policy_spec(args.policy)
-    capacity = _resolve_capacity(args.capacity, args.capacity_base, trace)
+    capacity = CapacityGrid((args.capacity,), args.capacity_base).resolve(trace)[0]
     config = CacheConfig(capacity=capacity, local_cache_fraction=args.local_frac)
     follow_dump = args.dump_follow_matrix
     if follow_dump is not None and params.kind not in ("lfru", "lfrus"):

@@ -94,13 +94,15 @@ class SimulationMetrics:
 
     def per_client(self) -> dict[int, tuple[int, int]]:
         """client -> (forwarded requests, hits)."""
-        out: dict[int, tuple[int, int]] = {}
-        for c, r, h in zip(
-            self.pair_clients.tolist(), self.pair_requests.tolist(), self.pair_hits.tolist()
-        ):
-            pr, ph = out.get(c, (0, 0))
-            out[c] = (pr + r, ph + h)
-        return out
+        clients, inverse = np.unique(self.pair_clients, return_inverse=True)
+        requests = np.bincount(inverse, weights=self.pair_requests, minlength=len(clients))
+        hits = np.bincount(inverse, weights=self.pair_hits, minlength=len(clients))
+        return dict(
+            zip(
+                clients.tolist(),
+                zip(requests.astype(np.int64).tolist(), hits.astype(np.int64).tolist()),
+            )
+        )
 
     def to_csv(self, fh: IO[str]) -> None:
         """Per-pair rows, then per-client aggregates, then the overall row.
@@ -159,14 +161,55 @@ def config_digest(policy_label: str, config: CacheConfig, trace: Trace) -> str:
     return h.hexdigest()[:16]
 
 
+# Per-pair rows are aggregated under client << 40 | key, and identity keys
+# are object << 8 | (version + 1); ids outside these ranges would collide.
+_OBJECT_LIMIT = 1 << 32
+_CLIENT_LIMIT = 1 << 23
+_VERSION_LIMIT = (1 << 8) - 1
+
+
+def _check_id_ranges(trace: Trace) -> None:
+    if len(trace) == 0:
+        return
+    for name, arr, lo, hi in (
+        ("object id", trace.objects, 1, _OBJECT_LIMIT),
+        ("client id", trace.clients, 1, _CLIENT_LIMIT),
+        ("version", trace.versions, -1, _VERSION_LIMIT),
+    ):
+        amin, amax = int(arr.min()), int(arr.max())
+        if amin < lo or amax >= hi:
+            bad = amin if amin < lo else amax
+            raise ConfigurationError(f"{name} {bad} outside the packable range [{lo}, {hi})")
+
+
+def _event_sizes(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-event identity keys and sizes, plus the catalog's (keys, sizes)."""
+    _check_id_ranges(trace)
+    keys_arr = trace.identity_keys()
+    cat_keys, cat_sizes = trace.catalog.size_arrays()
+    if len(cat_keys) == 0:
+        raise ConfigurationError("trace catalog is empty")
+    idx = np.searchsorted(cat_keys, keys_arr)
+    idx_ok = (idx < len(cat_keys)) & (cat_keys[np.minimum(idx, len(cat_keys) - 1)] == keys_arr)
+    if not idx_ok.all():
+        raise ConfigurationError("trace references objects missing from its catalog")
+    return keys_arr, cat_sizes[idx], cat_keys, cat_sizes
+
+
 def _local_filter(
-    keys: list, clients: list, sizes: list, local_capacity: float
-) -> tuple[np.ndarray, int]:
+    keys_arr: np.ndarray, clients_arr: np.ndarray, sizes_arr: np.ndarray, local_capacity: float
+) -> tuple[np.ndarray | None, int]:
     """Per-client private LRU prefilter.
 
-    Returns a boolean forwarded mask and the private-tier hit count.  Objects
-    larger than the private capacity always miss it and are forwarded.
+    Returns a boolean forwarded mask, or None when every event is forwarded,
+    and the private-tier hit count.  Objects larger than the private capacity
+    always miss it and are forwarded.
     """
+    if local_capacity <= 0:
+        return None, 0
+    keys = keys_arr.tolist()
+    clients = clients_arr.tolist()
+    sizes = sizes_arr.tolist()
     n = len(keys)
     forwarded = np.ones(n, dtype=bool)
     caches: dict[int, OrderedDict] = {}
@@ -192,7 +235,29 @@ def _local_filter(
                 u -= vs
             cache[k] = s
             used[c] = u + s
-    return forwarded, local_hits
+    return (forwarded if local_hits else None), local_hits
+
+
+def _forwarded(trace: Trace, config: CacheConfig) -> tuple[Trace, int]:
+    """The events the private tier forwards to the shared cache, and its hits.
+
+    The forwarded trace shares the catalog and meta of ``trace``; it is
+    ``trace`` itself when the private tier is off or absorbs nothing.  A
+    sweep filters once per capacity and replays the result under every
+    policy with ``CacheConfig(config.capacity)``.
+    """
+    local_cap = config.local_capacity()
+    if local_cap <= 0:
+        return trace, 0
+    keys_arr, sizes_arr, _, _ = _event_sizes(trace)
+    mask, local_hits = _local_filter(keys_arr, trace.clients, sizes_arr, local_cap)
+    if mask is None:
+        return trace, 0
+    fwd = Trace(
+        trace.times[mask], trace.clients[mask], trace.objects[mask], trace.versions[mask],
+        trace.catalog, trace.meta,
+    )
+    return fwd, local_hits
 
 
 def simulate(
@@ -209,31 +274,18 @@ def simulate(
     deterministic, so ``seed`` only tags the output metadata; it completes
     the (trace, policy, config, seed) -> metrics purity contract.
     """
-    keys_arr = trace.identity_keys()
-    cat_keys, cat_sizes = trace.catalog.size_arrays()
-    if len(cat_keys) == 0:
-        raise ConfigurationError("trace catalog is empty")
-    idx = np.searchsorted(cat_keys, keys_arr)
-    idx_ok = (idx < len(cat_keys)) & (cat_keys[np.minimum(idx, len(cat_keys) - 1)] == keys_arr)
-    if not idx_ok.all():
-        raise ConfigurationError("trace references objects missing from its catalog")
-    sizes_arr = cat_sizes[idx]
-
+    keys_arr, sizes_arr, cat_keys, cat_sizes = _event_sizes(trace)
+    clients_arr = trace.clients
+    fwd_mask, local_hits = _local_filter(
+        keys_arr, clients_arr, sizes_arr, config.local_capacity()
+    )
+    if fwd_mask is not None:
+        keys_arr = keys_arr[fwd_mask]
+        clients_arr = clients_arr[fwd_mask]
+        sizes_arr = sizes_arr[fwd_mask]
     keys = keys_arr.tolist()
-    clients = trace.clients.tolist()
+    clients = clients_arr.tolist()
     sizes = sizes_arr.tolist()
-
-    local_hits = 0
-    if config.local_cache_fraction > 0:
-        local_cap = config.local_capacity()
-        if local_cap > 0:
-            fwd_mask, local_hits = _local_filter(keys, clients, sizes, local_cap)
-            if not fwd_mask.all():
-                keys_arr = keys_arr[fwd_mask]
-                sizes_arr = sizes_arr[fwd_mask]
-                keys = keys_arr.tolist()
-                clients = [c for c, f in zip(clients, fwd_mask.tolist()) if f]
-                sizes = sizes_arr.tolist()
 
     n = len(keys)
     size_of = dict(zip(cat_keys.tolist(), cat_sizes.tolist()))
@@ -298,7 +350,7 @@ def simulate(
             if on_admit is not None:
                 on_admit(k)
 
-    pair_codes = (np.asarray(clients, dtype=np.int64) << 40) | keys_arr
+    pair_codes = (clients_arr << 40) | keys_arr
     uniq, inverse = np.unique(pair_codes, return_inverse=True)
     req_counts = np.bincount(inverse, minlength=len(uniq))
     hit_counts = np.bincount(inverse, weights=hit_flags, minlength=len(uniq)).astype(np.int64)

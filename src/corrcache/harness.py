@@ -15,7 +15,14 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import __version__
-from .engine import CacheConfig, ConfigurationError, SimulationMetrics, config_digest, simulate
+from .engine import (
+    CacheConfig,
+    ConfigurationError,
+    SimulationMetrics,
+    _forwarded,
+    config_digest,
+    simulate,
+)
 from .policies import PolicyParams, parse_policy_spec
 from .presets import Preset, get_preset
 from .trace import Trace, read_trace, trace_stats
@@ -125,6 +132,16 @@ def parse_kv_lines(text: str) -> dict[str, str]:
     return fields
 
 
+def _field_float(fields: dict[str, str], key: str, default: float | None = None):
+    """``fields[key]`` as a float, or ``default`` when the key is absent."""
+    if key not in fields:
+        return default
+    try:
+        return float(fields[key])
+    except ValueError:
+        raise HarnessConfigError(f"{key} must be a number") from None
+
+
 def parse_experiment_config(text: str) -> ExperimentConfig:
     """Parse a sweep config: key=value lines naming a trace source, policies,
     and a capacity grid."""
@@ -171,14 +188,6 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         raise HarnessConfigError(f"capacity_base must be one of {CAPACITY_BASES}")
     capacities = _parse_capacity_tokens(cap_tokens, base)
 
-    def _float(key: str, default=None):
-        if key not in fields:
-            return default
-        try:
-            return float(fields[key])
-        except ValueError:
-            raise HarnessConfigError(f"{key} must be a number") from None
-
     try:
         seeds = tuple(int(t) for t in fields.get("seeds", "0").split(",") if t.strip())
     except ValueError:
@@ -189,10 +198,10 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         policies=policies,
         capacities=capacities,
         seeds=seeds,
-        scale=_float("scale", 1.0),
-        horizon=_float("horizon"),
+        scale=_field_float(fields, "scale", 1.0),
+        horizon=_field_float(fields, "horizon"),
         variant=fields.get("variant"),
-        local_fraction=_float("local_fraction"),
+        local_fraction=_field_float(fields, "local_fraction"),
         out_dir=fields.get("out"),
     )
 
@@ -306,9 +315,16 @@ def _run_sweep(cfg: ExperimentConfig, preset: Preset | None, build) -> SweepRepo
         caps = cfg.capacities.resolve(trace)
         for ci, capacity in enumerate(caps):
             config = CacheConfig(capacity=capacity, local_cache_fraction=local)
+            # the private tier does not depend on the policy: filter once per
+            # capacity and replay what it forwards under every policy
+            try:
+                forwarded, local_hits = _forwarded(trace, config)
+            except ConfigurationError as e:
+                raise ConfigurationError(f"capacity={capacity!r} seed={seed}: {e}") from e
+            shared = CacheConfig(capacity=capacity)
             for pi, params in enumerate(policies):
                 try:
-                    metrics = simulate(trace, params, config, seed=seed)
+                    metrics = simulate(forwarded, params, shared, seed=seed)
                 except ConfigurationError as e:
                     raise ConfigurationError(
                         f"policy={params.label()} capacity={capacity!r} seed={seed}: {e}"
@@ -322,8 +338,8 @@ def _run_sweep(cfg: ExperimentConfig, preset: Preset | None, build) -> SweepRepo
                     hit_ratio=metrics.hit_ratio,
                     hits=metrics.hits,
                     forwarded=metrics.forwarded,
-                    local_hits=metrics.local_hits,
-                    total_events=metrics.total_events,
+                    local_hits=local_hits,
+                    total_events=len(trace),
                     evictions=metrics.evictions,
                     oversized_misses=metrics.oversized_misses,
                     per_client=_per_client_cell(metrics),

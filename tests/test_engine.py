@@ -101,6 +101,53 @@ def test_unknown_catalog_object_is_rejected():
         simulate(tr, PolicyParams("lru"), CacheConfig(2.0))
 
 
+@pytest.mark.parametrize(
+    "event,match",
+    [
+        # object 2**32 + 1 would share object 1's per-pair row
+        ((2, 1, 2**32 + 1, None), "object id 4294967297"),
+        ((2, 2**23, 1, None), "client id 8388608"),
+        ((2, 0, 1, None), "client id 0"),
+        ((2, 1, 0, None), "object id 0"),
+        ((2, 1, 1, 255), "version 255"),
+    ],
+)
+def test_ids_outside_the_packed_key_ranges_are_rejected(event, match):
+    tr = make_trace([(1, 1, 1, None), event], versions=True)
+    with pytest.raises(ConfigurationError, match=match):
+        simulate(tr, PolicyParams("lru"), CacheConfig(2.0))
+    with pytest.raises(ConfigurationError, match=match):
+        simulate(tr, PolicyParams("lru"), CacheConfig(20.0, local_cache_fraction=0.5))
+
+
+def test_largest_legal_ids_keep_distinct_pair_rows():
+    obj, client = 2**32 - 1, 2**23 - 1
+    events = [
+        (1, 1, 1, None),
+        (2, client, obj, 254),
+        (3, client, obj, 254),
+        (4, client, 1, None),
+        (5, 1, obj, None),
+    ]
+    m = simulate(make_trace(events, versions=True), PolicyParams("lru"), CacheConfig(10.0))
+    rows = sorted(
+        zip(
+            m.pair_clients.tolist(),
+            m.pair_objects.tolist(),
+            m.pair_versions.tolist(),
+            m.pair_requests.tolist(),
+            m.pair_hits.tolist(),
+        )
+    )
+    assert rows == [
+        (1, 1, -1, 1, 0),
+        (1, obj, -1, 1, 0),
+        (client, 1, -1, 1, 1),
+        (client, obj, 254, 2, 1),
+    ]
+    assert m.per_client() == {1: (2, 0), client: (3, 2)}
+
+
 # ---------------------------------------------------------------------------
 # admission arithmetic
 # ---------------------------------------------------------------------------

@@ -9,15 +9,25 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrcache import cli
-from corrcache.engine import ConfigurationError, ConsistencyError
+from corrcache.engine import (
+    CacheConfig,
+    ConfigurationError,
+    ConsistencyError,
+    config_digest,
+    simulate,
+)
 from corrcache.harness import (
     CapacityGrid,
     ExperimentConfig,
     HarnessConfigError,
     SweepReport,
     SweepRow,
+    _per_client_cell,
+    _run_sweep,
     capacity_summary_csv,
     compare_policies,
     comparison_csv,
@@ -27,9 +37,9 @@ from corrcache.harness import (
     run_sweep,
     summarize_capacities,
 )
-from corrcache.policies import PolicyParams
+from corrcache.policies import PolicyParams, parse_policy_spec
 from corrcache.presets import PresetError
-from corrcache.trace import read_trace, write_trace
+from corrcache.trace import Trace, read_trace, write_trace
 
 from conftest import make_trace
 
@@ -223,6 +233,102 @@ def test_sweep_belady_dominates_online_policies():
         rows = {r.policy: r.hits for r in report.rows if r.capacity == cap}
         for pol in ("lru", "lfu", "sieve"):
             assert rows["belady"] >= rows[pol]
+
+
+SWEEP_POLICIES = tuple(parse_policy_spec(p) for p in ("lru", "lfu", "sieve", "lfru:w=3"))
+# objects 1-2 come in versions 0/1; BIG is larger than any private tier the
+# property builds (at most floor(0.5 * 20) = 10) and than some shared caches
+VERSIONED, BIG = 2, 11.0
+
+
+def sweep_rows(trace, capacities, local, seed=5):
+    cfg = ExperimentConfig(
+        trace="in-memory",
+        policies=SWEEP_POLICIES,
+        capacities=CapacityGrid(tuple(capacities), "absolute"),
+        seeds=(seed,),
+        local_fraction=local,
+    )
+    return _run_sweep(cfg, None, lambda _seed: trace)
+
+
+def independent_rows(trace, capacities, local, seed=5):
+    """The rows a sweep must produce, each from its own simulate() call."""
+    rows = []
+    for params in SWEEP_POLICIES:
+        for cap in capacities:
+            m = simulate(trace, params, CacheConfig(cap, local), seed=seed)
+            rows.append(
+                SweepRow(
+                    policy=params.label(),
+                    capacity=cap,
+                    seed=seed,
+                    hit_ratio=m.hit_ratio,
+                    hits=m.hits,
+                    forwarded=m.forwarded,
+                    local_hits=m.local_hits,
+                    total_events=m.total_events,
+                    evictions=m.evictions,
+                    oversized_misses=m.oversized_misses,
+                    per_client=_per_client_cell(m),
+                )
+            )
+    return rows
+
+
+def assert_sweep_matches_simulate(trace, capacities, local):
+    report = sweep_rows(trace, capacities, local)
+    # repr() compares a NaN hit ratio (nothing forwarded) as equal to itself
+    assert [repr(r) for r in report.rows] == [
+        repr(r) for r in independent_rows(trace, capacities, local)
+    ]
+    config = CacheConfig(capacities[0], local)
+    assert report.digest == config_digest(SWEEP_POLICIES[0].label(), config, trace)
+
+
+@st.composite
+def sweep_cases(draw):
+    n_clients = draw(st.integers(1, 4))
+    n_objects = draw(st.integers(VERSIONED + 1, 7))
+    sizes = {o: float(draw(st.integers(1, 3))) for o in range(1, n_objects + 1)}
+    sizes[n_objects + 1] = BIG
+    events = []
+    for t in range(draw(st.integers(1, 50))):
+        c = draw(st.integers(1, n_clients))
+        o = draw(st.integers(1, n_objects + 1))
+        v = draw(st.integers(0, 1)) if o <= VERSIONED else None
+        events.append((float(t), c, o, v))
+    capacities = sorted(draw(st.sets(st.integers(2, 20), min_size=2, max_size=3)))
+    # 0.01 floors every private capacity to 0 (0.01 * 20 < 1)
+    local = draw(st.one_of(st.just(0.0), st.just(0.01), st.floats(0.05, 0.5)))
+    return make_trace(events, sizes=sizes, versions=True), [float(c) for c in capacities], local
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep_cases())
+def test_sweep_rows_equal_independent_simulate_calls(case):
+    trace, capacities, local = case
+    assert_sweep_matches_simulate(trace, capacities, local)
+
+
+def test_sweep_matches_simulate_when_the_private_tier_absorbs_every_repeat():
+    # each client repeats its own small objects: every event after a
+    # client's first request for an object is a private-tier hit, so the
+    # forwarded trace holds only the cold misses
+    events = [(t, 1 + t % 2, 1 + (t // 2) % 2) for t in range(40)]
+    trace = make_trace(events)
+    report = sweep_rows(trace, [10.0, 20.0], 0.4)
+    assert {(r.local_hits, r.forwarded, r.total_events) for r in report.rows} == {(36, 4, 40)}
+    assert_sweep_matches_simulate(trace, [10.0, 20.0], 0.4)
+
+
+def test_sweep_matches_simulate_on_an_empty_trace():
+    trace = make_trace([(1.0, 1, 1)])
+    empty = Trace(trace.times[:0], trace.clients[:0], trace.objects[:0], None, trace.catalog)
+    report = sweep_rows(empty, [2.0, 4.0], 0.5)
+    assert all(r.forwarded == r.total_events == 0 for r in report.rows)
+    assert all(math.isnan(r.hit_ratio) for r in report.rows)
+    assert_sweep_matches_simulate(empty, [2.0, 4.0], 0.5)
 
 
 # ---------------------------------------------------------------------------
