@@ -48,8 +48,6 @@ from .policies import (
 from .presets import get_preset, preset_names
 from .trace import (
     ObjectCatalog,
-    ObjectId,
-    RequestEvent,
     Trace,
     TraceFormatError,
     read_trace,
@@ -89,10 +87,8 @@ __all__ = [
     "LeaderSwitch",
     "ModelGroup",
     "ObjectCatalog",
-    "ObjectId",
     "OrderShuffle",
     "PolicyParams",
-    "RequestEvent",
     "SimulationMetrics",
     "StructuredDelays",
     "SweepReport",

@@ -241,16 +241,6 @@ class SweepReport:
                 f"{r.oversized_misses},{r.per_client}\n"
             )
 
-    def rows_for(self, policy: str | None = None, capacity: float | None = None):
-        out = []
-        for r in self.rows:
-            if policy is not None and r.policy != policy:
-                continue
-            if capacity is not None and r.capacity != capacity:
-                continue
-            out.append(r)
-        return out
-
 
 def _per_client_cell(metrics: SimulationMetrics) -> str:
     parts = []
@@ -274,11 +264,10 @@ def _resolve_trace_source(cfg: ExperimentConfig):
     path = cfg.trace
     if not os.path.exists(path):
         raise HarnessConfigError(f"trace file not found: {path}")
-
-    def build(seed: int) -> Trace:
-        return read_trace(path)
-
-    return None, build
+    # read once: the sweep replays the same trace under every seed and never
+    # mutates it
+    trace = read_trace(path)
+    return None, lambda seed: trace
 
 
 def _fill_policy_params(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -33,31 +33,6 @@ class TraceFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class ObjectId:
-    """A cacheable identity: object id plus optional version tier."""
-
-    id: int
-    version: int | None = None
-
-    def key(self) -> int:
-        return pack_key(self.id, self.version)
-
-
-@dataclass(frozen=True)
-class RequestEvent:
-    """One client request."""
-
-    time: float
-    client: int
-    object_id: int
-    version: int | None = None
-
-    @property
-    def identity(self) -> ObjectId:
-        return ObjectId(self.object_id, self.version)
-
-
 def pack_key(object_id: int, version: int | None) -> int:
     """Pack an identity into a single int key (used by the cache engine)."""
     v = NO_VERSION if version is None else int(version)
@@ -72,10 +47,16 @@ def unpack_key(key: int) -> tuple[int, int | None]:
 
 
 class ObjectCatalog:
-    """Maps identities to positive sizes (abstract units)."""
+    """Maps identities to positive sizes (abstract units).
+
+    The sorted identity list and the `size_arrays()` pair are built on first
+    use and kept until the next `add`.
+    """
 
     def __init__(self, sizes: Mapping[tuple[int, int | None], float] | None = None):
         self._sizes: dict[tuple[int, int | None], float] = {}
+        self._sorted: list[tuple[int, int | None]] | None = None
+        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
         if sizes:
             for (oid, ver), s in sizes.items():
                 self.add(oid, s, ver)
@@ -85,6 +66,7 @@ class ObjectCatalog:
         if not size > 0:
             raise ValueError(f"object ({object_id}, {version}) size must be > 0, got {size}")
         self._sizes[(int(object_id), version)] = size
+        self._sorted = self._arrays = None
 
     def size(self, object_id: int, version: int | None = None) -> float:
         return self._sizes[(object_id, version)]
@@ -99,7 +81,11 @@ class ObjectCatalog:
         return isinstance(other, ObjectCatalog) and self._sizes == other._sizes
 
     def identities(self) -> list[tuple[int, int | None]]:
-        return sorted(self._sizes, key=lambda iv: (iv[0], -1 if iv[1] is None else iv[1]))
+        if self._sorted is None:
+            self._sorted = sorted(
+                self._sizes, key=lambda iv: (iv[0], -1 if iv[1] is None else iv[1])
+            )
+        return list(self._sorted)
 
     def total_volume(self) -> float:
         """Sum of sizes over all catalogued identities."""
@@ -111,11 +97,15 @@ class ObjectCatalog:
         return len(vals) <= 1
 
     def size_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(keys, sizes) arrays aligned for vectorized lookups."""
-        idents = self.identities()
-        keys = np.array([pack_key(o, v) for o, v in idents], dtype=np.int64)
-        sizes = np.array([self._sizes[iv] for iv in idents], dtype=np.float64)
-        return keys, sizes
+        """Read-only (keys, sizes) arrays in ascending key order, aligned for
+        vectorized lookups."""
+        if self._arrays is None:
+            idents = self.identities()
+            keys = np.array([pack_key(o, v) for o, v in idents], dtype=np.int64)
+            sizes = np.array([self._sizes[iv] for iv in idents], dtype=np.float64)
+            keys.flags.writeable = sizes.flags.writeable = False
+            self._arrays = keys, sizes
+        return self._arrays
 
 
 class Trace:
@@ -149,23 +139,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.times)
 
-    @classmethod
-    def from_events(
-        cls,
-        events: list[RequestEvent],
-        catalog: ObjectCatalog,
-        meta: dict[str, str] | None = None,
-    ) -> "Trace":
-        times = np.array([e.time for e in events], dtype=np.float64)
-        clients = np.array([e.client for e in events], dtype=np.int64)
-        objects = np.array([e.object_id for e in events], dtype=np.int64)
-        versions = np.array(
-            [NO_VERSION if e.version is None else e.version for e in events], dtype=np.int64
-        )
-        trace = cls(times, clients, objects, versions, catalog, meta)
-        trace.sort_events()
-        return trace
-
     def sort_events(self) -> None:
         """Re-establish canonical (time, client, object) order in place."""
         order = np.lexsort((self.objects, self.clients, self.times))
@@ -193,16 +166,6 @@ class Trace:
     def identity_keys(self) -> np.ndarray:
         """Packed int identity per event (see pack_key)."""
         return (self.objects << _VERSION_BITS) | (self.versions + 1)
-
-    def events(self) -> Iterator[RequestEvent]:
-        for i in range(len(self)):
-            v = int(self.versions[i])
-            yield RequestEvent(
-                float(self.times[i]),
-                int(self.clients[i]),
-                int(self.objects[i]),
-                None if v == NO_VERSION else v,
-            )
 
 
 @dataclass
@@ -245,13 +208,16 @@ def validate_trace(trace: Trace, max_violations: int = 20) -> ValidationReport:
     # catalog coverage: every referenced identity needs a size
     if len(trace):
         keys = trace.identity_keys()
-        distinct = np.unique(keys)
-        for key in distinct.tolist():
-            oid, ver = unpack_key(key)
-            if (oid, ver) not in trace.catalog:
+        try:
+            cat_keys, _ = trace.catalog.size_arrays()
+        except (ValueError, OverflowError) as exc:
+            problems.append(f"catalog: {exc}")
+        else:
+            unknown = np.unique(keys[~np.isin(keys, cat_keys)])
+            # at least one, so that `ok` is False whatever the cap
+            for key in unknown[: max(max_violations, 1)].tolist():
+                oid, ver = unpack_key(key)
                 problems.append(f"unknown object ({oid}, {ver}): referenced but not in catalog")
-                if len(problems) >= max_violations:
-                    break
 
     return ValidationReport(ok=not problems, violations=problems[:max_violations])
 
@@ -266,11 +232,6 @@ class TraceStats:
     footprint_volume: float
     catalog_volume: float
     events_per_client: dict[int, int]
-
-    @property
-    def duration(self) -> float:
-        """Last event time minus first (0 for traces of at most one event)."""
-        return self.time_span[1] - self.time_span[0]
 
 
 def trace_stats(trace: Trace) -> TraceStats:
@@ -330,66 +291,161 @@ def write_trace(trace: Trace, path_or_file) -> None:
 
 
 def read_trace(path_or_file) -> Trace:
-    """Parse the text format written by write_trace (round-trip identity)."""
-    own = isinstance(path_or_file, (str, os.PathLike))
-    f = open(path_or_file, "r", encoding="utf-8") if own else path_or_file
+    """Parse the text format written by write_trace (round-trip identity).
+
+    The leading #meta/#obj lines go through the line loop `_read_lines`; the
+    event lines after them are parsed in blocks of whole lines.  When a block
+    is not plain `write_trace` output (see `_plain_block`) or does not
+    convert, the whole text is parsed again by `_read_lines`, which alone
+    reports `TraceFormatError`s and their line numbers.
+    """
+    if isinstance(path_or_file, (str, os.PathLike)):
+        with open(path_or_file, "r", encoding="utf-8") as f:
+            text = f.read()
+    else:
+        text = path_or_file.read()
+    body = 0
+    while text.startswith("#", body):
+        body = text.find("\n", body) + 1
+        if body == 0:
+            body = len(text)
+    head = _read_lines(text[:body])
+    columns = _parse_event_blocks(text, body)
+    if columns is None:
+        return _read_lines(text)
+    return Trace(*columns, head.catalog, head.meta)
+
+
+# Event text is cut into blocks of about this many characters, so that only
+# one block's tokens are held as Python strings at a time.
+_BLOCK_CHARS = 1 << 16
+
+# Per line: three spaces, then the newline.
+_LINE_SEPARATORS = np.array([ord(" ")] * 3 + [ord("\n")], dtype=np.uint8)
+
+
+def _parse_event_blocks(text: str, start: int) -> tuple[np.ndarray, ...] | None:
+    """(times, clients, objects, versions) of the event lines in
+    ``text[start:]``, or None when a block needs the line loop.
+
+    The columns are allocated once, one row per line, and filled block by
+    block, so no block's arrays outlive it.
+    """
+    rows = text.count("\n", start) + (start < len(text) and not text.endswith("\n"))
+    columns = (np.empty(rows, np.float64),) + tuple(np.empty(rows, np.int64) for _ in range(3))
+    row = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or len(text)
+        block = text[start:end]
+        if not block.endswith("\n"):
+            block += "\n"
+        parsed = _parse_block(block)
+        if parsed is None:
+            return None
+        n = len(parsed[0])
+        for column, values in zip(columns, parsed):
+            column[row : row + n] = values
+        row += n
+        start = end
+    return columns
+
+
+def _parse_block(block: str) -> tuple[np.ndarray, ...] | None:
+    """The four columns of one block, or None when it needs the line loop."""
+    if not _plain_block(block):
+        return None
+    tokens = block.split()
+    versions = tokens[3::4]
+    dashes = versions.count("-")
     try:
-        meta: dict[str, str] = {}
-        catalog = ObjectCatalog()
-        times: list[float] = []
-        clients: list[int] = []
-        objects: list[int] = []
-        versions: list[int] = []
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#meta "):
-                body = line[len("#meta "):]
-                if "=" not in body:
-                    raise TraceFormatError("malformed #meta line (missing '=')", lineno)
-                k, v = body.split("=", 1)
-                meta[k] = v
-                continue
-            if line.startswith("#obj "):
-                parts = line.split()
-                if len(parts) != 4:
-                    raise TraceFormatError("malformed #obj line", lineno)
-                _, oid_s, ver_s, size_s = parts
-                try:
-                    ver = None if ver_s == "-" else int(ver_s)
-                    catalog.add(int(oid_s), float(size_s), ver)
-                except ValueError as exc:
-                    raise TraceFormatError(str(exc), lineno) from exc
-                continue
-            if line.startswith("#"):
-                raise TraceFormatError(f"unknown directive {line.split()[0]!r}", lineno)
+        times = np.array(tokens[0::4], dtype=np.float64)
+        clients = np.array(tokens[1::4], dtype=np.int64)
+        objects = np.array(tokens[2::4], dtype=np.int64)
+        if dashes == len(versions):
+            versions = np.full(len(versions), NO_VERSION, dtype=np.int64)
+        else:
+            if dashes:
+                versions = [NO_VERSION if v == "-" else v for v in versions]
+            versions = np.array(versions, dtype=np.int64)
+    except (ValueError, OverflowError):
+        # numpy converts each token with int()/float(), like the line loop,
+        # which reports the failure with its line number
+        return None
+    return times, clients, objects, versions
+
+
+def _plain_block(block: str) -> bool:
+    """True when every line of `block` is four non-empty fields separated by
+    single spaces and ended by a newline, with no other whitespace, no other
+    control character, no non-ASCII character and no '#'."""
+    if not block.endswith("\n") or "#" in block or not block.isascii():
+        return False
+    chars = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
+    # spaces, newlines and every other control character
+    seps = np.flatnonzero(chars <= ord(" "))
+    if len(seps) % 4:
+        return False
+    if not (chars[seps].reshape(-1, 4) == _LINE_SEPARATORS).all():
+        return False
+    # no empty field: no two separators in a row, none at the start
+    return bool((np.diff(seps, prepend=-1) > 1).all())
+
+
+def _read_lines(text: str) -> Trace:
+    """The line-by-line parser: the reference for `read_trace`, and the only
+    source of its `TraceFormatError`s."""
+    meta: dict[str, str] = {}
+    catalog = ObjectCatalog()
+    times: list[float] = []
+    clients: list[int] = []
+    objects: list[int] = []
+    versions: list[int] = []
+    for lineno, raw in enumerate(io.StringIO(text), start=1):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            continue
+        if line.startswith("#meta "):
+            body = line[len("#meta "):]
+            if "=" not in body:
+                raise TraceFormatError("malformed #meta line (missing '=')", lineno)
+            k, v = body.split("=", 1)
+            meta[k] = v
+            continue
+        if line.startswith("#obj "):
             parts = line.split()
             if len(parts) != 4:
-                raise TraceFormatError(
-                    f"event line needs 4 fields (time client object version), got {len(parts)}",
-                    lineno,
-                )
-            t_s, c_s, o_s, v_s = parts
+                raise TraceFormatError("malformed #obj line", lineno)
+            _, oid_s, ver_s, size_s = parts
             try:
-                times.append(float(t_s))
-                clients.append(int(c_s))
-                objects.append(int(o_s))
-                versions.append(NO_VERSION if v_s == "-" else int(v_s))
+                ver = None if ver_s == "-" else int(ver_s)
+                catalog.add(int(oid_s), float(size_s), ver)
             except ValueError as exc:
                 raise TraceFormatError(str(exc), lineno) from exc
-        trace = Trace(
-            np.array(times, dtype=np.float64),
-            np.array(clients, dtype=np.int64),
-            np.array(objects, dtype=np.int64),
-            np.array(versions, dtype=np.int64),
-            catalog,
-            meta,
-        )
-        return trace
-    finally:
-        if own:
-            f.close()
+            continue
+        if line.startswith("#"):
+            raise TraceFormatError(f"unknown directive {line.split()[0]!r}", lineno)
+        parts = line.split()
+        if len(parts) != 4:
+            raise TraceFormatError(
+                f"event line needs 4 fields (time client object version), got {len(parts)}",
+                lineno,
+            )
+        t_s, c_s, o_s, v_s = parts
+        try:
+            times.append(float(t_s))
+            clients.append(int(c_s))
+            objects.append(int(o_s))
+            versions.append(NO_VERSION if v_s == "-" else int(v_s))
+        except ValueError as exc:
+            raise TraceFormatError(str(exc), lineno) from exc
+    return Trace(
+        np.array(times, dtype=np.float64),
+        np.array(clients, dtype=np.int64),
+        np.array(objects, dtype=np.int64),
+        np.array(versions, dtype=np.int64),
+        catalog,
+        meta,
+    )
 
 
 def trace_to_string(trace: Trace) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrcache import cli
+from corrcache import cli, harness
 from corrcache.engine import (
     CacheConfig,
     ConfigurationError,
@@ -215,6 +216,46 @@ def test_sweep_reads_trace_files(tmp_path):
     missing = small_config(trace=str(tmp_path / "nope.trace"))
     with pytest.raises(HarnessConfigError, match="not found"):
         run_sweep(missing)
+
+
+def file_sweep_config(tmp_path, seeds):
+    tr = make_trace(
+        [(0.5 * t, 1 + t % 3, 1 + (t * 7) % 11) for t in range(1, 120)],
+        sizes={o: 1.0 + o % 3 for o in range(1, 12)},
+    )
+    path = tmp_path / "seeds.trace"
+    write_trace(tr, str(path))
+    return small_config(
+        trace=str(path),
+        policies=(PolicyParams("lru"), parse_policy_spec("lfru:w=3")),
+        capacities=CapacityGrid((4.0, 9.0), "absolute"),
+        seeds=seeds,
+        local_fraction=0.3,
+    )
+
+
+def test_sweep_reads_a_trace_file_once(tmp_path, monkeypatch):
+    cfg = file_sweep_config(tmp_path, seeds=(3, 1, 2))
+    calls = []
+
+    def counting_read(path):
+        calls.append(path)
+        return read_trace(path)
+
+    monkeypatch.setattr(harness, "read_trace", counting_read)
+    run_sweep(cfg)
+    assert calls == [cfg.trace]
+
+
+def test_sweep_over_a_trace_file_equals_one_sweep_per_seed(tmp_path):
+    cfg = file_sweep_config(tmp_path, seeds=(3, 1, 2))
+    report = run_sweep(cfg)
+    singles = [run_sweep(dataclasses.replace(cfg, seeds=(seed,))) for seed in cfg.seeds]
+    n_seeds = len(cfg.seeds)
+    for i, row in enumerate(report.rows):
+        assert row == singles[i % n_seeds].rows[i // n_seeds]
+    assert len(report.rows) == sum(len(single.rows) for single in singles)
+    assert report.digest == singles[0].digest
 
 
 def test_sweep_belady_dominates_online_policies():

@@ -3,19 +3,21 @@
 from __future__ import annotations
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corrcache.trace as trace_mod
 from corrcache.trace import (
     NO_VERSION,
     ObjectCatalog,
-    ObjectId,
-    RequestEvent,
     Trace,
     TraceFormatError,
+    _plain_block,
+    _read_lines,
     pack_key,
     read_trace,
     trace_stats,
@@ -84,6 +86,56 @@ def test_validate_rejects_negative_and_nonfinite_times():
     assert any("non-finite time" in v for v in validate_trace(tr).violations)
 
 
+def unknown_messages_by_lookup(trace: Trace, earlier: int, max_violations: int) -> list[str]:
+    """The coverage messages of a per-identity catalog lookup in ascending key
+    order, stopping once `max_violations` problems are listed."""
+    out = []
+    for key in np.unique(trace.identity_keys()).tolist():
+        oid, ver = unpack_key(key)
+        if (oid, ver) not in trace.catalog:
+            out.append(f"unknown object ({oid}, {ver}): referenced but not in catalog")
+            if earlier + len(out) >= max_violations:
+                break
+    return out
+
+
+def test_validate_lists_unknown_identities_in_key_order_up_to_the_cap():
+    cat = ObjectCatalog()
+    for oid in (1, 4, 9):
+        cat.add(oid, 1.0)
+    cat.add(5, 1.0, version=0)
+    idents = [(oid, ver) for oid in range(1, 13) for ver in (None, 0, 7)]
+    tr = Trace(
+        np.arange(len(idents), dtype=np.float64)[::-1],  # unsorted: one earlier problem
+        np.ones(len(idents), dtype=np.int64),
+        np.array([o for o, _ in idents]),
+        np.array([NO_VERSION if v is None else v for _, v in idents]),
+        cat,
+    )
+    missing = unknown_messages_by_lookup(tr, 1, 10**6)
+    assert len(missing) == 3 * 12 - 4 > 20
+    assert missing[:2] == [
+        "unknown object (1, 0): referenced but not in catalog",
+        "unknown object (1, 7): referenced but not in catalog",
+    ]
+    for cap in (0, 1, 2, 5, 20, 33, 100):
+        report = validate_trace(tr, max_violations=cap)
+        expected = (["unsorted at index 1"] + unknown_messages_by_lookup(tr, 1, cap))[:cap]
+        assert report.violations == expected
+        assert not report.ok
+    # only coverage problems: the cap counts them alone
+    tr.sort_events()
+    assert validate_trace(tr).violations == unknown_messages_by_lookup(tr, 0, 20)
+    assert len(validate_trace(tr).violations) == 20
+    assert not validate_trace(tr, max_violations=0).ok
+
+
+def test_validate_reports_a_catalog_that_keys_cannot_hold():
+    tr = make_trace([(1.0, 1, 1)])
+    tr.catalog.add(2, 1.0, version=300)
+    assert validate_trace(tr).violations == ["catalog: version 300 out of range"]
+
+
 # ---------------------------------------------------------------------------
 # stats
 # ---------------------------------------------------------------------------
@@ -92,7 +144,7 @@ def test_validate_rejects_negative_and_nonfinite_times():
 def test_stats_empty_trace_all_zero():
     s = trace_stats(empty_trace())
     assert (s.num_events, s.num_clients, s.distinct_objects) == (0, 0, 0)
-    assert s.duration == 0.0 and s.footprint_volume == 0.0
+    assert s.time_span == (0.0, 0.0) and s.footprint_volume == 0.0
 
 
 def test_stats_counts_and_duration():
@@ -103,7 +155,7 @@ def test_stats_counts_and_duration():
     assert s.num_events == 4
     assert s.distinct_objects == 2 and s.distinct_identities == 2
     assert s.num_clients == 2
-    assert s.duration == 4.0
+    assert s.time_span == (0.0, 4.0)
     assert s.footprint_volume == 2.0
     assert s.events_per_client == {1: 2, 2: 2}
 
@@ -130,27 +182,32 @@ def test_stats_on_main_grouped_preset_object_bound():
 # ---------------------------------------------------------------------------
 
 
-def test_from_events_sorts_by_time_client_object():
-    events = [
-        RequestEvent(2.0, 1, 5),
-        RequestEvent(1.0, 3, 9),
-        RequestEvent(1.0, 2, 7),
-        RequestEvent(1.0, 2, 4),
-    ]
+def test_sort_events_orders_by_time_client_object():
     cat = ObjectCatalog()
     for o in (4, 5, 7, 9):
         cat.add(o, 1.0)
-    tr = Trace.from_events(events, cat)
-    got = list(zip(tr.times.tolist(), tr.clients.tolist(), tr.objects.tolist()))
-    assert got == [(1.0, 2, 4), (1.0, 2, 7), (1.0, 3, 9), (2.0, 1, 5)]
+    tr = Trace(
+        np.array([2.0, 1.0, 1.0, 1.0]),
+        np.array([1, 3, 2, 2]),
+        np.array([5, 9, 7, 4]),
+        np.array([NO_VERSION, 0, NO_VERSION, 1]),
+        cat,
+    )
+    tr.sort_events()
+    got = list(
+        zip(tr.times.tolist(), tr.clients.tolist(), tr.objects.tolist(), tr.versions.tolist())
+    )
+    assert got == [(1.0, 2, 4, 1), (1.0, 2, 7, NO_VERSION), (1.0, 3, 9, 0), (2.0, 1, 5, NO_VERSION)]
     assert tr.is_sorted()
 
 
-def test_events_iterator_round_trip():
+def test_trace_arrays_keep_events_and_default_versions():
     tr = make_trace([(0.5, 1, 2), (1.5, 2, 3)])
-    evs = list(tr.events())
-    assert evs[0] == RequestEvent(0.5, 1, 2, None)
-    assert evs[1].identity == ObjectId(3, None)
+    got = list(
+        zip(tr.times.tolist(), tr.clients.tolist(), tr.objects.tolist(), tr.versions.tolist())
+    )
+    assert got == [(0.5, 1, 2, NO_VERSION), (1.5, 2, 3, NO_VERSION)]
+    assert [unpack_key(k) for k in tr.identity_keys().tolist()] == [(2, None), (3, None)]
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +293,143 @@ def test_non_numeric_event_fields_raise_with_line():
     assert ei.value.line == 2
 
 
+HEAD = "#meta seed=3\n#obj 1 - 1.0\n#obj 10 - 2.0\n#obj 10 0 2.0\n"
+
+READER_CASES = {
+    "plain": HEAD + "0.5 1 1 -\n1.5 2 10 0\n",
+    "3 then 5 fields": HEAD + "0.5 1 1\n1.5 2 10 0 9\n",
+    "5 then 3 fields": HEAD + "0.5 1 1 - 9\n1.5 2 10\n",
+    "tab separator": HEAD + "0.5\t1 1 -\n1.5 2 10 0\n",
+    "double space": HEAD + "0.5  1 1 -\n",
+    "leading spaces": HEAD + "  0.5 1 1 -\n1.5 2 10 0\n",
+    "trailing spaces": HEAD + "0.5 1 1 -  \n1.5 2 10 0\n",
+    "blank line": HEAD + "0.5 1 1 -\n\n1.5 2 10 0\n",
+    "whitespace-only line": HEAD + "0.5 1 1 -\n \t \n1.5 2 10 0\n",
+    "CRLF": HEAD.replace("\n", "\r\n") + "0.5 1 1 -\r\n1.5 2 10 0\r\n",
+    "#meta after events": HEAD + "0.5 1 1 -\n#meta late=yes\n1.5 2 10 0\n",
+    "#obj after events": HEAD + "0.5 1 1 -\n#obj 2 - 3.0\n1.5 2 2 -\n",
+    "unknown directive after events": HEAD + "0.5 1 1 -\n#bogus 1 2 3\n",
+    "no final newline": HEAD + "0.5 1 1 -\n1.5 2 10 0",
+    "+5, 1_0 and -1": HEAD + "0.5 +5 1_0 -1\n1_5.5 2 +10 0\n",
+    "arabic-indic digit": HEAD + "0.5 \u0663 1 -\n",
+    "non-numeric client": HEAD + "0.5 one 1 -\n",
+    "float as an int": HEAD + "0.5 1.0 1 -\n",
+    "float as a version": HEAD + "0.5 1 1 0.0\n",
+    "int too large": HEAD + "0.5 99999999999999999999 1 -\n",
+    "non-finite times": HEAD + "nan 1 1 -\ninf 1 1 -\n1e500 1 1 -\n",
+    "mixed versions": HEAD + "".join(f"{t}.5 1 10 {'-' if t % 3 else t % 2}\n" for t in range(40)),
+    "empty file": "",
+    "header only": HEAD,
+    "header only, no final newline": HEAD.rstrip("\n"),
+    "blank line in the header": "#meta a=b\n\n#obj 1 - 1.0\n0.5 1 1 -\n",
+    "bad header line": "#meta a=b\n#obj 1 - one\n0.5 1 1 -\n",
+}
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # noqa: BLE001 - the reference may raise anything
+        return exc
+
+
+@pytest.mark.parametrize("block_chars", [None, 1, 12])
+@pytest.mark.parametrize("name", sorted(READER_CASES))
+def test_reader_matches_the_line_loop(name, block_chars):
+    text = READER_CASES[name]
+    want = parse_outcome(_read_lines, text)
+    with mock.patch.object(trace_mod, "_BLOCK_CHARS", block_chars or trace_mod._BLOCK_CHARS):
+        got = parse_outcome(lambda t: read_trace(io.StringIO(t)), text)
+    if isinstance(want, Exception):
+        assert type(got) is type(want)
+        assert str(got) == str(want)
+        assert getattr(got, "line", None) == getattr(want, "line", None)
+    else:
+        assert isinstance(got, Trace), got
+        assert_same_trace(got, want)
+
+
+def test_reader_cases_cover_errors_and_traces():
+    outcomes = {name: parse_outcome(_read_lines, text) for name, text in READER_CASES.items()}
+    assert isinstance(outcomes["3 then 5 fields"], TraceFormatError)
+    assert outcomes["3 then 5 fields"].line == 5
+    assert isinstance(outcomes["int too large"], OverflowError)
+    assert outcomes["+5, 1_0 and -1"].clients.tolist() == [5, 2]
+    assert outcomes["+5, 1_0 and -1"].objects.tolist() == [10, 10]
+    assert outcomes["+5, 1_0 and -1"].times.tolist() == [0.5, 15.5]
+    assert outcomes["+5, 1_0 and -1"].versions.tolist() == [NO_VERSION, 0]
+    assert outcomes["arabic-indic digit"].clients.tolist() == [3]
+    assert outcomes["#meta after events"].meta == {"seed": "3", "late": "yes"}
+    assert len(outcomes["empty file"]) == 0 and len(outcomes["header only"]) == 0
+
+
+def test_crlf_file_reads_like_lf_file(tmp_path):
+    lf = READER_CASES["plain"]
+    path = tmp_path / "crlf.trace"
+    path.write_bytes(lf.replace("\n", "\r\n").encode())
+    assert_same_trace(read_trace(path), _read_lines(lf))
+
+
+@pytest.mark.parametrize(
+    "block, plain",
+    [
+        ("0.5 1 2 -\n1.5 3 4 0\n", True),
+        ("0.5 +5 1_0 -1\n", True),
+        ("0.5 1 2\n1.5 3 4 0 9\n", False),
+        ("0.5 1 2 - 9\n1.5 3 4\n", False),
+        ("0.5 1 2 -\n#obj 5 - 2.0\n", False),
+        ("#obj 5 - 2.0\n", False),
+        ("0.5 1 2 -\n\n1.5 3 4 0\n", False),
+        ("\n0.5 1 2 -\n", False),
+        ("0.5 1 2 -\n\n", False),
+        ("0.5  1 2 -\n", False),
+        ("0.5  1 2\n", False),
+        (" 0.5 1 2\n", False),
+        ("0.5 1 2 \n", False),
+        ("0.5\t1 2 -\n", False),
+        ("0.5 1 2 -\r\n", False),
+        ("0.5 1 2 -\x0c\n", False),
+        ("0.5 1\x1f2 - 3\n", False),
+        ("0.5 1 2 -", False),
+        ("0.5 \u0663 2 -\n", False),
+        ("0.5 1 2\u3000-\n", False),
+        ("", False),
+    ],
+)
+def test_plain_block_accepts_only_four_single_spaced_fields_a_line(block, plain):
+    assert _plain_block(block) is plain
+
+
+def test_writer_output_never_falls_back_to_the_line_loop(monkeypatch):
+    rng = np.random.default_rng(5)
+    events = [
+        (float(t), int(c), int(o), None if v < 0 else int(v))
+        for t, c, o, v in zip(
+            np.cumsum(rng.exponential(0.7, 400)),
+            rng.integers(1, 9, 400),
+            rng.integers(1, 60, 400),
+            rng.integers(-1, 3, 400),
+        )
+    ]
+    tr = make_trace(events, sizes={o: 0.1 * o for o in range(1, 60)}, versions=True,
+                    meta={"seed": "5"})
+    text = trace_to_string(tr)
+    parsed = []
+
+    def spy(chunk):
+        parsed.append(chunk)
+        return _read_lines(chunk)
+
+    monkeypatch.setattr(trace_mod, "_BLOCK_CHARS", 100)
+    monkeypatch.setattr(trace_mod, "_read_lines", spy)
+    for variant in (text, text.rstrip("\n")):  # also without the final newline
+        parsed.clear()
+        assert_same_trace(read_trace(io.StringIO(variant)), tr)
+        assert [line[0] for chunk in parsed for line in chunk.splitlines()] == ["#"] * (
+            len(tr.meta) + len(tr.catalog)
+        )
+
+
 def test_catalog_rejects_nonpositive_size():
     cat = ObjectCatalog()
     with pytest.raises(ValueError, match="size must be > 0"):
@@ -253,6 +447,33 @@ def test_catalog_volume_and_unit_checks():
     assert cat.identities() == [(1, None), (2, None), (2, 1)]
 
 
+def test_catalog_arrays_include_identities_added_later():
+    cat = ObjectCatalog()
+    cat.add(2, 5.0)
+    keys, sizes = cat.size_arrays()
+    assert keys.tolist() == [pack_key(2, None)] and sizes.tolist() == [5.0]
+    assert cat.identities() == [(2, None)]
+    cat.add(1, 2.0, version=3)
+    cat.add(2, 4.0)  # a new size for a known identity
+    keys, sizes = cat.size_arrays()
+    assert keys.tolist() == [pack_key(1, 3), pack_key(2, None)]
+    assert sizes.tolist() == [2.0, 4.0]
+    assert cat.identities() == [(1, 3), (2, None)]
+
+
+def test_catalog_arrays_are_read_only_and_built_once():
+    cat = ObjectCatalog({(1, None): 1.0, (1, 0): 0.5})
+    keys, sizes = cat.size_arrays()
+    assert not keys.flags.writeable and not sizes.flags.writeable
+    with pytest.raises(ValueError):
+        keys[0] = 7
+    with pytest.raises(ValueError):
+        sizes[0] = 7.0
+    assert cat.size_arrays()[0] is keys
+    cat.identities().append((9, None))  # a copy: the cached list is untouched
+    assert cat.identities() == [(1, None), (1, 0)]
+
+
 # ---------------------------------------------------------------------------
 # property tests
 # ---------------------------------------------------------------------------
@@ -263,19 +484,45 @@ event_strategy = st.tuples(
     st.integers(min_value=1, max_value=40),
 )
 
+time_strategy = st.one_of(
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False, width=64),
+    st.floats(min_value=0.0, max_value=1e-300, allow_nan=False, width=64),  # subnormals
+    st.sampled_from([0.1 + 0.2, 123456.78901234567, 1e15, 5e-324, 2.225073858507201e-308]),
+)
+id_strategy = st.integers(min_value=1, max_value=2**32 - 1)
+version_strategy = st.one_of(st.none(), st.integers(min_value=0, max_value=254))
+size_strategy = st.sampled_from([0.1, 0.5, 2.5, 1e-300, 1e300])
+meta_key = st.text(st.characters(blacklist_characters="\n\r=", blacklist_categories=("Cs",)))
+meta_value = st.text(st.characters(blacklist_characters="\n\r", blacklist_categories=("Cs",)))
 
-@settings(max_examples=50, deadline=None)
-@given(st.lists(event_strategy, min_size=0, max_size=60))
-def test_round_trip_identity_property(events):
-    if events:
-        tr = make_trace(events)
-    else:
-        tr = empty_trace()
-    back = read_trace(io.StringIO(trace_to_string(tr)))
-    assert np.array_equal(back.times, tr.times)
-    assert np.array_equal(back.clients, tr.clients)
-    assert np.array_equal(back.objects, tr.objects)
-    assert back.catalog == tr.catalog
+
+def assert_same_trace(got: Trace, want: Trace) -> None:
+    for name in ("times", "clients", "objects", "versions"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name  # bit for bit, NaN included
+    assert got.catalog == want.catalog
+    assert got.meta == want.meta
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.tuples(time_strategy, id_strategy, id_strategy, version_strategy), max_size=60),
+    st.data(),
+    st.dictionaries(meta_key, meta_value, max_size=3),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=200)),
+)
+def test_round_trip_identity_property(events, data, meta, block_chars):
+    sizes = {
+        (o, v): data.draw(size_strategy) for o, v in sorted({(e[2], e[3]) for e in events}, key=str)
+    }
+    tr = make_trace(events, sizes=sizes, versions=True) if events else empty_trace()
+    tr.meta = meta
+    text = trace_to_string(tr)
+    with mock.patch.object(trace_mod, "_BLOCK_CHARS", block_chars or trace_mod._BLOCK_CHARS):
+        back = read_trace(io.StringIO(text))
+    assert_same_trace(back, tr)
+    assert_same_trace(back, _read_lines(text))
     assert validate_trace(back).ok == validate_trace(tr).ok
 
 
