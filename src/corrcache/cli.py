@@ -252,9 +252,8 @@ def _cmd_simulate(args) -> int:
     if follow_dump is not None:
         from .policies import build_policy
 
-        keys = trace.identity_keys().tolist()
-        cat_keys, cat_sizes = trace.catalog.size_arrays()
-        pol = build_policy(params, keys, dict(zip(cat_keys.tolist(), cat_sizes.tolist())), capacity)
+        # follow-aware policies read neither the request keys nor the sizes
+        pol = build_policy(params, (), {}, capacity)
         metrics = simulate(trace, pol, config, seed=args.seed)
         metrics.policy = params.label()
         with open(follow_dump, "w", newline="\n") as fh:

@@ -18,7 +18,7 @@ from typing import IO
 import numpy as np
 
 from .policies import Policy, PolicyParams, build_policy
-from .trace import Trace
+from .trace import _KEY_BITS, _VERSION_BITS, _VERSION_SPAN, Trace, _checked_sizes
 
 
 class ConfigurationError(ValueError):
@@ -161,39 +161,12 @@ def config_digest(policy_label: str, config: CacheConfig, trace: Trace) -> str:
     return h.hexdigest()[:16]
 
 
-# Per-pair rows are aggregated under client << 40 | key, and identity keys
-# are object << 8 | (version + 1); ids outside these ranges would collide.
-_OBJECT_LIMIT = 1 << 32
-_CLIENT_LIMIT = 1 << 23
-_VERSION_LIMIT = (1 << 8) - 1
-
-
-def _check_id_ranges(trace: Trace) -> None:
-    if len(trace) == 0:
-        return
-    for name, arr, lo, hi in (
-        ("object id", trace.objects, 1, _OBJECT_LIMIT),
-        ("client id", trace.clients, 1, _CLIENT_LIMIT),
-        ("version", trace.versions, -1, _VERSION_LIMIT),
-    ):
-        amin, amax = int(arr.min()), int(arr.max())
-        if amin < lo or amax >= hi:
-            bad = amin if amin < lo else amax
-            raise ConfigurationError(f"{name} {bad} outside the packable range [{lo}, {hi})")
-
-
-def _event_sizes(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-event identity keys and sizes, plus the catalog's (keys, sizes)."""
-    _check_id_ranges(trace)
-    keys_arr = trace.identity_keys()
-    cat_keys, cat_sizes = trace.catalog.size_arrays()
-    if len(cat_keys) == 0:
-        raise ConfigurationError("trace catalog is empty")
-    idx = np.searchsorted(cat_keys, keys_arr)
-    idx_ok = (idx < len(cat_keys)) & (cat_keys[np.minimum(idx, len(cat_keys) - 1)] == keys_arr)
-    if not idx_ok.all():
-        raise ConfigurationError("trace references objects missing from its catalog")
-    return keys_arr, cat_sizes[idx], cat_keys, cat_sizes
+def _event_sizes(trace: Trace) -> np.ndarray:
+    """Per-event sizes of a trace that `validate_trace` accepts."""
+    problems, sizes = _checked_sizes(trace, 3)
+    if problems:
+        raise ConfigurationError("trace failed validation: " + "; ".join(problems[:3]))
+    return sizes
 
 
 def _local_filter(
@@ -244,13 +217,14 @@ def _forwarded(trace: Trace, config: CacheConfig) -> tuple[Trace, int]:
     The forwarded trace shares the catalog and meta of ``trace``; it is
     ``trace`` itself when the private tier is off or absorbs nothing.  A
     sweep filters once per capacity and replays the result under every
-    policy with ``CacheConfig(config.capacity)``.
+    policy with ``CacheConfig(config.capacity)``.  Raises
+    ConfigurationError for a trace that `validate_trace` rejects.
     """
+    sizes_arr = _event_sizes(trace)
     local_cap = config.local_capacity()
     if local_cap <= 0:
         return trace, 0
-    keys_arr, sizes_arr, _, _ = _event_sizes(trace)
-    mask, local_hits = _local_filter(keys_arr, trace.clients, sizes_arr, local_cap)
+    mask, local_hits = _local_filter(trace.identity_keys(), trace.clients, sizes_arr, local_cap)
     if mask is None:
         return trace, 0
     fwd = Trace(
@@ -272,9 +246,11 @@ def simulate(
     The policy may be passed as params (a fresh instance is built per run) or
     as a prebuilt instance, which must be unused.  Every shipped policy is
     deterministic, so ``seed`` only tags the output metadata; it completes
-    the (trace, policy, config, seed) -> metrics purity contract.
+    the (trace, policy, config, seed) -> metrics purity contract.  A trace
+    that `validate_trace` rejects raises ConfigurationError.
     """
-    keys_arr, sizes_arr, cat_keys, cat_sizes = _event_sizes(trace)
+    sizes_arr = _event_sizes(trace)
+    keys_arr = trace.identity_keys()
     clients_arr = trace.clients
     fwd_mask, local_hits = _local_filter(
         keys_arr, clients_arr, sizes_arr, config.local_capacity()
@@ -288,6 +264,7 @@ def simulate(
     sizes = sizes_arr.tolist()
 
     n = len(keys)
+    cat_keys, cat_sizes = trace.catalog.size_arrays()
     size_of = dict(zip(cat_keys.tolist(), cat_sizes.tolist()))
     if isinstance(policy, Policy):
         pol = policy
@@ -350,14 +327,14 @@ def simulate(
             if on_admit is not None:
                 on_admit(k)
 
-    pair_codes = (clients_arr << 40) | keys_arr
+    pair_codes = (clients_arr << _KEY_BITS) | keys_arr
     uniq, inverse = np.unique(pair_codes, return_inverse=True)
     req_counts = np.bincount(inverse, minlength=len(uniq))
     hit_counts = np.bincount(inverse, weights=hit_flags, minlength=len(uniq)).astype(np.int64)
-    pc = (uniq >> 40).astype(np.int64)
-    pk = uniq & ((1 << 40) - 1)
-    po = (pk >> 8).astype(np.int64)
-    pv = (pk & 0xFF).astype(np.int64) - 1
+    pc = (uniq >> _KEY_BITS).astype(np.int64)
+    pk = uniq & ((1 << _KEY_BITS) - 1)
+    po = (pk >> _VERSION_BITS).astype(np.int64)
+    pv = (pk & (_VERSION_SPAN - 1)).astype(np.int64) - 1
 
     metrics = SimulationMetrics(
         policy=pol.name if not isinstance(policy, PolicyParams) else policy.label(),

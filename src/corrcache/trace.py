@@ -19,8 +19,15 @@ import numpy as np
 NO_VERSION = -1
 
 # Identity keys pack (object_id, version) into one int: id << 8 | (version+1).
+# The engine aggregates per-pair rows under client << _KEY_BITS | key in an
+# int64.  Ids outside the half-open ranges below would collide in either.
 _VERSION_BITS = 8
 _VERSION_SPAN = 1 << _VERSION_BITS
+_OBJECT_BITS = 32
+_KEY_BITS = _OBJECT_BITS + _VERSION_BITS
+_OBJECT_RANGE = (1, 1 << _OBJECT_BITS)
+_CLIENT_RANGE = (1, 1 << (63 - _KEY_BITS))
+_VERSION_RANGE = (NO_VERSION, _VERSION_SPAN - 1)
 
 
 class TraceFormatError(ValueError):
@@ -36,8 +43,10 @@ class TraceFormatError(ValueError):
 def pack_key(object_id: int, version: int | None) -> int:
     """Pack an identity into a single int key (used by the cache engine)."""
     v = NO_VERSION if version is None else int(version)
-    if not -1 <= v < _VERSION_SPAN - 1:
+    if not _VERSION_RANGE[0] <= v < _VERSION_RANGE[1]:
         raise ValueError(f"version {v} out of range")
+    if not _OBJECT_RANGE[0] <= object_id < _OBJECT_RANGE[1]:
+        raise ValueError(f"object id {object_id} out of range")
     return (int(object_id) << _VERSION_BITS) | (v + 1)
 
 
@@ -62,6 +71,11 @@ class ObjectCatalog:
                 self.add(oid, s, ver)
 
     def add(self, object_id: int, size: float, version: int | None = None) -> None:
+        """Set an identity's size.  Version -1 is stored as None, as in the
+        event columns; ids that `pack_key` cannot hold raise ValueError."""
+        pack_key(object_id, version)
+        if version == NO_VERSION:
+            version = None
         size = float(size)
         if not size > 0:
             raise ValueError(f"object ({object_id}, {version}) size must be > 0, got {size}")
@@ -147,22 +161,6 @@ class Trace:
         self.objects = self.objects[order]
         self.versions = self.versions[order]
 
-    def is_sorted(self) -> bool:
-        t, c, o = self.times, self.clients, self.objects
-        if len(t) < 2:
-            return True
-        dt = np.diff(t)
-        if (dt < 0).any():
-            return False
-        eq_t = dt == 0
-        if not eq_t.any():
-            return True
-        dc = np.diff(c)
-        if (eq_t & (dc < 0)).any():
-            return False
-        eq_tc = eq_t & (dc == 0)
-        return not (eq_tc & (np.diff(o) < 0)).any()
-
     def identity_keys(self) -> np.ndarray:
         """Packed int identity per event (see pack_key)."""
         return (self.objects << _VERSION_BITS) | (self.versions + 1)
@@ -175,29 +173,44 @@ class ValidationReport:
 
 
 def validate_trace(trace: Trace, max_violations: int = 20) -> ValidationReport:
-    """Check ordering, time sanity, and catalog coverage.
+    """Check time sanity, id ranges, canonical order and catalog coverage.
 
     Returns a report listing up to `max_violations` problems instead of
-    raising, so callers can show several issues at once.
+    raising, so callers can show several issues at once.  `simulate` runs
+    the same check and refuses every trace it rejects.
     """
+    problems, _ = _checked_sizes(trace, max_violations)
+    return ValidationReport(ok=not problems, violations=problems[:max_violations])
+
+
+def _checked_sizes(trace: Trace, max_violations: int) -> tuple[list[str], np.ndarray | None]:
+    """The problems `validate_trace` reports, of which the first
+    `max_violations` are complete, and the per-event sizes when there are
+    none."""
     problems: list[str] = []
-
-    if len(trace) and not np.isfinite(trace.times).all():
-        bad = int(np.flatnonzero(~np.isfinite(trace.times))[0])
+    times = trace.times
+    if len(trace) and not np.isfinite(times).all():
+        bad = int(np.flatnonzero(~np.isfinite(times))[0])
         problems.append(f"event {bad}: non-finite time")
-    elif len(trace) and trace.times[0] < 0:
-        problems.append(f"event 0: negative time {trace.times[0]}")
+    elif len(trace) and times[0] < 0:
+        problems.append(f"event 0: negative time {times[0]}")
 
-    if len(trace) and (trace.clients < 1).any():
-        bad = int(np.flatnonzero(trace.clients < 1)[0])
-        problems.append(f"event {bad}: client id {int(trace.clients[bad])} below 1")
-
-    if len(trace) and (trace.objects < 1).any():
-        bad = int(np.flatnonzero(trace.objects < 1)[0])
-        problems.append(f"event {bad}: object id {int(trace.objects[bad])} below 1")
+    # ranges first: an out-of-range id packs into another identity's key
+    ranges_ok = True
+    for name, ids, (lo, hi) in (
+        ("object id", trace.objects, _OBJECT_RANGE),
+        ("client id", trace.clients, _CLIENT_RANGE),
+        ("version", trace.versions, _VERSION_RANGE),
+    ):
+        if len(ids) and not lo <= ids.min() <= ids.max() < hi:
+            bad = int(np.flatnonzero((ids < lo) | (ids >= hi))[0])
+            v = int(ids[bad])
+            where = f"below {lo}" if v < lo else f"outside the packable range [{lo}, {hi})"
+            problems.append(f"event {bad}: {name} {v} {where}")
+            ranges_ok = False
 
     if len(trace) > 1:
-        dt = np.diff(trace.times)
+        dt = np.diff(times)
         dc = np.diff(trace.clients)
         do = np.diff(trace.objects)
         out_of_order = (dt < 0) | ((dt == 0) & ((dc < 0) | ((dc == 0) & (do < 0))))
@@ -205,21 +218,21 @@ def validate_trace(trace: Trace, max_violations: int = 20) -> ValidationReport:
             bad = int(np.flatnonzero(out_of_order)[0]) + 1
             problems.append(f"unsorted at index {bad}")
 
-    # catalog coverage: every referenced identity needs a size
-    if len(trace):
-        keys = trace.identity_keys()
-        try:
-            cat_keys, _ = trace.catalog.size_arrays()
-        except (ValueError, OverflowError) as exc:
-            problems.append(f"catalog: {exc}")
-        else:
-            unknown = np.unique(keys[~np.isin(keys, cat_keys)])
-            # at least one, so that `ok` is False whatever the cap
-            for key in unknown[: max(max_violations, 1)].tolist():
-                oid, ver = unpack_key(key)
-                problems.append(f"unknown object ({oid}, {ver}): referenced but not in catalog")
-
-    return ValidationReport(ok=not problems, violations=problems[:max_violations])
+    if not ranges_ok:
+        return problems, None
+    # coverage: look up each distinct identity once
+    keys, inverse = np.unique(trace.identity_keys(), return_inverse=True)
+    cat_keys, cat_sizes = trace.catalog.size_arrays()
+    pos = np.searchsorted(cat_keys, keys)
+    known = pos < len(cat_keys)
+    known[known] = cat_keys[pos[known]] == keys[known]
+    # at least one, so that a report is never ok when something is wrong
+    for key in keys[~known][: max(max_violations, 1)].tolist():
+        oid, ver = unpack_key(key)
+        problems.append(f"unknown object ({oid}, {ver}): referenced but not in catalog")
+    if problems:
+        return problems, None
+    return problems, cat_sizes[pos][inverse]
 
 
 @dataclass
@@ -272,7 +285,7 @@ def write_trace(trace: Trace, path_or_file) -> None:
     f = open(path_or_file, "w", encoding="utf-8", newline="\n") if own else path_or_file
     try:
         for k, v in trace.meta.items():
-            if "\n" in str(k) or "\n" in str(v) or "=" in str(k):
+            if any(ch in f"{k}{v}" for ch in "\r\n") or "=" in str(k):
                 raise TraceFormatError(f"meta key/value not representable: {k!r}={v!r}")
             f.write(f"#meta {k}={v}\n")
         for oid, ver in trace.catalog.identities():

@@ -5,9 +5,12 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrcache.engine import (
     CacheConfig,
@@ -19,7 +22,15 @@ from corrcache.engine import (
     simulate,
 )
 from corrcache.policies import LRUPolicy, PolicyParams
-from corrcache.trace import pack_key
+from corrcache.trace import (
+    NO_VERSION,
+    ObjectCatalog,
+    Trace,
+    _checked_sizes,
+    pack_key,
+    unpack_key,
+    validate_trace,
+)
 
 from conftest import make_trace, naive_lru, random_unit_trace
 
@@ -97,8 +108,16 @@ def test_policy_label_recorded_from_params():
 def test_unknown_catalog_object_is_rejected():
     tr = make_trace([(1, 1, 1), (2, 1, 2)])
     tr.objects[1] = 99  # corrupt after construction
-    with pytest.raises(ConfigurationError, match="missing from its catalog"):
+    with pytest.raises(ConfigurationError, match=r"validation: unknown object \(99, None\)"):
         simulate(tr, PolicyParams("lru"), CacheConfig(2.0))
+
+
+def test_empty_trace_with_empty_catalog_replays_to_zero_counts():
+    none = np.empty(0, np.int64)
+    tr = Trace(none.astype(np.float64), none, none, None, ObjectCatalog())
+    for config in (CacheConfig(2.0), CacheConfig(20.0, local_cache_fraction=0.5)):
+        m = simulate(tr, PolicyParams("lru"), config)
+        assert (m.total_events, m.forwarded, m.hits, m.evictions) == (0, 0, 0, 0)
 
 
 @pytest.mark.parametrize(
@@ -113,11 +132,83 @@ def test_unknown_catalog_object_is_rejected():
     ],
 )
 def test_ids_outside_the_packed_key_ranges_are_rejected(event, match):
-    tr = make_trace([(1, 1, 1, None), event], versions=True)
-    with pytest.raises(ConfigurationError, match=match):
-        simulate(tr, PolicyParams("lru"), CacheConfig(2.0))
-    with pytest.raises(ConfigurationError, match=match):
-        simulate(tr, PolicyParams("lru"), CacheConfig(20.0, local_cache_fraction=0.5))
+    # built valid, then given the ids: the catalog refuses ones keys cannot hold
+    tr = make_trace([(1, 1, 1, None), (2, 1, 1, None)], versions=True)
+    _, tr.clients[1], tr.objects[1], version = event
+    tr.versions[1] = NO_VERSION if version is None else version
+    # one violation: no key is packed from a bad id, so none is reported unknown
+    (violation,) = validate_trace(tr).violations
+    assert violation.startswith(f"event 1: {match} ")
+    refused = re.escape(f"trace failed validation: {violation}")
+    for config in (CacheConfig(2.0), CacheConfig(20.0, local_cache_fraction=0.5)):
+        with pytest.raises(ConfigurationError, match=refused):
+            simulate(tr, PolicyParams("lru"), config)
+
+
+def inject_fault(tr, fault: str, i: int) -> None:
+    """Give event ``i`` of ``tr`` one fault, which may happen to be harmless
+    (e.g. swapping two equal events)."""
+    j = min(i + 1, len(tr) - 1)
+    if fault == "swap":
+        for name in ("times", "clients", "objects", "versions"):
+            col = getattr(tr, name)
+            col[[i, j]] = col[[j, i]]
+    elif fault == "nan":
+        tr.times[i] = float("nan")
+    elif fault == "negative":
+        tr.times[i] = -1.0
+    elif fault == "client 0":
+        tr.clients[i] = 0
+    elif fault == "client 2**23":
+        tr.clients[i] = 2**23
+    elif fault == "object 0":
+        tr.objects[i] = 0
+    elif fault == "object + 2**32":
+        tr.objects[i] += 2**32
+    elif fault == "version 255":
+        tr.versions[i] = 255
+    elif fault == "version -2":
+        tr.versions[i] = -2
+    elif fault == "unknown object":
+        tr.objects[i] = 9
+    elif fault == "unknown version":
+        tr.versions[i] = 7
+
+
+FAULTS = (
+    "none", "swap", "nan", "negative", "client 0", "client 2**23", "object 0",
+    "object + 2**32", "version 255", "version -2", "unknown object", "unknown version",
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 4), st.integers(1, 3), st.integers(1, 4), st.sampled_from([None, 0, 1])
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    st.dictionaries(st.integers(1, 4), st.sampled_from([0.5, 1.0, 2.5])),
+    st.sampled_from(FAULTS),
+    st.data(),
+)
+def test_simulate_refuses_exactly_what_validation_rejects(events, sizes, fault, data):
+    tr = make_trace(events, sizes=sizes, versions=True)
+    inject_fault(tr, fault, data.draw(st.integers(0, len(tr) - 1)))
+    ok = validate_trace(tr).ok
+    if ok:
+        problems, got = _checked_sizes(tr, 20)
+        assert problems == []
+        want = [tr.catalog.size(*unpack_key(k)) for k in tr.identity_keys().tolist()]
+        assert got.tolist() == want
+    for config in (CacheConfig(3.0), CacheConfig(10.0, local_cache_fraction=0.3)):
+        if ok:
+            simulate(tr, PolicyParams("lru"), config)
+        else:
+            with pytest.raises(ConfigurationError, match="trace failed validation"):
+                simulate(tr, PolicyParams("lru"), config)
 
 
 def test_largest_legal_ids_keep_distinct_pair_rows():

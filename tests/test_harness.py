@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from corrcache.harness import (
 )
 from corrcache.policies import PolicyParams, parse_policy_spec
 from corrcache.presets import PresetError
-from corrcache.trace import Trace, read_trace, write_trace
+from corrcache.trace import ObjectCatalog, Trace, read_trace, validate_trace, write_trace
 
 from conftest import make_trace
 
@@ -193,6 +194,56 @@ def test_sweep_rows_in_configuration_order():
     assert [r.policy for r in report.rows[4:]] == ["lru"] * 4
     caps = [r.capacity for r in report.rows[:4]]
     assert caps[0] == caps[1] < caps[2] == caps[3]
+
+
+def unsorted_times() -> Trace:
+    tr = make_trace([(0, 1, 1), (1, 1, 2), (2, 1, 1), (3, 1, 2)])
+    tr.times = np.array([3.0, 1.0, 2.0, 0.0])
+    return tr
+
+
+def nan_time() -> Trace:
+    tr = make_trace([(0, 1, 1), (1, 1, 1)])
+    tr.times[1] = float("nan")
+    return tr
+
+
+def client_descending_tie() -> Trace:
+    tr = make_trace([(1, 1, 1), (1, 2, 1)])
+    tr.clients = np.array([2, 1])
+    return tr
+
+
+def version_aliasing_another_identity() -> Trace:
+    # (1, 255) packs into 1 << 8 | 256, the key of (1, None), which the catalog holds
+    cat = ObjectCatalog({(1, None): 1.0})
+    return Trace(np.array([0.0, 1.0]), np.array([1, 1]), np.array([1, 1]), np.array([-1, 255]), cat)
+
+
+@pytest.mark.parametrize(
+    "build,violation",
+    [
+        (unsorted_times, "unsorted at index 1"),
+        (nan_time, "event 1: non-finite time"),
+        (client_descending_tie, "unsorted at index 1"),
+        (version_aliasing_another_identity, "event 1: version 255 outside the packable range"),
+    ],
+)
+@pytest.mark.parametrize("local", [0.0, 0.2])
+def test_invalid_traces_are_refused_by_every_entry_point(tmp_path, build, violation, local):
+    tr = build()
+    report = validate_trace(tr)
+    assert not report.ok and report.violations[0].startswith(violation)
+    refused = re.escape("trace failed validation: " + violation)
+    with pytest.raises(ConfigurationError, match=refused):
+        simulate(tr, PolicyParams("lru"), CacheConfig(10.0, local_cache_fraction=local))
+    path = tmp_path / "bad.trace"
+    write_trace(tr, str(path))
+    cfg = small_config(
+        trace=str(path), capacities=CapacityGrid((10.0,), "absolute"), local_fraction=local
+    )
+    with pytest.raises(ConfigurationError, match=r"capacity=10\.0 seed=1: " + refused):
+        run_sweep(cfg)
 
 
 def test_sweep_config_error_names_offending_cell():

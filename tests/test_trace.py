@@ -131,9 +131,28 @@ def test_validate_lists_unknown_identities_in_key_order_up_to_the_cap():
 
 
 def test_validate_reports_a_catalog_that_keys_cannot_hold():
-    tr = make_trace([(1.0, 1, 1)])
-    tr.catalog.add(2, 1.0, version=300)
-    assert validate_trace(tr).violations == ["catalog: version 300 out of range"]
+    # the catalog refuses such identities at once, so validation never sees them
+    cat = ObjectCatalog()
+    for oid, ver, match in [
+        (2, 300, "version 300 out of range"),
+        (2, -2, "version -2 out of range"),
+        (0, None, "object id 0 out of range"),
+        (2**32, None, "object id 4294967296 out of range"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            cat.add(oid, 1.0, ver)
+    assert len(cat) == 0
+    with pytest.raises(TraceFormatError, match="line 3: version 300 out of range") as ei:
+        read_trace(io.StringIO("#meta a=b\n#obj 1 - 1.0\n#obj 2 300 1.0\n0.5 1 1 -\n"))
+    assert ei.value.line == 3
+
+
+def test_catalog_stores_explicit_version_minus_one_as_none():
+    tr = read_trace(io.StringIO("#obj 1 -1 1.0\n0.5 1 1 -\n1.5 1 1 -\n"))
+    assert tr.catalog.identities() == [(1, None)]
+    assert validate_trace(tr).ok
+    s = trace_stats(tr)
+    assert (s.distinct_identities, s.footprint_volume) == (1, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +202,7 @@ def test_stats_on_main_grouped_preset_object_bound():
 
 
 def test_sort_events_orders_by_time_client_object():
-    cat = ObjectCatalog()
-    for o in (4, 5, 7, 9):
-        cat.add(o, 1.0)
+    cat = ObjectCatalog({(4, 1): 1.0, (5, None): 1.0, (7, None): 1.0, (9, 0): 1.0})
     tr = Trace(
         np.array([2.0, 1.0, 1.0, 1.0]),
         np.array([1, 3, 2, 2]),
@@ -198,7 +215,7 @@ def test_sort_events_orders_by_time_client_object():
         zip(tr.times.tolist(), tr.clients.tolist(), tr.objects.tolist(), tr.versions.tolist())
     )
     assert got == [(1.0, 2, 4, 1), (1.0, 2, 7, NO_VERSION), (1.0, 3, 9, 0), (2.0, 1, 5, NO_VERSION)]
-    assert tr.is_sorted()
+    assert validate_trace(tr).ok
 
 
 def test_trace_arrays_keep_events_and_default_versions():
@@ -285,6 +302,13 @@ def test_malformed_meta_and_directive_lines():
         read_trace(io.StringIO("#bogus 1\n"))
     with pytest.raises(TraceFormatError, match="malformed #obj"):
         read_trace(io.StringIO("#obj 1 -\n"))
+
+
+@pytest.mark.parametrize("meta", [{"note": "a\rb"}, {"a\rb": "note"}, {"note": "a\nb"}])
+def test_writer_rejects_meta_that_the_reader_would_split(meta):
+    tr = make_trace([(0.5, 1, 1)], meta=meta)
+    with pytest.raises(TraceFormatError, match="not representable"):
+        trace_to_string(tr)
 
 
 def test_non_numeric_event_fields_raise_with_line():
@@ -530,7 +554,7 @@ def test_round_trip_identity_property(events, data, meta, block_chars):
 @given(st.lists(event_strategy, min_size=2, max_size=40))
 def test_sort_is_canonical_and_idempotent(events):
     tr = make_trace(events)
-    assert tr.is_sorted()
+    assert validate_trace(tr).ok
     before = trace_to_string(tr)
     tr.sort_events()
     assert trace_to_string(tr) == before
