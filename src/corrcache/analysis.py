@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .engine import normalized_model_hit_rate
 from .workloads import (
@@ -48,6 +47,8 @@ class ModelError(ValueError):
 def _quad(fn: Callable[[float], float], lo: float, hi: float, points) -> float:
     if hi <= lo:
         return 0.0
+    from scipy.integrate import quad  # imported on first use: it dominates startup
+
     pts = sorted({float(p) for p in points if lo < p < hi})
     val, _ = quad(fn, lo, hi, points=pts or None, limit=200, epsabs=1e-12, epsrel=1e-10)
     return val

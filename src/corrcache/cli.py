@@ -195,7 +195,8 @@ _ANALYZE_KEYS = {"preset", "scale", "variant", "capacity", "capacity_base"}
 def _load_source_config(source: str, allowed: set[str], what: str) -> dict[str, str]:
     """SOURCE is a preset name, or a path to a key=value config file."""
     if os.path.isfile(source):
-        fields = parse_kv_lines(open(source).read())
+        with open(source) as fh:
+            fields = parse_kv_lines(fh.read())
         unknown = set(fields) - allowed
         if unknown:
             raise HarnessConfigError(

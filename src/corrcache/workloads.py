@@ -13,13 +13,11 @@ Two request-stream families:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .trace import NO_VERSION, ObjectCatalog, Trace
 
@@ -311,8 +309,10 @@ class ToroidSpec:
             raise ValueError("horizon_slots must be >= 1")
         if not self.groups:
             raise ValueError("need at least one group")
-        if not self.side > 0:
-            raise ValueError(f"side must be > 0, got {self.side}")
+        if not 0 < self.side < math.inf:
+            raise ValueError(f"side must be finite and > 0, got {self.side}")
+        if not math.isfinite(self.speed):
+            raise ValueError(f"speed must be finite, got {self.speed}")
         if self.direction_period < 1:
             raise ValueError(f"direction_period must be >= 1, got {self.direction_period}")
         if self.num_objects < 1:
@@ -321,6 +321,8 @@ class ToroidSpec:
             raise ValueError(f"visibility_radius must be > 0, got {self.visibility_radius}")
         if not self.near_radius >= 0:
             raise ValueError(f"near_radius must be >= 0, got {self.near_radius}")
+        if self.versioned and not all(0 < size < math.inf for size in self.tier_sizes):
+            raise ValueError(f"tier_sizes must be finite and > 0, got {self.tier_sizes}")
         max_delay = max((max(g.follower_delays, default=0) for g in self.groups), default=0)
         if max_delay >= self.horizon_slots:
             raise ValueError("horizon must exceed the largest follower delay")
@@ -416,28 +418,51 @@ def _torus_visible_pairs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every (point, object) pair within `radius` on the torus of edge `side`.
 
-    A periodic k-d tree over the objects proposes candidates at a radius
-    inflated past any rounding of its own distance arithmetic; each candidate
-    is then rechecked exactly with the minimal-image distance, per axis
+    The torus is cut into m**3 periodic cells no narrower than a reach
+    inflated past any rounding of the cell arithmetic, so each object within
+    reach of a point lies in the 3x3x3 block of cells around the point's
+    cell; m is capped so that the table of cell starts holds at most ~8
+    cells per object (wider cells only add candidates).  Each candidate is
+    then rechecked exactly with the minimal-image distance, per axis
     min(|dx|, side - |dx|) squared and summed as (x + y) + z, and kept when
     d2 <= radius**2.  Returns (point_idx, object_idx, d2), sorted by point
     index and then object index.
     """
-    # the tree needs data in [0, side); % maps a coordinate equal to side to 0
-    tree = cKDTree(objects % side, boxsize=side)
-    hits = tree.query_ball_point(points, radius + 1e-9 * (radius + side), return_sorted=True)
-    counts = np.fromiter(map(len, hits), dtype=np.int64, count=len(hits))
-    oi = np.fromiter(
-        itertools.chain.from_iterable(hits), dtype=np.int64, count=int(counts.sum())
-    )
-    pi = np.repeat(np.arange(len(points), dtype=np.int64), counts)
+    reach = radius + 1e-9 * (radius + side)
+    m = max(1, min(int(side // reach), int((8 * len(objects)) ** (1 / 3))))
+
+    def cells(xyz: np.ndarray) -> np.ndarray:
+        # a coordinate equal to side lands in cell m, which % m maps to 0
+        return np.floor(xyz * (m / side)).astype(np.int64) % m
+
+    # objects bucketed by cell key; start[k] is the first of cell k in `order`
+    x, y, z = cells(objects).T
+    obj_key = (x * m + y) * m + z
+    order = np.argsort(obj_key, kind="stable")
+    start = np.searchsorted(obj_key[order], np.arange(m**3 + 1))
+
+    # the 3x3x3 block of cells around every point; below 3 cells per axis the
+    # offsets -1, 0, 1 collide mod m, and a repeated cell would repeat its
+    # candidates
+    offs = np.unique(np.array([-1, 0, 1]) % m)
+    nbr = (cells(points)[:, :, None] + offs) % m  # (point, axis, offset)
+    x, y, z = nbr[:, 0, :, None, None], nbr[:, 1, None, :, None], nbr[:, 2, None, None, :]
+    nbr_key = ((x * m + y) * m + z).reshape(len(points), len(offs) ** 3)
+    first = start[nbr_key]
+    width = start[nbr_key + 1] - first
+    pi = np.repeat(np.arange(len(points), dtype=np.int64), width.sum(axis=1))
+    first, width = first.ravel(), width.ravel()
+    pos = np.repeat(first - (np.cumsum(width) - width), width)
+    pos += np.arange(len(pos), dtype=np.int64)
+    oi = order[pos]
     d2 = None
     for k in range(3):
         diff = np.abs(points[pi, k] - objects[oi, k])
         np.minimum(diff, side - diff, out=diff)
         diff *= diff
         d2 = diff if d2 is None else d2 + diff
-    keep = d2 <= radius**2
+    keep = np.flatnonzero(d2 <= radius**2)
+    keep = keep[np.lexsort((oi[keep], pi[keep]))]
     return pi[keep], oi[keep], d2[keep]
 
 

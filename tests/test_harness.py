@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -605,6 +606,21 @@ def test_cli_generate_from_config_file(tmp_path, capsys):
         "--horizon", "100", "--out", str(direct),
     ]) == 0
     assert generated == direct.read_text()
+
+
+def test_cli_config_files_are_closed(tmp_path, capsys):
+    gen = tmp_path / "gen.cfg"
+    gen.write_text("preset = grouped-4.1\nscale = 0.02\nseed = 1\nhorizon = 20\n")
+    model = tmp_path / "model.cfg"
+    model.write_text(
+        "preset = grouped-4.1\nscale = 0.02\ncapacity = 0.01\ncapacity_base = volume\n"
+    )
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert cli.main(["generate", str(gen), "--out", str(tmp_path / "g.trace")]) == 0
+        assert cli.main(["analyze", str(model)]) == 0
+    capsys.readouterr()
+    assert [str(w.message) for w in seen if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_cli_generate_errors(tmp_path, capsys):

@@ -362,8 +362,30 @@ def test_toroid_spec_validation():
     ]:
         with pytest.raises(ValueError, match=field):
             ToroidSpec(groups=groups, horizon_slots=10, **{field: value})
+    # non-finite input is refused before any draw: the visibility grid would
+    # turn a NaN or infinite position into a short trace
+    for field, value in [
+        ("side", float("inf")),
+        ("speed", float("nan")),
+        ("speed", float("inf")),
+        ("speed", float("-inf")),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            ToroidSpec(groups=groups, horizon_slots=10, **{field: value})
+    for sizes in [(1.0, 0.0, 0.1), (1.0, -0.5, 0.1), (float("nan"), 0.5, 0.1),
+                  (1.0, 0.5, float("inf"))]:
+        with pytest.raises(ValueError, match="tier_sizes"):
+            ToroidSpec(groups=groups, horizon_slots=10, versioned=True, tier_sizes=sizes)
     # the boundary values that stay legal
     ToroidSpec(groups=groups, horizon_slots=10, direction_period=1, num_objects=1, near_radius=0.0)
+    # tier sizes only matter for versioned traces
+    ToroidSpec(groups=groups, horizon_slots=10, tier_sizes=(1.0, 0.0, 0.1))
+    for field, value in [("speed", 0.0), ("speed", -25.0), ("visibility_radius", float("inf"))]:
+        spec = ToroidSpec(groups=groups, horizon_slots=10, side=100.0, num_objects=40,
+                          **{field: value})
+        trace = gen_toroid_trace(spec, seed=1)
+        assert len(trace) > 0
+        assert trace_to_string(trace) == trace_to_string(naive_toroid_trace(spec, None, 1))
 
 
 def test_torus_minimal_image_distance():
@@ -398,19 +420,44 @@ def test_torus_visible_pairs_exact_boundary_cases():
     assert oi.tolist() == [0] and d2.tolist() == [0.0]
 
 
-def test_torus_visible_pairs_match_dense_distances():
-    rng = np.random.default_rng(5)
-    side = 60.0
-    pts = rng.uniform(0.0, side, size=(40, 3))
-    objs = rng.uniform(0.0, side, size=(70, 3))
+def _assert_dense_visible_pairs(pts, objs, side, radius):
     delta = np.abs(pts[:, None, :] - objs[None, :, :])
     delta = np.minimum(delta, side - delta) ** 2
     dense = (delta[..., 0] + delta[..., 1]) + delta[..., 2]
-    for radius in (3.0, 17.0, side / 2, 0.9 * side):
-        pi, oi, d2 = _torus_visible_pairs(pts, objs, side, radius)
-        want_pi, want_oi = np.nonzero(dense <= radius**2)
-        assert pi.tolist() == want_pi.tolist() and oi.tolist() == want_oi.tolist()
-        assert d2.tolist() == dense[want_pi, want_oi].tolist()
+    pi, oi, d2 = _torus_visible_pairs(pts, objs, side, radius)
+    want_pi, want_oi = np.nonzero(dense <= radius**2)
+    assert pi.tolist() == want_pi.tolist() and oi.tolist() == want_oi.tolist()
+    assert d2.tolist() == dense[want_pi, want_oi].tolist()
+
+
+def test_torus_visible_pairs_match_dense_distances():
+    # Radii for side 60 and 70 objects.  The grid has floor(side / reach)
+    # cells per axis, reach being a hair above the radius, capped at 8 (~8
+    # cells per object): 3.0 hits the cap (19 cells become 8), 7.0 gives 8,
+    # 7.5 gives 7, 17.0 and 19.99 give 3, 20.0 and 24.0 give 2, and side / 2
+    # and up give 1.
+    side = 60.0
+    radii = (3.0, 7.0, 7.5, 17.0, 19.99, 20.0, 24.0, side / 2, 0.9 * side)
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(0.0, side, size=(40, 3))
+    objs = rng.uniform(0.0, side, size=(70, 3))
+    for radius in radii:
+        _assert_dense_visible_pairs(pts, objs, side, radius)
+
+    # coordinates exactly on the cell edges k * side / m of every cell count
+    # above, side itself included, mixed with random ones
+    edges = np.unique([k * side / m for m in range(1, 9) for k in range(m + 1)])
+    assert edges[-1] == side
+
+    def on_edges(n):
+        xyz = rng.uniform(0.0, side, size=(n, 3))
+        on_edge = rng.random((n, 3)) < 0.7
+        xyz[on_edge] = rng.choice(edges, size=int(on_edge.sum()))
+        return xyz
+
+    pts, objs = on_edges(60), on_edges(70)
+    for radius in radii:
+        _assert_dense_visible_pairs(pts, objs, side, radius)
 
 
 @st.composite
