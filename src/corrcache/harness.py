@@ -10,7 +10,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -290,51 +290,137 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     return _run_sweep(cfg, preset, build)
 
 
-def _run_sweep(cfg: ExperimentConfig, preset: Preset | None, build) -> SweepReport:
-    """run_sweep over the traces ``build(seed)`` returns."""
+@dataclass(frozen=True)
+class _Cell:
+    """One (seed, capacity, policy) replay of a sweep."""
+
+    key: tuple[int, int, int]  # (policy, capacity, seed) indices: the row's place
+    trace: Trace
+    forwarded: Trace  # what the private tier of ``config`` forwards from ``trace``
+    local_hits: int
+    params: PolicyParams
+    config: CacheConfig
+    seed: int
+
+
+def _sweep_cells(cfg: ExperimentConfig, preset: Preset | None, build) -> Iterator[_Cell]:
+    """The cells of a sweep in the order a serial sweep runs them: by seed,
+    then capacity, then policy.  The private tier filters each (seed,
+    capacity) pair once, since its output does not depend on the policy."""
     local = cfg.local_fraction
     if local is None:
         local = preset.local_fraction if preset is not None else 0.0
     policies = [_fill_policy_params(p, preset, cfg) for p in cfg.policies]
-
-    cells: dict[tuple[int, int, int], SweepRow] = {}
-    digest = ""
     for si, seed in enumerate(cfg.seeds):
         trace = build(seed)
-        caps = cfg.capacities.resolve(trace)
-        for ci, capacity in enumerate(caps):
+        for ci, capacity in enumerate(cfg.capacities.resolve(trace)):
             config = CacheConfig(capacity=capacity, local_cache_fraction=local)
-            # the private tier does not depend on the policy: filter once per
-            # capacity and replay what it forwards under every policy
             try:
                 forwarded, local_hits = _forwarded(trace, config)
             except ConfigurationError as e:
                 raise ConfigurationError(f"capacity={capacity!r} seed={seed}: {e}") from e
-            shared = CacheConfig(capacity=capacity)
             for pi, params in enumerate(policies):
-                try:
-                    metrics = simulate(forwarded, params, shared, seed=seed)
-                except ConfigurationError as e:
-                    raise ConfigurationError(
-                        f"policy={params.label()} capacity={capacity!r} seed={seed}: {e}"
-                    ) from e
-                if not digest:
-                    digest = config_digest(params.label(), config, trace)
-                cells[(pi, ci, si)] = SweepRow(
-                    policy=params.label(),
-                    capacity=capacity,
-                    seed=seed,
-                    hit_ratio=metrics.hit_ratio,
-                    hits=metrics.hits,
-                    forwarded=metrics.forwarded,
-                    local_hits=local_hits,
-                    total_events=len(trace),
-                    evictions=metrics.evictions,
-                    oversized_misses=metrics.oversized_misses,
-                    per_client=_per_client_cell(metrics),
-                )
-    rows = tuple(cells[k] for k in sorted(cells))
-    return SweepReport(rows=rows, digest=digest, version=__version__)
+                yield _Cell((pi, ci, si), trace, forwarded, local_hits, params, config, seed)
+
+
+def _run_cell(cell: _Cell) -> SweepRow:
+    capacity = cell.config.capacity
+    try:
+        metrics = simulate(cell.forwarded, cell.params, CacheConfig(capacity), seed=cell.seed)
+    except ConfigurationError as e:
+        raise ConfigurationError(
+            f"policy={cell.params.label()} capacity={capacity!r} seed={cell.seed}: {e}"
+        ) from e
+    return SweepRow(
+        policy=cell.params.label(),
+        capacity=capacity,
+        seed=cell.seed,
+        hit_ratio=metrics.hit_ratio,
+        hits=metrics.hits,
+        forwarded=metrics.forwarded,
+        local_hits=cell.local_hits,
+        total_events=len(cell.trace),
+        evictions=metrics.evictions,
+        oversized_misses=metrics.oversized_misses,
+        per_client=_per_client_cell(metrics),
+    )
+
+
+# Set only inside forked pool workers, by their initializer: the cells of the
+# sweep that started them, inherited from the parent without pickling.
+_worker_cells: list[_Cell] = []
+
+
+def _install_worker_cells(cells: list[_Cell]) -> None:
+    global _worker_cells
+    _worker_cells = cells
+
+
+def _run_worker_cell(index: int) -> SweepRow:
+    return _run_cell(_worker_cells[index])
+
+
+def _sweep_workers(n_cells: int) -> int:
+    """One worker per CPU this process may run on, at most one per cell."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_cells)
+
+
+def _run_cells(cells: list[_Cell]) -> list[SweepRow]:
+    """The rows of ``cells``, in their order.
+
+    Cells run in a pool of forked workers, handed out one at a time as
+    workers free up; the workers inherit the traces, so only rows are
+    pickled.  Results are read in cell order, so a failing cell raises the
+    error a serial run would raise first.  The cells run in a plain loop when
+    there is one worker, when ``fork`` is unavailable, or in a daemonic
+    process, which cannot have children.
+    """
+    workers = _sweep_workers(len(cells))
+    if workers > 1:
+        # imported here: at module level they would slow every import of corrcache
+        import multiprocessing
+
+        if (
+            "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon
+        ):
+            workers = 1
+    if workers <= 1:
+        return [_run_cell(cell) for cell in cells]
+    from concurrent.futures import ProcessPoolExecutor
+
+    # on an error, map cancels the cells not yet started; leaving the block
+    # joins every worker
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_install_worker_cells,
+        initargs=(cells,),
+    ) as pool:
+        return list(pool.map(_run_worker_cell, range(len(cells))))
+
+
+def _run_sweep(cfg: ExperimentConfig, preset: Preset | None, build) -> SweepReport:
+    """run_sweep over the traces ``build(seed)`` returns."""
+    cells: list[_Cell] = []
+    failure = None
+    try:
+        for cell in _sweep_cells(cfg, preset, build):
+            cells.append(cell)
+    except ConfigurationError as e:
+        # a serial sweep runs the cells before the failing prefilter first
+        failure = e
+    rows = _run_cells(cells)
+    if failure is not None:
+        raise failure
+    first = cells[0]
+    digest = config_digest(first.params.label(), first.config, first.trace)
+    order = sorted(range(len(cells)), key=lambda i: cells[i].key)
+    return SweepReport(rows=tuple(rows[i] for i in order), digest=digest, version=__version__)
 
 
 @dataclass(frozen=True)

@@ -321,8 +321,12 @@ class ToroidSpec:
             raise ValueError(f"visibility_radius must be > 0, got {self.visibility_radius}")
         if not self.near_radius >= 0:
             raise ValueError(f"near_radius must be >= 0, got {self.near_radius}")
-        if self.versioned and not all(0 < size < math.inf for size in self.tier_sizes):
-            raise ValueError(f"tier_sizes must be finite and > 0, got {self.tier_sizes}")
+        if self.versioned:
+            if len(self.tier_sizes) < 2:
+                # requests carry tier 0 or 1, so both must be catalogued
+                raise ValueError(f"tier_sizes needs at least 2 entries, got {self.tier_sizes}")
+            if not all(0 < size < math.inf for size in self.tier_sizes):
+                raise ValueError(f"tier_sizes must be finite and > 0, got {self.tier_sizes}")
         max_delay = max((max(g.follower_delays, default=0) for g in self.groups), default=0)
         if max_delay >= self.horizon_slots:
             raise ValueError("horizon must exceed the largest follower delay")

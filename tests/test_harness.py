@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import types
 import warnings
 
 import numpy as np
@@ -345,28 +346,31 @@ def sweep_rows(trace, capacities, local, seed=5):
     return _run_sweep(cfg, None, lambda _seed: trace)
 
 
+def simulated_row(trace, params, capacity, local, seed):
+    """The row of one sweep cell, from its own simulate() call."""
+    m = simulate(trace, params, CacheConfig(capacity, local), seed=seed)
+    return SweepRow(
+        policy=params.label(),
+        capacity=capacity,
+        seed=seed,
+        hit_ratio=m.hit_ratio,
+        hits=m.hits,
+        forwarded=m.forwarded,
+        local_hits=m.local_hits,
+        total_events=m.total_events,
+        evictions=m.evictions,
+        oversized_misses=m.oversized_misses,
+        per_client=_per_client_cell(m),
+    )
+
+
 def independent_rows(trace, capacities, local, seed=5):
     """The rows a sweep must produce, each from its own simulate() call."""
-    rows = []
-    for params in SWEEP_POLICIES:
-        for cap in capacities:
-            m = simulate(trace, params, CacheConfig(cap, local), seed=seed)
-            rows.append(
-                SweepRow(
-                    policy=params.label(),
-                    capacity=cap,
-                    seed=seed,
-                    hit_ratio=m.hit_ratio,
-                    hits=m.hits,
-                    forwarded=m.forwarded,
-                    local_hits=m.local_hits,
-                    total_events=m.total_events,
-                    evictions=m.evictions,
-                    oversized_misses=m.oversized_misses,
-                    per_client=_per_client_cell(m),
-                )
-            )
-    return rows
+    return [
+        simulated_row(trace, params, cap, local, seed)
+        for params in SWEEP_POLICIES
+        for cap in capacities
+    ]
 
 
 def assert_sweep_matches_simulate(trace, capacities, local):
@@ -422,6 +426,179 @@ def test_sweep_matches_simulate_on_an_empty_trace():
     assert all(r.forwarded == r.total_events == 0 for r in report.rows)
     assert all(math.isnan(r.hit_ratio) for r in report.rows)
     assert_sweep_matches_simulate(empty, [2.0, 4.0], 0.5)
+
+
+# ---------------------------------------------------------------------------
+# sweeps on forked workers
+# ---------------------------------------------------------------------------
+
+
+class Pools:
+    """The worker counts of the pools that sweeps start."""
+
+    def __init__(self, monkeypatch):
+        import concurrent.futures
+
+        self.started = []
+        self.monkeypatch = monkeypatch
+        started = self.started
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+
+    def force(self, n):
+        """Give every later sweep up to n workers, whatever the CPU count."""
+        self.monkeypatch.setattr(harness, "_sweep_workers", lambda cells: min(n, cells))
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    return Pools(monkeypatch)
+
+
+def private_tier_sweep():
+    return small_config(
+        policies=tuple(
+            parse_policy_spec(p) for p in ("lru", "lfu", "sieve", "lfru:w=3", "lfrus:w=3:gamma=0.5")
+        ),
+        capacities=CapacityGrid((0.02, 0.05, 0.1), "volume"),
+        seeds=(1, 2),
+        local_fraction=0.3,
+    )
+
+
+POOL_SWEEPS = {
+    "private tier": private_tier_sweep,
+    "static_opt": lambda: small_config(
+        policies=tuple(parse_policy_spec(p) for p in ("lru", "static_opt", "belady")),
+        capacities=CapacityGrid((0.01, 0.05), "volume"),
+        seeds=(1, 2),
+    ),
+    "non-unit sizes": lambda: small_config(
+        trace="preset:toroid-versioned",
+        policies=tuple(parse_policy_spec(p) for p in ("lru", "lfu", "sieve", "lfru:w=3")),
+        capacities=CapacityGrid((0.01, 0.05), "volume"),
+        seeds=(1, 2),
+        scale=0.05,
+        horizon=None,
+    ),
+}
+
+
+def csv_of(report):
+    buf = io.StringIO()
+    report.to_csv(buf)
+    return buf.getvalue()
+
+
+def simulated_sweep_rows(cfg):
+    """The rows of ``cfg``'s sweep in report order, each from its own simulate() call."""
+    preset, build = harness._resolve_trace_source(cfg)
+    traces = {seed: build(seed) for seed in cfg.seeds}
+    local = preset.local_fraction if cfg.local_fraction is None else cfg.local_fraction
+    return [
+        simulated_row(traces[seed], harness._fill_policy_params(params, preset, cfg),
+                      cfg.capacities.resolve(traces[seed])[ci], local, seed)
+        for params in cfg.policies
+        for ci in range(len(cfg.capacities.values))
+        for seed in cfg.seeds
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(POOL_SWEEPS))
+def test_sweep_on_workers_equals_serial_sweep(name, pools):
+    cfg = POOL_SWEEPS[name]()
+    pools.force(3)
+    pooled = run_sweep(cfg)
+    assert pools.started == [3]
+    pools.force(1)
+    serial = run_sweep(cfg)
+    assert pools.started == [3]
+    assert pooled == serial
+    assert csv_of(pooled) == csv_of(serial)
+    assert list(pooled.rows) == simulated_sweep_rows(cfg)
+    if name == "private tier":
+        assert any(r.local_hits for r in pooled.rows)
+    if name == "non-unit sizes":
+        assert not harness._resolve_trace_source(cfg)[1](1).catalog.unit_sized()
+
+
+def unit_trace():
+    return make_trace([(t, 1 + t % 2, 1 + t % 5) for t in range(30)])
+
+
+def sized_trace():
+    return make_trace([(t, 1 + t % 2, 1 + t % 5) for t in range(30)],
+                      sizes={o: 1.0 + o % 2 for o in range(1, 6)})
+
+
+def unsorted_trace():
+    tr = unit_trace()
+    tr.times = tr.times[::-1].copy()
+    return tr
+
+
+@pytest.mark.parametrize(
+    "traces,error",
+    [
+        # belady fails on the non-unit trace of seed 2 only
+        ((unit_trace, sized_trace),
+         "policy=belady capacity=2.0 seed=2: policy 'belady' supports unit-size catalogs only"),
+        # the prefilter refuses seed 2's trace after seed 1's cells ran
+        ((unit_trace, unsorted_trace),
+         "capacity=2.0 seed=2: trace failed validation: unsorted at index 1"),
+        # a failing cell of seed 1 comes before seed 2's prefilter
+        ((sized_trace, unsorted_trace),
+         "policy=belady capacity=2.0 seed=1: policy 'belady' supports unit-size catalogs only"),
+    ],
+)
+def test_sweep_on_workers_raises_the_first_serial_error_and_leaves_no_process(
+    traces, error, pools
+):
+    import multiprocessing
+
+    cfg = ExperimentConfig(
+        trace="in-memory",
+        policies=(PolicyParams("lru"), PolicyParams("belady")),
+        capacities=CapacityGrid((2.0, 4.0), "absolute"),
+        seeds=(1, 2),
+        local_fraction=0.5,
+    )
+    by_seed = {1: traces[0](), 2: traces[1]()}
+    messages = []
+    for workers in (3, 1):
+        pools.force(workers)
+        with pytest.raises(ConfigurationError) as info:
+            _run_sweep(cfg, None, by_seed.__getitem__)
+        messages.append(str(info.value))
+        assert multiprocessing.active_children() == []
+    assert messages == [error, error]
+    assert pools.started == [3]
+    ok = dataclasses.replace(cfg, policies=(PolicyParams("lru"), PolicyParams("sieve")))
+    pools.force(3)
+    report = _run_sweep(ok, None, {1: unit_trace(), 2: sized_trace()}.__getitem__)
+    assert multiprocessing.active_children() == []
+    assert pools.started == [3, 3] and len(report.rows) == 8
+
+
+@pytest.mark.parametrize("fallback", ["no fork", "daemonic"])
+def test_sweep_falls_back_to_a_serial_loop(fallback, pools, monkeypatch):
+    import multiprocessing
+
+    cfg = private_tier_sweep()
+    pools.force(3)
+    pooled = run_sweep(cfg)
+    if fallback == "no fork":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    else:
+        daemon = types.SimpleNamespace(daemon=True)
+        monkeypatch.setattr(multiprocessing, "current_process", lambda: daemon)
+    assert run_sweep(cfg) == pooled
+    assert pools.started == [3]
 
 
 # ---------------------------------------------------------------------------

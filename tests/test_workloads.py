@@ -373,13 +373,18 @@ def test_toroid_spec_validation():
         with pytest.raises(ValueError, match=field):
             ToroidSpec(groups=groups, horizon_slots=10, **{field: value})
     for sizes in [(1.0, 0.0, 0.1), (1.0, -0.5, 0.1), (float("nan"), 0.5, 0.1),
-                  (1.0, 0.5, float("inf"))]:
+                  (1.0, 0.5, float("inf")), (1.0,), ()]:
         with pytest.raises(ValueError, match="tier_sizes"):
             ToroidSpec(groups=groups, horizon_slots=10, versioned=True, tier_sizes=sizes)
     # the boundary values that stay legal
     ToroidSpec(groups=groups, horizon_slots=10, direction_period=1, num_objects=1, near_radius=0.0)
     # tier sizes only matter for versioned traces
     ToroidSpec(groups=groups, horizon_slots=10, tier_sizes=(1.0, 0.0, 0.1))
+    # two tiers are all a versioned trace requests
+    spec = ToroidSpec(groups=groups, horizon_slots=10, side=100.0, num_objects=40,
+                      versioned=True, tier_sizes=(1.0, 0.5))
+    trace = gen_toroid_trace(spec, seed=1)
+    assert validate_trace(trace).ok and set(trace.versions.tolist()) <= {0, 1}
     for field, value in [("speed", 0.0), ("speed", -25.0), ("visibility_radius", float("inf"))]:
         spec = ToroidSpec(groups=groups, horizon_slots=10, side=100.0, num_objects=40,
                           **{field: value})
