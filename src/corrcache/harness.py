@@ -360,13 +360,24 @@ def _run_worker_cell(index: int) -> SweepRow:
     return _run_cell(_worker_cells[index])
 
 
-def _sweep_workers(n_cells: int) -> int:
-    """One worker per CPU this process may run on, at most one per cell."""
+# A sweep replaying fewer events than this, summed over its cells, runs
+# serially: pool start, teardown and row pickling cost more than the second
+# CPU saves.  Measured on 2 vCPUs (reproduce cells, medians of 7): 27,340
+# events took 54 ms serially and 78 ms pooled, 39,170 took 95 and 81 ms,
+# 49,310 took 128 and 88 ms.
+_POOL_MIN_EVENTS = 32_000
+
+
+def _sweep_workers(cells: list[_Cell]) -> int:
+    """One worker per CPU this process may run on, at most one per cell, and
+    one in all when the cells replay too few events to pay for a pool."""
+    if sum(len(cell.forwarded) for cell in cells) < _POOL_MIN_EVENTS:
+        return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return min(cpus, n_cells)
+    return min(cpus, len(cells))
 
 
 def _run_cells(cells: list[_Cell]) -> list[SweepRow]:
@@ -376,10 +387,11 @@ def _run_cells(cells: list[_Cell]) -> list[SweepRow]:
     workers free up; the workers inherit the traces, so only rows are
     pickled.  Results are read in cell order, so a failing cell raises the
     error a serial run would raise first.  The cells run in a plain loop when
-    there is one worker, when ``fork`` is unavailable, or in a daemonic
-    process, which cannot have children.
+    there is one worker (one CPU, one cell, or too few events in all), when
+    ``fork`` is unavailable, or in a daemonic process, which cannot have
+    children.
     """
-    workers = _sweep_workers(len(cells))
+    workers = _sweep_workers(cells)
     if workers > 1:
         # imported here: at module level they would slow every import of corrcache
         import multiprocessing

@@ -8,6 +8,7 @@ optimized implementations under test.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -269,6 +270,27 @@ def naive_follow(keys, clients, capacity: int, window: int, gamma: float):
         return min(resident, key=lambda k: (scores.get(last_req[k], 0), resident.index(k)))
 
     return naive_run(keys, capacity, victim, on_request=on_request)
+
+
+def naive_local_filter(keys, clients, slots: int):
+    """Private tiers of ``slots`` unit-size objects, one LRU per client.
+
+    Returns (forwarded flag per request, private-tier hit count).
+    """
+    caches: dict = {}
+    forwarded = []
+    for key, client in zip(keys, clients):
+        cache = caches.setdefault(client, OrderedDict())
+        if key in cache:
+            cache.move_to_end(key)
+            forwarded.append(False)
+            continue
+        forwarded.append(True)
+        if slots >= 1:
+            if len(cache) >= slots:
+                cache.popitem(last=False)
+            cache[key] = None
+    return forwarded, forwarded.count(False)
 
 
 NAIVE = {"lru": naive_lru, "lfu": naive_lfu, "belady": naive_belady, "sieve": naive_sieve}

@@ -6,12 +6,14 @@ import io
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrcache import engine
 from corrcache.engine import (
     CacheConfig,
     ConfigurationError,
@@ -32,7 +34,7 @@ from corrcache.trace import (
     validate_trace,
 )
 
-from conftest import make_trace, naive_lru, random_unit_trace
+from conftest import make_trace, naive_local_filter, naive_lru, random_unit_trace
 
 
 def sim(events, capacity, policy="lru", sizes=None, **kw):
@@ -346,6 +348,173 @@ def test_local_tier_ignores_objects_larger_than_private_capacity():
         CacheConfig(10.0, local_cache_fraction=0.2),  # private capacity 2 < size 3
     )
     assert m.local_hits == 0 and m.forwarded == 2 and m.hits == 1
+
+
+# ---------------------------------------------------------------------------
+# unit-size LRU through functools.lru_cache
+# ---------------------------------------------------------------------------
+
+PAIR_FIELDS = ("pair_clients", "pair_objects", "pair_versions", "pair_requests", "pair_hits")
+COUNTERS = ("hits", "evictions", "oversized_misses", "local_hits", "forwarded")
+
+
+def outcome(m):
+    return tuple(getattr(m, f) for f in COUNTERS), tuple(getattr(m, f).tolist() for f in PAIR_FIELDS)
+
+
+def naive_outcome(trace, capacity, local_fraction, size=1):
+    """Counters and pair rows of an LRU over ``size``-byte objects, from the
+    conftest oracles: the private tiers first, then the shared cache."""
+    keys = trace.identity_keys().tolist()
+    clients = trace.clients.tolist()
+    fwd, local_hits = naive_local_filter(keys, clients, math.floor(local_fraction * capacity) // size)
+    keys = [k for k, f in zip(keys, fwd) if f]
+    clients = [c for c, f in zip(clients, fwd) if f]
+    slots = math.floor(capacity / size)
+    if slots == 0:
+        hits, victims, oversized = [False] * len(keys), [], len(keys)
+    else:
+        (hits, victims), oversized = naive_lru(keys, slots), 0
+    pairs: dict = {}
+    for c, k, h in zip(clients, keys, hits):
+        row = pairs.setdefault((c, k >> 8, (k & 255) - 1), [0, 0])
+        row[0] += 1
+        row[1] += h
+    rows = sorted((c, o, v, r, h) for (c, o, v), (r, h) in pairs.items())
+    counters = (sum(hits), len(victims), oversized, local_hits, len(keys))
+    return counters, tuple(list(col) for col in zip(*rows)) if rows else ((),) * 5
+
+
+def sorted_pairs(m):
+    rows = sorted(zip(*(getattr(m, f).tolist() for f in PAIR_FIELDS)))
+    return tuple(list(col) for col in zip(*rows)) if rows else ((),) * 5
+
+
+class Calls:
+    """Counts the calls of an engine function, still calling it."""
+
+    def __init__(self, monkeypatch, name):
+        self.n = 0
+        original = getattr(engine, name)
+
+        def counted(*args, **kwargs):
+            self.n += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, counted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 20), st.integers(1, 6), st.integers(1, 12), st.sampled_from([None, 0, 1])
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+    st.sampled_from([0.5, 1.0, 2.0, 2.9999999999999996, 3.0, 4.5, 7.0, 15.000000000000002]),
+    st.sampled_from([0.0, 0.1, 0.5]),
+)
+def test_unit_size_lru_equals_the_loop_and_the_naive_oracles(events, capacity, local):
+    tr = make_trace(events, versions=True)
+    config = CacheConfig(capacity, local)
+    # the private tier's lru_cache path too, whatever the events per client
+    with mock.patch.object(engine, "_LOCAL_CACHE_MIN_EVENTS_PER_CLIENT", 0):
+        fast = simulate(tr, PolicyParams("lru"), config)
+    with mock.patch.object(engine, "_LOCAL_CACHE_MIN_EVENTS_PER_CLIENT", math.inf):
+        loop = simulate(tr, PolicyParams("lru"), config, record_evictions=True)
+    assert outcome(fast) == outcome(loop)
+    assert len(loop.eviction_log) == fast.evictions
+    counters, pairs = naive_outcome(tr, capacity, local)
+    assert tuple(getattr(fast, f) for f in COUNTERS) == counters
+    assert sorted_pairs(fast) == pairs
+
+
+def test_unit_size_lru_takes_the_lru_cache_path_only_for_fresh_lru_params(monkeypatch):
+    tr = random_unit_trace(3, 400, 30, 4)
+    config = CacheConfig(6.0, local_cache_fraction=0.5)
+    want = outcome(simulate(tr, PolicyParams("lru"), config, record_evictions=True))
+    calls = Calls(monkeypatch, "_unit_lru_hits")
+    built = Calls(monkeypatch, "build_policy")
+    # the shared cache and the private tier (4 clients, ~100 events each)
+    assert outcome(simulate(tr, PolicyParams("lru"), config)) == want
+    assert (calls.n, built.n) == (2, 1)
+    for run in (
+        lambda: simulate(tr, PolicyParams("lru"), config, record_evictions=True),
+        lambda: simulate(tr, LRUPolicy(), config),
+    ):
+        calls.n = 0
+        assert outcome(run()) == want
+        assert calls.n == 1  # the private tier only
+    calls.n = 0
+    simulate(tr, PolicyParams("sieve"), config)
+    assert calls.n == 1
+
+
+def test_prebuilt_lru_keeps_its_readable_state():
+    pol = LRUPolicy()
+    simulate(make_trace([(1, 1, 1), (2, 1, 2), (3, 1, 3), (4, 1, 2)]), pol, CacheConfig(2.0))
+    assert list(pol.state.order) == [key(3), key(2)]
+
+
+@pytest.mark.parametrize("local", [0.0, 0.5])
+def test_equal_non_unit_sizes_keep_the_loop(monkeypatch, local):
+    rng = np.random.default_rng(11)
+    events = [(t, int(c), int(o)) for t, (c, o) in enumerate(zip(
+        rng.integers(1, 4, 120), rng.zipf(1.5, 120) % 9 + 1
+    ))]
+    tr = make_trace(events, sizes={o: 2.0 for o in range(1, 10)})
+    assert tr.catalog.unit_sized()
+    calls = Calls(monkeypatch, "_unit_lru_hits")
+    m = simulate(tr, PolicyParams("lru"), CacheConfig(7.0, local))
+    assert calls.n == 0
+    counters, pairs = naive_outcome(tr, 7.0, local, size=2)
+    assert tuple(getattr(m, f) for f in COUNTERS) == counters
+    assert sorted_pairs(m) == pairs
+    assert m.hits > 0
+    if local:
+        assert m.local_hits > 0
+
+
+def test_capacity_below_one_object_makes_every_request_an_oversized_miss():
+    m = sim([(1, 1, 1), (2, 1, 1), (3, 2, 2)], 0.999)
+    assert (m.hits, m.oversized_misses, m.evictions) == (0, 3, 0)
+
+
+def test_capacities_beyond_an_index_replay_like_the_loop():
+    tr = make_trace([(t, 1 + t % 2, 1 + t % 3) for t in range(40)])
+    config = CacheConfig(1e300, local_cache_fraction=0.5)
+    with mock.patch.object(engine, "_LOCAL_CACHE_MIN_EVENTS_PER_CLIENT", 0):
+        fast = simulate(tr, PolicyParams("lru"), config)
+    with mock.patch.object(engine, "_LOCAL_CACHE_MIN_EVENTS_PER_CLIENT", math.inf):
+        loop = simulate(tr, PolicyParams("lru"), config, record_evictions=True)
+    assert outcome(fast) == outcome(loop)
+    assert (fast.local_hits, fast.hits, fast.evictions) == (34, 3, 0)
+
+
+def many_clients_trace(n_clients, per_client, seed=5):
+    rng = np.random.default_rng(seed)
+    clients = np.repeat(np.arange(1, n_clients + 1), per_client)
+    rng.shuffle(clients)
+    objects = rng.integers(1, 6, len(clients))
+    return make_trace([(t, int(c), int(o)) for t, (c, o) in enumerate(zip(clients, objects))])
+
+
+@pytest.mark.parametrize(
+    "n_clients, per_client", [(400, 3), (40, engine._LOCAL_CACHE_MIN_EVENTS_PER_CLIENT)]
+)
+def test_private_tier_picks_its_path_by_events_per_client(monkeypatch, n_clients, per_client):
+    tr = many_clients_trace(n_clients, per_client)
+    keys, clients = tr.identity_keys(), tr.clients
+    calls = Calls(monkeypatch, "_unit_lru_hits")
+    for slots in (1, 2, 3):
+        mask, local_hits = engine._local_filter(keys, clients, np.ones(len(tr)), float(slots))
+        want, want_hits = naive_local_filter(keys.tolist(), clients.tolist(), slots)
+        assert local_hits == want_hits > 0
+        assert mask.tolist() == want
+    # at the crossover the lru_cache path runs; below it the loop
+    assert calls.n == (3 if per_client >= engine._LOCAL_CACHE_MIN_EVENTS_PER_CLIENT else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -452,7 +452,7 @@ class Pools:
 
     def force(self, n):
         """Give every later sweep up to n workers, whatever the CPU count."""
-        self.monkeypatch.setattr(harness, "_sweep_workers", lambda cells: min(n, cells))
+        self.monkeypatch.setattr(harness, "_sweep_workers", lambda cells: min(n, len(cells)))
 
 
 @pytest.fixture
@@ -599,6 +599,36 @@ def test_sweep_falls_back_to_a_serial_loop(fallback, pools, monkeypatch):
         monkeypatch.setattr(multiprocessing, "current_process", lambda: daemon)
     assert run_sweep(cfg) == pooled
     assert pools.started == [3]
+
+
+class Stop(Exception):
+    pass
+
+
+def test_preset_sweeps_start_a_pool_and_small_sweeps_do_not(monkeypatch):
+    # two usable CPUs; each sweep stops once its worker count is known
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    workers = {}
+
+    def count_workers(cells):
+        workers[name, scale] = harness._sweep_workers(cells), len(cells)
+        raise Stop
+
+    monkeypatch.setattr(harness, "_run_cells", count_workers)
+    for name, scale in [
+        ("toroid-trace1", 1.0), ("toroid-versioned", 1.0), ("grouped-4.1", 1.0),
+        ("toroid-trace1", 0.05), ("toroid-versioned", 0.05),
+    ]:
+        with pytest.raises(Stop):
+            harness.reproduce(name, scale, 101)
+    assert {k: w for k, (w, _) in workers.items()} == {
+        ("toroid-trace1", 1.0): 2,
+        ("toroid-versioned", 1.0): 2,
+        ("grouped-4.1", 1.0): 2,
+        ("toroid-trace1", 0.05): 1,
+        ("toroid-versioned", 0.05): 1,
+    }
+    assert all(n > 1 for _, n in workers.values())
 
 
 # ---------------------------------------------------------------------------
