@@ -12,7 +12,6 @@ import hashlib
 import itertools
 import json
 import math
-import operator
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -172,6 +171,11 @@ def _event_sizes(trace: Trace) -> np.ndarray:
     return sizes
 
 
+# Calls an lru_cache with one argument, without a Python frame per call
+# (operator.call does the same, but only from Python 3.11 on).
+_call_cache = type(lru_cache(1)(int)).__call__
+
+
 def _unit_lru_hits(keys: list[int], slots: int, clients: list[int] | None = None):
     """Hit flags of an LRU of ``slots`` unit-size objects replaying ``keys``,
     and the caches that replayed them.
@@ -194,7 +198,7 @@ def _unit_lru_hits(keys: list[int], slots: int, clients: list[int] | None = None
     else:
         # a client's cache is built at its first request
         by_client = defaultdict(partial(lru_cache(slots), stamp))
-        calls = map(operator.call, map(by_client.__getitem__, clients), keys)
+        calls = map(_call_cache, map(by_client.__getitem__, clients), keys)
         stamps = np.fromiter(calls, dtype=np.int64, count=len(keys))
         caches = list(by_client.values())
     hits = np.zeros(len(keys), dtype=bool)
@@ -229,8 +233,8 @@ def _local_filter(
     clients = clients_arr.tolist()
     n = len(keys)
     if (
-        n >= _LOCAL_CACHE_MIN_EVENTS_PER_CLIENT * len(set(clients))
-        and (sizes_arr == 1.0).all()
+        (sizes_arr == 1.0).all()
+        and n >= _LOCAL_CACHE_MIN_EVENTS_PER_CLIENT * len(set(clients))
     ):
         # no more slots than events: lru_cache refuses sizes beyond an index
         hits, _ = _unit_lru_hits(keys, min(int(local_capacity), n), clients)

@@ -517,6 +517,20 @@ def test_private_tier_picks_its_path_by_events_per_client(monkeypatch, n_clients
     assert calls.n == (3 if per_client >= engine._LOCAL_CACHE_MIN_EVENTS_PER_CLIENT else 0)
 
 
+def test_private_tier_lru_cache_path_runs_without_operator_call(monkeypatch):
+    # operator.call exists only from Python 3.11 on; the package supports 3.10
+    import operator
+
+    monkeypatch.delattr(operator, "call", raising=False)
+    tr = many_clients_trace(10, 2 * engine._LOCAL_CACHE_MIN_EVENTS_PER_CLIENT)
+    keys, clients = tr.identity_keys(), tr.clients
+    calls = Calls(monkeypatch, "_unit_lru_hits")
+    mask, local_hits = engine._local_filter(keys, clients, np.ones(len(tr)), 2.0)
+    want, want_hits = naive_local_filter(keys.tolist(), clients.tolist(), 2)
+    assert calls.n == 1
+    assert (mask.tolist(), local_hits) == (want, want_hits)
+
+
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
