@@ -212,7 +212,9 @@ def _unit_lru_hits(keys: list[int], slots: int, clients: list[int] | None = None
 # free, and many small caches slow the pass.  Measured on 60,000-event
 # traces (20 objects, 3 slots, 2 vCPUs): at 3 events a client the caches took
 # 171-217 ms against 64-85 ms for the loop, at 8 1.1-1.2x the loop's time,
-# at 16 0.87-1.05x, at 32 0.57-0.77x.
+# at 16 0.87-1.05x, at 32 0.57-0.77x.  No preset averages fewer than 16
+# events a client (grouped-4.1 has the fewest, 647 at scale 1), so every
+# unit-size preset takes the caches.
 _LOCAL_CACHE_MIN_EVENTS_PER_CLIENT = 16
 
 
