@@ -13,16 +13,14 @@ from .analysis import (
     HitReport,
     ModelGroup,
     WorkingSetModel,
-    group_window_integral,
+    normalized_model_hit_rate,
 )
 from .engine import (
     CacheConfig,
-    CacheState,
     ConfigurationError,
     ConsistencyError,
     SimulationMetrics,
     config_digest,
-    normalized_model_hit_rate,
     simulate,
 )
 from .harness import (
@@ -74,7 +72,6 @@ __all__ = [
     "__version__",
     "CacheConfig",
     "config_digest",
-    "CacheState",
     "CapacityGrid",
     "CharacteristicTime",
     "ConfigurationError",
@@ -108,7 +105,6 @@ __all__ = [
     "gen_grouped_trace",
     "gen_toroid_trace",
     "get_preset",
-    "group_window_integral",
     "normalized_model_hit_rate",
     "parse_experiment_config",
     "parse_policy_spec",

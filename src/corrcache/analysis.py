@@ -25,7 +25,6 @@ from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .engine import normalized_model_hit_rate
 from .workloads import (
     DelaySpec,
     FixedDelays,
@@ -141,15 +140,14 @@ def group_window_integral(
     delays: DelaySpec | None,
     followers: int,
     t: float,
-    samples: int = DEFAULT_MC_SAMPLES,
-    rng: np.random.Generator | None = None,
     sample_matrix: np.ndarray | None = None,
 ) -> float:
     """Expected union length of the windows opened by one leader arrival.
 
     Dispatches on the delay spec: closed form for structured and fixed
-    delays, quadrature for independent uniforms, Monte Carlo for joint
-    samplers (pass ``sample_matrix`` to reuse draws across t values).
+    delays, quadrature for independent uniforms, Monte Carlo over
+    ``sample_matrix`` (the model's draws, one delay vector per row) for
+    joint samplers.
     """
     if t <= 0:
         return 0.0
@@ -162,9 +160,6 @@ def group_window_integral(
     if isinstance(delays, UniformDelays):
         return uniform_window_integral(delays.bounds, t)
     if isinstance(delays, JointDelays):
-        if sample_matrix is None:
-            rng = rng if rng is not None else np.random.default_rng(0)
-            sample_matrix = np.asarray(delays.sampler(rng, samples), dtype=float)
         return joint_window_integral(sample_matrix, t)
     raise ModelError(f"unsupported delay spec {type(delays).__name__}")
 
@@ -250,6 +245,33 @@ class HitReport:
             for fi, vec in enumerate(g.follower_list, start=1):
                 for oid, p in zip(g.object_ids.tolist(), vec.tolist()):
                     fh.write(f"{gi},follower,{fi},{oid},{p!r}\n")
+
+
+def normalized_model_hit_rate(
+    groups: list[tuple[np.ndarray, int]],
+    hit_probs: list[tuple[np.ndarray, list[np.ndarray]]],
+) -> float:
+    """Aggregate a per-object hit-probability table into one rate ratio.
+
+    ``groups`` pairs each group's per-object leader request rates with its
+    follower count; ``hit_probs`` pairs the leader hit-probability vector
+    with one vector per follower.  The result is the expected hit rate over
+    the total request rate, so it is directly comparable to a measured hit
+    ratio.
+    """
+    num = 0.0
+    den = 0.0
+    for (rates, followers), (leader_p, follower_ps) in zip(groups, hit_probs):
+        rates = np.asarray(rates, dtype=float)
+        if len(follower_ps) != followers:
+            raise ValueError("follower probability vectors do not match the follower count")
+        den += float(rates.sum()) * (1 + followers)
+        num += float((rates * np.asarray(leader_p, dtype=float)).sum())
+        for fp in follower_ps:
+            num += float((rates * np.asarray(fp, dtype=float)).sum())
+    if den == 0:
+        raise ValueError("total request rate is zero")
+    return num / den
 
 
 class WorkingSetModel:
@@ -355,14 +377,13 @@ class WorkingSetModel:
         tol = rel_tol * target
         lo, hi = 0.0, 1.0
         iters = 0
-        while self.expected_cached_volume(hi) < target:
+        while (val := self.expected_cached_volume(hi)) < target:
             lo = hi
             hi *= 2.0
             iters += 1
             if iters > 200:
                 raise ModelError("failed to bracket the characteristic time")
         mid = hi
-        val = self.expected_cached_volume(hi)
         while iters < max_iter:
             mid = 0.5 * (lo + hi)
             val = self.expected_cached_volume(mid)

@@ -19,7 +19,13 @@ from typing import IO
 
 import numpy as np
 
-from .policies import Policy, PolicyParams, build_policy
+from .policies import (
+    Policy,
+    PolicyConfigError,
+    PolicyParams,
+    build_policy,
+    static_optimal_select,
+)
 from .trace import _KEY_BITS, _VERSION_BITS, _VERSION_SPAN, Trace, _checked_sizes
 
 
@@ -55,10 +61,9 @@ class CacheConfig:
 class CacheState:
     """Live state shared between the engine loop and the policy hooks."""
 
-    __slots__ = ("capacity", "order", "last_requester")
+    __slots__ = ("order", "last_requester")
 
-    def __init__(self, capacity: float):
-        self.capacity = capacity
+    def __init__(self):
         # resident identities in recency order, least-recent first; the
         # value is the object size so eviction can release the bytes
         self.order: OrderedDict[int, float] = OrderedDict()
@@ -207,17 +212,6 @@ def _unit_lru_hits(keys: list[int], slots: int, clients: list[int] | None = None
     return hits, caches
 
 
-# Below this mean of events per distinct client, the private tier's loop
-# beats one lru_cache per client: each cache costs ~3 us to build and more to
-# free, and many small caches slow the pass.  Measured on 60,000-event
-# traces (20 objects, 3 slots, 2 vCPUs): at 3 events a client the caches took
-# 171-217 ms against 64-85 ms for the loop, at 8 1.1-1.2x the loop's time,
-# at 16 0.87-1.05x, at 32 0.57-0.77x.  No preset averages fewer than 16
-# events a client (grouped-4.1 has the fewest, 647 at scale 1), so every
-# unit-size preset takes the caches.
-_LOCAL_CACHE_MIN_EVENTS_PER_CLIENT = 16
-
-
 def _local_filter(
     keys_arr: np.ndarray, clients_arr: np.ndarray, sizes_arr: np.ndarray, local_capacity: float
 ) -> tuple[np.ndarray | None, int]:
@@ -225,19 +219,16 @@ def _local_filter(
 
     Returns a boolean forwarded mask, or None when every event is forwarded,
     and the private-tier hit count.  Objects larger than the private capacity
-    always miss it and are forwarded.  When every size is 1.0 and clients
-    average enough events each, one pass of `_unit_lru_hits` with a cache
-    per client flags the private hits; other inputs run the loop below.
+    always miss it and are forwarded.  When every size is 1.0, one pass of
+    `_unit_lru_hits` with a cache per client flags the private hits; sized
+    traces run the loop below.
     """
     if local_capacity <= 0:
         return None, 0
     keys = keys_arr.tolist()
     clients = clients_arr.tolist()
     n = len(keys)
-    if (
-        (sizes_arr == 1.0).all()
-        and n >= _LOCAL_CACHE_MIN_EVENTS_PER_CLIENT * len(set(clients))
-    ):
+    if (sizes_arr == 1.0).all():
         # no more slots than events: lru_cache refuses sizes beyond an index
         hits, _ = _unit_lru_hits(keys, min(int(local_capacity), n), clients)
         local_hits = int(hits.sum())
@@ -308,78 +299,68 @@ def _replay(
     trace: Trace,
     policy: PolicyParams | Policy,
     keys: list[int],
-    keys_arr: np.ndarray,
     clients: list[int],
     sizes: list[float],
     capacity: float,
     record_evictions: bool,
 ):
-    """The engine loop: (policy, hit flags, oversized misses, evictions,
-    eviction log or None)."""
+    """The engine loop: (hit flags, oversized misses, evictions, eviction log
+    or None)."""
     n = len(keys)
-    cat_keys, cat_sizes = trace.catalog.size_arrays()
-    size_of = dict(zip(cat_keys.tolist(), cat_sizes.tolist()))
     if isinstance(policy, Policy):
         pol = policy
     else:
-        pol = build_policy(policy, keys, size_of, capacity)
+        pol = build_policy(policy, keys)
     if pol.requires_unit_sizes and not trace.catalog.unit_sized():
         raise ConfigurationError(f"policy {pol.name!r} supports unit-size catalogs only")
 
-    state = CacheState(capacity)
+    state = CacheState()
     pol.bind(state)
     hit_flags = np.zeros(n, dtype=bool)
     oversized = 0
     evictions = 0
     ev_log: list[int] | None = [] if record_evictions else None
 
-    if pol.static_set is not None:
-        resident = pol.static_set
-        hit_flags = np.isin(keys_arr, np.fromiter(resident, dtype=np.int64, count=len(resident)))
-        last_req = state.last_requester
-        for i in range(n):
-            last_req[keys[i]] = clients[i]
-    else:
-        order = state.order
-        last_req = state.last_requester
-        base_on_request = Policy.on_request
-        on_request = None if type(pol).on_request is base_on_request else pol.on_request
-        on_admit = None if type(pol).on_admit is Policy.on_admit else pol.on_admit
-        on_evict = None if type(pol).on_evict is Policy.on_evict else pol.on_evict
-        victim = pol.victim
-        used = 0.0
-        for i in range(n):
-            k = keys[i]
-            c = clients[i]
-            hit = k in order
-            if on_request is not None:
-                on_request(c, k, hit)
-            last_req[k] = c
-            if hit:
-                order.move_to_end(k)
-                hit_flags[i] = True
-                continue
-            s = sizes[i]
-            if s > capacity:
-                oversized += 1
-                continue
-            while used + s > capacity:
-                v = victim()
-                vs = order.pop(v, None)
-                if vs is None:
-                    raise ConsistencyError(f"policy returned non-resident victim {v}")
-                used -= vs
-                evictions += 1
-                if on_evict is not None:
-                    on_evict(v)
-                if ev_log is not None:
-                    ev_log.append(v)
-            order[k] = s
-            used += s
-            if on_admit is not None:
-                on_admit(k)
+    order = state.order
+    last_req = state.last_requester
+    base_on_request = Policy.on_request
+    on_request = None if type(pol).on_request is base_on_request else pol.on_request
+    on_admit = None if type(pol).on_admit is Policy.on_admit else pol.on_admit
+    on_evict = None if type(pol).on_evict is Policy.on_evict else pol.on_evict
+    victim = pol.victim
+    used = 0.0
+    for i in range(n):
+        k = keys[i]
+        c = clients[i]
+        hit = k in order
+        if on_request is not None:
+            on_request(c, k, hit)
+        last_req[k] = c
+        if hit:
+            order.move_to_end(k)
+            hit_flags[i] = True
+            continue
+        s = sizes[i]
+        if s > capacity:
+            oversized += 1
+            continue
+        while used + s > capacity:
+            v = victim()
+            vs = order.pop(v, None)
+            if vs is None:
+                raise ConsistencyError(f"policy returned non-resident victim {v}")
+            used -= vs
+            evictions += 1
+            if on_evict is not None:
+                on_evict(v)
+            if ev_log is not None:
+                ev_log.append(v)
+        order[k] = s
+        used += s
+        if on_admit is not None:
+            on_admit(k)
 
-    return pol, hit_flags, oversized, evictions, ev_log
+    return hit_flags, oversized, evictions, ev_log
 
 
 def simulate(
@@ -401,7 +382,9 @@ def simulate(
     that all have size 1.0, replays through the C-level ``lru_cache`` of
     `_unit_lru_hits`; every other run (other sizes, an eviction log, a
     prebuilt policy, other policies) takes the engine loop, which gives the
-    same metrics.
+    same metrics.  ``PolicyParams("static_opt")`` is not replayed: the set
+    `static_optimal_select` picks from its rates stays resident throughout,
+    so a forwarded request hits exactly when its identity is in that set.
     """
     sizes_arr = _event_sizes(trace)
     keys_arr = trace.identity_keys()
@@ -415,19 +398,34 @@ def simulate(
         sizes_arr = sizes_arr[fwd_mask]
     keys = keys_arr.tolist()
     n = len(keys)
-    if (
+    static_exact = None
+    if isinstance(policy, PolicyParams) and policy.kind == "static_opt":
+        if policy.rates is None:
+            raise PolicyConfigError(
+                "static_opt needs per-object request rates (available for generator presets)"
+            )
+        cat_keys, cat_sizes = trace.catalog.size_arrays()
+        selection = static_optimal_select(
+            policy.rates, dict(zip(cat_keys.tolist(), cat_sizes.tolist())), config.capacity
+        )
+        static_exact = selection.exact
+        resident = np.fromiter(selection.keys, dtype=np.int64, count=len(selection.keys))
+        hit_flags = np.isin(keys_arr, resident)
+        oversized = evictions = 0
+        ev_log = [] if record_evictions else None
+    elif (
         isinstance(policy, PolicyParams)
         and policy.kind == "lru"
         and not record_evictions
         and (sizes_arr == 1.0).all()
     ):
         # built although unused: the instance tags the run's policy for tracers
-        pol = build_policy(policy, keys, {}, config.capacity)
+        build_policy(policy, keys)
         hit_flags, oversized, evictions = _unit_lru_replay(keys, config.capacity)
         ev_log = None
     else:
-        pol, hit_flags, oversized, evictions, ev_log = _replay(
-            trace, policy, keys, keys_arr, clients_arr.tolist(), sizes_arr.tolist(),
+        hit_flags, oversized, evictions, ev_log = _replay(
+            trace, policy, keys, clients_arr.tolist(), sizes_arr.tolist(),
             config.capacity, record_evictions,
         )
 
@@ -441,7 +439,7 @@ def simulate(
     pv = (pk & (_VERSION_SPAN - 1)).astype(np.int64) - 1
 
     metrics = SimulationMetrics(
-        policy=pol.name if not isinstance(policy, PolicyParams) else policy.label(),
+        policy=policy.label() if isinstance(policy, PolicyParams) else policy.name,
         capacity=config.capacity,
         local_cache_fraction=config.local_cache_fraction,
         total_events=len(trace),
@@ -456,7 +454,7 @@ def simulate(
         pair_requests=req_counts.astype(np.int64),
         pair_hits=hit_counts,
         eviction_log=ev_log,
-        static_exact=(pol.selection.exact if hasattr(pol, "selection") else None),
+        static_exact=static_exact,
         meta={"seed": str(seed)},
     )
     check_metrics(metrics)
@@ -476,29 +474,3 @@ def check_metrics(metrics: SimulationMetrics) -> None:
     if metrics.local_hits + metrics.forwarded != metrics.total_events:
         raise ConsistencyError("private-tier hits plus forwarded do not cover all events")
 
-
-def normalized_model_hit_rate(
-    groups: list[tuple[np.ndarray, int]],
-    hit_probs: list[tuple[np.ndarray, list[np.ndarray]]],
-) -> float:
-    """Aggregate a per-object hit-probability table into one rate ratio.
-
-    ``groups`` pairs each group's per-object leader request rates with its
-    follower count; ``hit_probs`` pairs the leader hit-probability vector
-    with one vector per follower.  The result is the expected hit rate over
-    the total request rate, so it is directly comparable to a measured hit
-    ratio.
-    """
-    num = 0.0
-    den = 0.0
-    for (rates, followers), (leader_p, follower_ps) in zip(groups, hit_probs):
-        rates = np.asarray(rates, dtype=float)
-        if len(follower_ps) != followers:
-            raise ValueError("follower probability vectors do not match the follower count")
-        den += float(rates.sum()) * (1 + followers)
-        num += float((rates * np.asarray(leader_p, dtype=float)).sum())
-        for fp in follower_ps:
-            num += float((rates * np.asarray(fp, dtype=float)).sum())
-    if den == 0:
-        raise ValueError("total request rate is zero")
-    return num / den

@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -82,7 +82,6 @@ class Policy:
 
     name = "lru"
     requires_unit_sizes = False
-    static_set: frozenset | None = None
 
     def bind(self, state) -> None:
         self.state = state
@@ -398,19 +397,6 @@ def static_optimal_select(
     return StaticSelection(frozenset(chosen), float(value), False)
 
 
-class StaticOptPolicy(Policy):
-    """Preloaded fixed set; the engine never admits or evicts around it."""
-
-    name = "static_opt"
-
-    def __init__(self, selection: StaticSelection):
-        self.selection = selection
-        self.static_set = selection.keys
-
-    def victim(self) -> int:  # pragma: no cover
-        raise RuntimeError("static_opt never evicts")
-
-
 class LFRUSPolicy(Policy):
     """Follow-aware eviction with geometric recency weights.
 
@@ -594,13 +580,12 @@ class LFRUPolicy(LFRUSPolicy):
         super().__init__(window, gamma=1.0)
 
 
-def build_policy(
-    params: PolicyParams,
-    forwarded_keys: Sequence[int],
-    sizes: Mapping[int, float],
-    capacity: float,
-) -> Policy:
-    """Instantiate a fresh policy for one simulation run."""
+def build_policy(params: PolicyParams, forwarded_keys: Sequence[int]) -> Policy:
+    """Instantiate a fresh policy for one replay.
+
+    static_opt is not replayed: `simulate` computes it from
+    `static_optimal_select`, so it is no kind this builds.
+    """
     kind = params.kind
     if kind == "lru":
         return LRUPolicy()
@@ -614,11 +599,4 @@ def build_policy(
         return LFRUPolicy(params.window)
     if kind == "lfrus":
         return LFRUSPolicy(params.window, params.gamma)
-    if kind == "static_opt":
-        if params.rates is None:
-            raise PolicyConfigError(
-                "static_opt needs per-object request rates (available for generator presets)"
-            )
-        selection = static_optimal_select(params.rates, sizes, capacity)
-        return StaticOptPolicy(selection)
     raise PolicyConfigError(f"unknown policy kind {kind!r}")

@@ -15,6 +15,7 @@ from corrcache.analysis import (
     WorkingSetModel,
     fixed_window_integral,
     joint_window_integral,
+    normalized_model_hit_rate,
     structured_window_integral,
     uniform_window_integral,
 )
@@ -191,6 +192,21 @@ def test_solver_small_capacity_gives_small_t():
     t1 = model.solve_characteristic_time(10.0).t_star
     t2 = model.solve_characteristic_time(60.0).t_star
     assert 0 < t1 < t2
+
+
+@pytest.mark.parametrize("capacity", [1e-4, 10.0, 50.0, 99.0])
+def test_solver_evaluates_the_model_once_per_iteration_and_once_more(monkeypatch, capacity):
+    model = irm_model()
+    calls = []
+    volume = model.expected_cached_volume
+    monkeypatch.setattr(model, "expected_cached_volume", lambda t: calls.append(t) or volume(t))
+    ct = model.solve_characteristic_time(capacity)
+    # one evaluation per doubling and per bisection step, plus the one that
+    # ends the bracketing
+    assert len(calls) == ct.iterations + 1
+    assert calls[-1] == ct.t_star and volume(ct.t_star) == ct.rhs_value
+    with pytest.raises(ModelError, match="did not converge"):
+        model.solve_characteristic_time(capacity, max_iter=0)
 
 
 def test_solver_domain_errors():
@@ -376,3 +392,31 @@ def test_follower_hit_prob_non_decreasing_in_follower_count():
         cols.append(follower_mean(WorkingSetModel([g]), 6.0))
     assert (cols[1] >= cols[0] - 1e-12).all()
     assert (cols[2] >= cols[1] - 1e-12).all()
+
+
+# ---------------------------------------------------------------------------
+# model-rate aggregation
+# ---------------------------------------------------------------------------
+
+
+def test_normalized_model_rate_uniform_half():
+    rates = np.array([0.6, 0.4])
+    probs = np.array([0.5, 0.5])
+    out = normalized_model_hit_rate([(rates, 1)], [(probs, [probs])])
+    assert out == pytest.approx(0.5)
+
+
+def test_normalized_model_rate_mixed_groups():
+    g1 = (np.array([1.0]), 0)
+    g2 = (np.array([1.0]), 1)
+    hp1 = (np.array([1.0]), [])
+    hp2 = (np.array([0.0]), [np.array([0.0])])
+    # one always-hit leader-only group vs an always-miss pair group
+    assert normalized_model_hit_rate([g1, g2], [hp1, hp2]) == pytest.approx(1 / 3)
+
+
+def test_normalized_model_rate_errors():
+    with pytest.raises(ValueError, match="follower"):
+        normalized_model_hit_rate([(np.array([1.0]), 2)], [(np.array([0.5]), [])])
+    with pytest.raises(ValueError, match="zero"):
+        normalized_model_hit_rate([], [])

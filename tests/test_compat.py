@@ -1,0 +1,112 @@
+"""The package keeps to the oldest Python that pyproject.toml declares, 3.10.
+
+Without a 3.10 interpreter these checks are static: every module must parse
+under the 3.10 grammar and name no standard-library feature added in 3.11.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "corrcache"
+MODULES = sorted(SRC.rglob("*.py"))
+
+# standard-library names added in Python 3.11, by module
+NEW_IN_311 = {
+    "asyncio": {"Barrier", "Runner", "TaskGroup", "Timeout", "timeout", "timeout_at"},
+    "contextlib": {"chdir"},
+    "datetime": {"UTC"},
+    "enum": {"EnumCheck", "FlagBoundary", "ReprEnum", "StrEnum", "global_enum", "member",
+             "nonmember", "show_flag_values", "verify"},
+    "hashlib": {"file_digest"},
+    "inspect": {"getmembers_static"},
+    "logging": {"getLevelNamesMapping"},
+    "math": {"cbrt", "exp2"},
+    "operator": {"call"},
+    "re": {"NOFLAG"},
+    "sys": {"exception"},
+    "typing": {"LiteralString", "Never", "NotRequired", "Required", "Self", "TypeVarTuple",
+               "Unpack", "assert_never", "assert_type", "clear_overloads",
+               "dataclass_transform", "get_overloads", "reveal_type"},
+}
+MODULES_NEW_IN_311 = {"tomllib", "wsgiref.types"}
+BUILTINS_NEW_IN_311 = {"BaseExceptionGroup", "ExceptionGroup"}
+
+
+def names_new_in_311(source: str) -> list[str]:
+    """Uses of 3.11-only standard-library names and syntax in ``source``."""
+    tree = ast.parse(source, feature_version=(3, 10))
+    aliases = {}  # local name -> module, from `import module [as name]`
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.asname is not None:
+                    aliases[a.asname] = a.name
+                else:
+                    aliases[a.name.split(".")[0]] = a.name.split(".")[0]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name in MODULES_NEW_IN_311]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module in MODULES_NEW_IN_311:
+                found.append(node.module)
+            new = NEW_IN_311.get(node.module, set())
+            found += [f"{node.module}.{a.name}" for a in node.names if a.name in new]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            module = aliases.get(node.value.id)
+            if node.attr in NEW_IN_311.get(module, set()):
+                found.append(f"{module}.{node.attr}")
+        elif isinstance(node, ast.Name) and node.id in BUILTINS_NEW_IN_311:
+            found.append(node.id)
+        elif isinstance(node, ast.Subscript):
+            # PEP 646 unpacking in a subscript, which the 3.10 grammar
+            # check lets through
+            items = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+            if any(isinstance(item, ast.Starred) for item in items):
+                found.append("a[*b]")
+        elif isinstance(node, ast.arg) and isinstance(node.annotation, ast.Starred):
+            found.append("*args: *Ts")
+    return found
+
+
+def test_the_package_has_modules():
+    assert SRC / "__init__.py" in MODULES and len(MODULES) > 5
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_keeps_to_python_3_10(path):
+    assert names_new_in_311(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source, name",
+    [
+        ("import operator\noperator.call(f, 1)\n", "operator.call"),
+        ("import operator as op\nop.call(f)\n", "operator.call"),
+        ("from operator import call\n", "operator.call"),
+        ("import tomllib\n", "tomllib"),
+        ("from typing import Self\n", "typing.Self"),
+        ("import enum\nclass C(enum.StrEnum): pass\n", "enum.StrEnum"),
+        ("import datetime\nt = datetime.UTC\n", "datetime.UTC"),
+        ("import asyncio\nasync def f():\n    async with asyncio.TaskGroup(): pass\n",
+         "asyncio.TaskGroup"),
+        ("raise ExceptionGroup('x', [])\n", "ExceptionGroup"),
+        ("x = a[*b]\n", "a[*b]"),
+    ],
+)
+def test_guard_finds_3_11_names(source, name):
+    assert names_new_in_311(source) == [name]
+
+
+def test_guard_rejects_3_11_syntax_and_passes_3_10_code():
+    with pytest.raises(SyntaxError):
+        names_new_in_311("try:\n    pass\nexcept* ValueError:\n    pass\n")
+    ok = (
+        "import operator\nfrom typing import Optional\n"
+        "match x:\n    case 1:\n        y = operator.add(x, 1)\n"
+    )
+    assert names_new_in_311(ok) == []

@@ -6,7 +6,6 @@ import io
 import json
 import math
 import re
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,10 +19,9 @@ from corrcache.engine import (
     ConsistencyError,
     check_metrics,
     config_digest,
-    normalized_model_hit_rate,
     simulate,
 )
-from corrcache.policies import LRUPolicy, PolicyParams
+from corrcache.policies import LRUPolicy, PolicyConfigError, PolicyParams, static_optimal_select
 from corrcache.trace import (
     NO_VERSION,
     ObjectCatalog,
@@ -419,11 +417,9 @@ class Calls:
 def test_unit_size_lru_equals_the_loop_and_the_naive_oracles(events, capacity, local):
     tr = make_trace(events, versions=True)
     config = CacheConfig(capacity, local)
-    # the private tier's lru_cache path too, whatever the events per client
-    with mock.patch.object(engine, "_LOCAL_CACHE_MIN_EVENTS_PER_CLIENT", 0):
-        fast = simulate(tr, PolicyParams("lru"), config)
-    with mock.patch.object(engine, "_LOCAL_CACHE_MIN_EVENTS_PER_CLIENT", math.inf):
-        loop = simulate(tr, PolicyParams("lru"), config, record_evictions=True)
+    fast = simulate(tr, PolicyParams("lru"), config)
+    # the shared cache's loop; the private tier takes lru_cache either way
+    loop = simulate(tr, PolicyParams("lru"), config, record_evictions=True)
     assert outcome(fast) == outcome(loop)
     assert len(loop.eviction_log) == fast.evictions
     counters, pairs = naive_outcome(tr, capacity, local)
@@ -485,12 +481,15 @@ def test_capacity_below_one_object_makes_every_request_an_oversized_miss():
 def test_capacities_beyond_an_index_replay_like_the_loop():
     tr = make_trace([(t, 1 + t % 2, 1 + t % 3) for t in range(40)])
     config = CacheConfig(1e300, local_cache_fraction=0.5)
-    with mock.patch.object(engine, "_LOCAL_CACHE_MIN_EVENTS_PER_CLIENT", 0):
-        fast = simulate(tr, PolicyParams("lru"), config)
-    with mock.patch.object(engine, "_LOCAL_CACHE_MIN_EVENTS_PER_CLIENT", math.inf):
-        loop = simulate(tr, PolicyParams("lru"), config, record_evictions=True)
+    fast = simulate(tr, PolicyParams("lru"), config)
+    loop = simulate(tr, PolicyParams("lru"), config, record_evictions=True)
     assert outcome(fast) == outcome(loop)
     assert (fast.local_hits, fast.hits, fast.evictions) == (34, 3, 0)
+    # the private tier's loop on the same trace, every size doubled
+    keys, clients = tr.identity_keys(), tr.clients
+    sized = engine._local_filter(keys, clients, np.full(len(tr), 2.0), 1e300)
+    unit = engine._local_filter(keys, clients, np.ones(len(tr)), 0.5e300)
+    assert (sized[0].tolist(), sized[1]) == (unit[0].tolist(), unit[1])
 
 
 def many_clients_trace(n_clients, per_client, seed=5):
@@ -501,20 +500,22 @@ def many_clients_trace(n_clients, per_client, seed=5):
     return make_trace([(t, int(c), int(o)) for t, (c, o) in enumerate(zip(clients, objects))])
 
 
-@pytest.mark.parametrize(
-    "n_clients, per_client", [(400, 3), (40, engine._LOCAL_CACHE_MIN_EVENTS_PER_CLIENT)]
-)
-def test_private_tier_picks_its_path_by_events_per_client(monkeypatch, n_clients, per_client):
+@pytest.mark.parametrize("n_clients, per_client", [(400, 3), (40, 16)])
+def test_private_tier_picks_its_path_by_sizes(monkeypatch, n_clients, per_client):
     tr = many_clients_trace(n_clients, per_client)
     keys, clients = tr.identity_keys(), tr.clients
     calls = Calls(monkeypatch, "_unit_lru_hits")
     for slots in (1, 2, 3):
-        mask, local_hits = engine._local_filter(keys, clients, np.ones(len(tr)), float(slots))
         want, want_hits = naive_local_filter(keys.tolist(), clients.tolist(), slots)
-        assert local_hits == want_hits > 0
-        assert mask.tolist() == want
-    # at the crossover the lru_cache path runs; below it the loop
-    assert calls.n == (3 if per_client >= engine._LOCAL_CACHE_MIN_EVENTS_PER_CLIENT else 0)
+        # unit sizes take lru_cache, however few events each client has;
+        # the same trace with every size doubled takes the loop
+        for size in (1.0, 2.0):
+            mask, local_hits = engine._local_filter(
+                keys, clients, np.full(len(tr), size), slots * size
+            )
+            assert local_hits == want_hits > 0
+            assert mask.tolist() == want
+    assert calls.n == 3
 
 
 def test_private_tier_lru_cache_path_runs_without_operator_call(monkeypatch):
@@ -522,7 +523,7 @@ def test_private_tier_lru_cache_path_runs_without_operator_call(monkeypatch):
     import operator
 
     monkeypatch.delattr(operator, "call", raising=False)
-    tr = many_clients_trace(10, 2 * engine._LOCAL_CACHE_MIN_EVENTS_PER_CLIENT)
+    tr = many_clients_trace(10, 32)
     keys, clients = tr.identity_keys(), tr.clients
     calls = Calls(monkeypatch, "_unit_lru_hits")
     mask, local_hits = engine._local_filter(keys, clients, np.ones(len(tr)), 2.0)
@@ -629,29 +630,24 @@ def test_static_opt_prefilled_set_never_evicts():
     assert m.policy == "static_opt"
 
 
-# ---------------------------------------------------------------------------
-# model-rate aggregation
-# ---------------------------------------------------------------------------
+def test_static_opt_behind_the_private_tier_hits_exactly_the_selection():
+    tr = random_unit_trace(7, 600, 12, 4)
+    keys = tr.identity_keys()
+    rates = {k: float(k % 7) for k in set(keys.tolist())}
+    config = CacheConfig(4.0, local_cache_fraction=0.5)
+    selected = static_optimal_select(rates, dict.fromkeys(rates, 1.0), 4.0).keys
+    assert len(selected) == 4
+    fwd, local_hits = naive_local_filter(keys.tolist(), tr.clients.tolist(), 2)
+    forwarded = [k for k, f in zip(keys.tolist(), fwd) if f]
+    for record in (False, True):
+        m = simulate(tr, PolicyParams("static_opt", rates=rates), config, record_evictions=record)
+        assert (m.local_hits, m.forwarded) == (local_hits, len(forwarded))
+        assert m.hits == sum(k in selected for k in forwarded) > 0
+        assert (m.evictions, m.oversized_misses) == (0, 0)
+        assert m.eviction_log == ([] if record else None)
+        assert m.static_exact is True
 
 
-def test_normalized_model_rate_uniform_half():
-    rates = np.array([0.6, 0.4])
-    probs = np.array([0.5, 0.5])
-    out = normalized_model_hit_rate([(rates, 1)], [(probs, [probs])])
-    assert out == pytest.approx(0.5)
-
-
-def test_normalized_model_rate_mixed_groups():
-    g1 = (np.array([1.0]), 0)
-    g2 = (np.array([1.0]), 1)
-    hp1 = (np.array([1.0]), [])
-    hp2 = (np.array([0.0]), [np.array([0.0])])
-    # one always-hit leader-only group vs an always-miss pair group
-    assert normalized_model_hit_rate([g1, g2], [hp1, hp2]) == pytest.approx(1 / 3)
-
-
-def test_normalized_model_rate_errors():
-    with pytest.raises(ValueError, match="follower"):
-        normalized_model_hit_rate([(np.array([1.0]), 2)], [(np.array([0.5]), [])])
-    with pytest.raises(ValueError, match="zero"):
-        normalized_model_hit_rate([], [])
+def test_static_opt_without_rates_is_refused():
+    with pytest.raises(PolicyConfigError, match="static_opt needs per-object request rates"):
+        simulate(make_trace([(1, 1, 1)]), PolicyParams("static_opt"), CacheConfig(1.0))

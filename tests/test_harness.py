@@ -903,6 +903,17 @@ def test_cli_simulate_bad_inputs(trace_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_simulate_static_opt_needs_rates(trace_file, tmp_path, capsys):
+    # a trace file carries no per-object rates, so static_opt has no selection
+    out = tmp_path / "static"
+    assert cli.main([
+        "simulate", "--trace", trace_file, "--policy", "static_opt", "--capacity", "5",
+        "--out", str(out),
+    ]) == 2
+    assert "error: static_opt needs per-object request rates" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_exit_code_three_on_consistency_failure(trace_file, monkeypatch, capsys):
     def boom(*a, **k):
         raise ConsistencyError("synthetic accounting failure")

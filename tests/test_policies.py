@@ -78,11 +78,11 @@ def test_parse_policy_spec_errors(bad):
         parse_policy_spec(bad)
 
 
-def test_build_policy_static_opt_needs_rates():
-    with pytest.raises(PolicyConfigError, match="rates"):
-        build_policy(PolicyParams("static_opt"), [], {}, 5.0)
-    with pytest.raises(PolicyConfigError, match="unknown policy"):
-        build_policy(PolicyParams("mystery"), [], {}, 5.0)
+def test_build_policy_builds_replayed_kinds_only():
+    # static_opt is computed by simulate, never replayed
+    for kind in ("static_opt", "mystery"):
+        with pytest.raises(PolicyConfigError, match="unknown policy"):
+            build_policy(PolicyParams(kind), [])
 
 
 # ---------------------------------------------------------------------------
