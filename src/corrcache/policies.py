@@ -23,9 +23,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-INF_NEXT_USE = 1 << 62
-
-
 class PolicyConfigError(ValueError):
     """Bad policy parameters or a policy/trace mismatch."""
 
@@ -169,16 +166,6 @@ class LFUPolicy(Policy):
         raise RuntimeError("lfu victim requested with no resident candidates")
 
 
-class _SieveNode:
-    __slots__ = ("key", "visited", "prev", "next")
-
-    def __init__(self, key: int):
-        self.key = key
-        self.visited = False
-        self.prev: _SieveNode | None = None
-        self.next: _SieveNode | None = None
-
-
 class SievePolicy(Policy):
     """Insertion-ordered queue with visited bits and a clearing hand.
 
@@ -187,112 +174,104 @@ class SievePolicy(Policy):
     toward older entries (wrapping to the newest end once the old end is
     exhausted) and removes the first unvisited identity, leaving the hand
     just past it in scan direction.
+
+    The queue is two deques in scan order from the hand: ``_ahead`` runs
+    from the hand to the oldest entry, ``_behind`` from the newest entry to
+    the one just newer than the hand.  An admission is the newest entry, so
+    it joins the front of ``_behind``; a visited entry the hand passes is
+    cleared and becomes the entry just newer than the hand, the end of
+    ``_behind``.  Only the hand removes entries, so ``victim`` takes its
+    victim out itself and there is no ``on_evict``.  The hand wraps to the
+    newest entry (the deques swap) as soon as ``_ahead`` runs out, during a
+    scan or right after an eviction, so that later admissions are scanned
+    last.  An eviction that empties the queue sends the hand back to the
+    oldest entry: ``_ahead`` stays empty until the next ``victim`` moves the
+    oldest entry, the end of ``_behind``, into it.
     """
 
     name = "sieve"
 
     def __init__(self):
-        self.nodes: dict[int, _SieveNode] = {}
-        self.oldest: _SieveNode | None = None
-        self.newest: _SieveNode | None = None
-        self.hand: _SieveNode | None = None
+        self._ahead: deque[int] = deque()
+        self._behind: deque[int] = deque()
+        self._visited: set[int] = set()
 
     def on_request(self, client: int, key: int, hit: bool) -> None:
         if hit:
-            self.nodes[key].visited = True
+            self._visited.add(key)
 
     def on_admit(self, key: int) -> None:
-        node = _SieveNode(key)
-        self.nodes[key] = node
-        if self.newest is None:
-            self.oldest = self.newest = node
-        else:
-            node.prev = self.newest
-            self.newest.next = node
-            self.newest = node
+        self._behind.appendleft(key)
 
     def victim(self) -> int:
-        cur = self.hand if self.hand is not None else self.oldest
-        while cur.visited:
-            cur.visited = False
-            cur = cur.prev if cur.prev is not None else self.newest
-        self.hand = cur  # on_evict advances past it when the engine removes it
-        return cur.key
-
-    def on_evict(self, key: int) -> None:
-        node = self.nodes.pop(key)
-        if node.prev is not None:
-            node.prev.next = node.next
-        else:
-            self.oldest = node.next
-        if node.next is not None:
-            node.next.prev = node.prev
-        else:
-            self.newest = node.prev
-        if self.hand is node:
-            # one step past the victim: its older neighbour, wrapping to the
-            # newest entry when the victim sat at the old end
-            self.hand = node.prev if node.prev is not None else self.newest
+        ahead, behind, visited = self._ahead, self._behind, self._visited
+        if not ahead:  # nothing scanned since the queue was empty: start at the oldest
+            ahead.append(behind.pop())
+        key = ahead.popleft()
+        while key in visited:
+            visited.remove(key)
+            behind.append(key)
+            if not ahead:
+                ahead, behind = behind, ahead
+            key = ahead.popleft()
+        if not ahead:
+            ahead, behind = behind, ahead
+        self._ahead, self._behind = ahead, behind
+        return key
 
 
 class BeladyPolicy(Policy):
     """Offline optimum for unit sizes: evict the resident used farthest in
     the future; never-again beats everything; ties (both never-again) are LRU.
+
+    Victims come from one heap of ``(-next_use, key)``, so its top is the
+    largest next use.  A hit pushes its request's next use in
+    ``on_request``; a miss parks it there and ``on_admit`` pushes it.
+    Request i of n with no later use gets next use 2n - i: beyond every
+    position, so never-again residents top the heap, and larger for earlier
+    requests, so they leave in the order of their last requests.  Nothing
+    touches them again, so that order is their LRU order.
+
+    An entry whose next use is at most the current position is stale.  Each
+    resident has one entry further out, its latest, and an evicted key's
+    latest entry left the heap as its victim, so the heap top is always a
+    live resident and no ``on_evict`` is needed.  Once stale entries make
+    the heap longer than twice the residents, ``victim`` keeps only as many
+    entries as there are residents, the smallest, which are the live ones.
     """
 
     name = "belady"
     requires_unit_sizes = True
 
     def __init__(self, keys: Sequence[int]):
-        # next_use[i] = position of the next event with the same identity
+        # negated next use of every request, from one stable sort by key
+        keys = np.asarray(keys, dtype=np.int64)
         n = len(keys)
-        nxt = [INF_NEXT_USE] * n
-        seen: dict[int, int] = {}
-        for i in range(n - 1, -1, -1):
-            nxt[i] = seen.get(keys[i], INF_NEXT_USE)
-            seen[keys[i]] = i
-        self._next_of_event = nxt
-        self._pos = 0
-        self._cur_next: dict[int, int] = {}
-        self._heap: list[tuple[int, int]] = []  # (-next_use, key), lazy
-        self._never_again: set[int] = set()  # residents with no future use
+        neg_next = np.arange(n) - 2 * n
+        order = np.argsort(keys, kind="stable")
+        same = keys[order[1:]] == keys[order[:-1]]
+        neg_next[order[:-1][same]] = -order[1:][same]
+        self._neg_next_use = iter(neg_next.tolist()).__next__
+        self._parked = 0  # a miss's negated next use, until on_admit
+        self._heap: list[tuple[int, int]] = []
 
     def on_request(self, client: int, key: int, hit: bool) -> None:
-        nu = self._next_of_event[self._pos]
-        self._pos += 1
-        self._cur_next[key] = nu
         if hit:
-            if nu == INF_NEXT_USE:
-                self._never_again.add(key)
-            else:
-                heapq.heappush(self._heap, (-nu, key))
+            heapq.heappush(self._heap, (self._neg_next_use(), key))
+        else:
+            self._parked = self._neg_next_use()
 
     def on_admit(self, key: int) -> None:
-        nu = self._cur_next[key]
-        if nu == INF_NEXT_USE:
-            self._never_again.add(key)
-        else:
-            heapq.heappush(self._heap, (-nu, key))
-
-    def on_evict(self, key: int) -> None:
-        self._never_again.discard(key)
+        heapq.heappush(self._heap, (self._parked, key))
 
     def victim(self) -> int:
-        if self._never_again:
-            never = self._never_again
-            for key in self.state.order:  # least-recent first = LRU tie-break
-                if key in never:
-                    return key
-        order = self.state.order
-        cur = self._cur_next
         heap = self._heap
-        while heap:
-            neg_nu, key = heap[0]
-            if key in order and cur.get(key) == -neg_nu:
-                heapq.heappop(heap)
-                return key
-            heapq.heappop(heap)
-        raise RuntimeError("belady victim requested with no resident candidates")
+        residents = len(self.state.order)
+        if len(heap) > 2 * residents:
+            # drop the stale entries, whose next uses are all smaller
+            heap.sort()
+            del heap[residents:]
+        return heapq.heappop(heap)[1]
 
 
 @dataclass(frozen=True)

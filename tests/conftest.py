@@ -180,40 +180,53 @@ def naive_belady(keys, capacity: int):
 
 
 def naive_sieve(keys, capacity: int):
-    """Insertion-ordered queue, oldest first; the scan moves toward older
-    entries and wraps to the newest end, per the documented rule."""
-    queue: list = []  # (key) oldest..newest
-    visited: dict = {}
-    hand: list = [None]  # boxed current hand key
+    return naive_sized_sieve(keys, [1] * len(keys), capacity)
 
-    resident: list = []
+
+def naive_sized_sieve(keys, sizes, capacity):
+    """SIEVE over a byte budget, one size per request.
+
+    ``queue`` lists the residents oldest first and never reorders them; a
+    hit sets the key's visited bit.  The hand is the key it points at, or
+    None for "start at the oldest".  Eviction clears visited bits from the
+    hand toward older entries, wrapping from the oldest to the newest, and
+    removes the first unvisited entry; the hand moves to that entry's older
+    neighbour, to the newest entry when it was the oldest, and to None when
+    the queue is empty.  An object larger than the whole cache is never
+    admitted.  Returns (hit flags, victims in eviction order).
+    """
+    queue: list = []
+    visited: dict = {}
+    size_of: dict = {}
+    hand = None
+    used = 0
     hits = []
     victims = []
-    for key in keys:
-        hit = key in resident
-        if hit:
+    for key, size in zip(keys, sizes):
+        if key in size_of:
             visited[key] = True
-            resident.remove(key)
-            resident.append(key)
             hits.append(True)
             continue
         hits.append(False)
-        if len(resident) >= capacity:
-            idx = queue.index(hand[0]) if hand[0] is not None else 0
-            while visited.get(queue[idx], False):
+        if size > capacity:
+            continue
+        while used + size > capacity:
+            idx = 0 if hand is None else queue.index(hand)
+            while visited[queue[idx]]:
                 visited[queue[idx]] = False
                 idx = idx - 1 if idx > 0 else len(queue) - 1
-            v = queue[idx]
-            hand[0] = queue[idx - 1] if idx > 0 else (queue[-1] if len(queue) > 1 else None)
-            if hand[0] == v:
-                hand[0] = None
-            queue.remove(v)
-            visited.pop(v, None)
-            resident.remove(v)
+            v = queue.pop(idx)
+            del visited[v]
+            used -= size_of.pop(v)
             victims.append(v)
+            if idx > 0:
+                hand = queue[idx - 1]
+            else:
+                hand = queue[-1] if queue else None
         queue.append(key)
         visited[key] = False
-        resident.append(key)
+        size_of[key] = size
+        used += size
     return hits, victims
 
 

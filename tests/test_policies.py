@@ -5,11 +5,12 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corrcache.engine import CacheConfig, ConfigurationError, simulate
+from corrcache.engine import CacheConfig, CacheState, ConfigurationError, simulate
 from corrcache.policies import (
+    BeladyPolicy,
     LFRUPolicy,
     LFRUSPolicy,
     LFUPolicy,
@@ -17,6 +18,7 @@ from corrcache.policies import (
     Policy,
     PolicyConfigError,
     PolicyParams,
+    SievePolicy,
     build_policy,
     parse_policy_spec,
     static_optimal_select,
@@ -25,10 +27,13 @@ from corrcache.policies import (
 from conftest import (
     NAIVE,
     make_trace,
+    naive_belady,
     naive_follow,
     naive_follow_counts,
     naive_follow_scores,
+    naive_local_filter,
     naive_sized_lfu,
+    naive_sized_sieve,
     random_unit_trace,
     unpacked_eviction_objects,
     victim_sequence,
@@ -143,6 +148,43 @@ def test_sieve_scan_direction_wraps_to_newest():
     assert ev == [3]
 
 
+def test_sieve_hand_wraps_when_the_oldest_is_evicted():
+    # evicting d1, the oldest, sends the hand to the newest entry, d3, before
+    # d4 is admitted, so d4 is scanned last: the next victims are d3 and d2.
+    # A hand that wrapped only at the next scan would start at d4 instead
+    ev = evictions([(t, 1, o) for t, o in enumerate([1, 2, 3, 4, 5, 6], start=1)], "sieve", 3)
+    assert ev == [1, 3, 2]
+
+
+def test_sieve_hand_restarts_at_the_oldest_after_the_cache_empties():
+    # d9 (size 3) evicts all three residents, and d4 then evicts d9: the
+    # queue is empty twice, so the victim for d2 is the oldest of d4, d5, d1
+    objects = [1, 2, 3, 9, 4, 5, 1, 2]
+    ev = evictions(
+        [(t, 1, o) for t, o in enumerate(objects, start=1)], "sieve", 3, sizes={9: 3.0}
+    )
+    assert ev == [1, 3, 2, 9, 4]
+
+
+@pytest.mark.parametrize("build", [lambda: BeladyPolicy([]), SievePolicy], ids=["belady", "sieve"])
+def test_victim_with_nothing_resident_raises(build):
+    policy = build()
+    policy.bind(CacheState())
+    with pytest.raises(IndexError):
+        policy.victim()
+
+
+def test_belady_victim_never_returns_a_stale_key():
+    # d1 was requested and admitted, but nothing is resident any more: its
+    # heap entry is stale and must not come back as a victim
+    policy = BeladyPolicy([1, 1])
+    policy.bind(CacheState())
+    policy.on_request(1, 1, False)
+    policy.on_admit(1)
+    with pytest.raises(IndexError):
+        policy.victim()
+
+
 # ---------------------------------------------------------------------------
 # Belady
 # ---------------------------------------------------------------------------
@@ -159,6 +201,34 @@ def test_belady_classic_trace():
     # the two infinite-next-use ties afterwards fall to LRU
     assert unpacked_eviction_objects(m) == [2, 3, 1]
     assert m.hits == 1
+
+
+def test_belady_on_equal_non_unit_sizes_matches_naive_reference():
+    # every size 2.0 at capacity 9.0: four slots, one byte unused
+    tr = random_unit_trace(3, 1500, 40, 6)
+    tr = make_trace(
+        list(zip(tr.times.tolist(), tr.clients.tolist(), tr.objects.tolist())),
+        sizes={o: 2.0 for o in range(1, 41)},
+    )
+    m = victim_sequence(tr, "belady", 9.0)
+    hits, victims = naive_belady(tr.objects.tolist(), 4)
+    assert unpacked_eviction_objects(m) == victims
+    assert m.hits == sum(hits) and m.evictions == len(victims)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_belady_behind_the_private_tier_matches_naive_reference(seed):
+    # capacity 12 and fraction 0.25 give each client 3 private slots; the
+    # shared cache replays only what they forward
+    tr = random_unit_trace(seed, 1500, 40, 6)
+    config = CacheConfig(12.0, local_cache_fraction=0.25)
+    m = simulate(tr, PolicyParams("belady"), config, record_evictions=True)
+    objects = tr.objects.tolist()
+    forwarded, local_hits = naive_local_filter(objects, tr.clients.tolist(), 3)
+    assert m.local_hits == local_hits > 0
+    hits, victims = naive_belady([o for o, f in zip(objects, forwarded) if f], 12)
+    assert unpacked_eviction_objects(m) == victims
+    assert m.forwarded == len(hits) and m.hits == sum(hits)
 
 
 def test_belady_rejects_non_unit_sizes():
@@ -182,22 +252,16 @@ def test_victims_match_naive_reference(kind, seed):
     assert m.hits == sum(hits)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.tuples(st.integers(1, 3), st.integers(1, 10)), min_size=1, max_size=150),
-    st.lists(st.sampled_from([1, 2, 3, 11]), min_size=10, max_size=10),
-    st.integers(3, 10),
-)
-def test_lfu_matches_sized_naive_reference(requests, sizes, capacity):
-    # sizes 1-3 make one admission evict several residents; size 11 never
-    # fits and is bypassed, but still counted
+def check_sized_naive_reference(kind, oracle, requests, sizes, capacity):
+    """Eviction log, hits and per-pair hits of ``kind`` against ``oracle``
+    on (client, object) requests, object o having size ``sizes[o - 1]``."""
     tr = make_trace(
         [(t, c, o) for t, (c, o) in enumerate(requests, start=1)],
         sizes={o: float(s) for o, s in enumerate(sizes, start=1)},
     )
-    m = victim_sequence(tr, "lfu", float(capacity))
+    m = victim_sequence(tr, kind, float(capacity))
     objects = tr.objects.tolist()
-    hits, victims = naive_sized_lfu(objects, [sizes[o - 1] for o in objects], capacity)
+    hits, victims = oracle(objects, [sizes[o - 1] for o in objects], capacity)
     assert unpacked_eviction_objects(m) == victims
     assert m.hits == sum(hits)
     want: dict = {}
@@ -205,6 +269,33 @@ def test_lfu_matches_sized_naive_reference(requests, sizes, capacity):
         want[(c, o)] = want.get((c, o), 0) + h
     got = zip(m.pair_clients.tolist(), m.pair_objects.tolist(), m.pair_hits.tolist())
     assert {(c, o): h for c, o, h in got} == want
+
+
+sized_requests = st.lists(
+    st.tuples(st.integers(1, 3), st.integers(1, 10)), min_size=1, max_size=150
+)
+sized_catalog = st.lists(st.sampled_from([1, 2, 3, 11]), min_size=10, max_size=10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sized_requests, sized_catalog, st.integers(3, 10))
+def test_lfu_matches_sized_naive_reference(requests, sizes, capacity):
+    # sizes 1-3 make one admission evict several residents; size 11 never
+    # fits and is bypassed, but still counted
+    check_sized_naive_reference("lfu", naive_sized_lfu, requests, sizes, capacity)
+
+
+_SIZES = [1, 2, 3, 11, 1, 2, 3, 11, 1, 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(sized_requests, sized_catalog, st.integers(3, 10))
+# d3 (size 3) empties a 3-byte cache, then d1 empties it again
+@example([(1, 1), (1, 2), (1, 1), (1, 3), (1, 1), (1, 5), (1, 2)], _SIZES, 3)
+# d4 (size 11) never fits and passes a full cache by, evicting nothing
+@example([(1, 1), (2, 2), (1, 4), (2, 2), (3, 6), (1, 4), (2, 2), (3, 9)], _SIZES, 3)
+def test_sieve_matches_sized_naive_reference(requests, sizes, capacity):
+    check_sized_naive_reference("sieve", naive_sized_sieve, requests, sizes, capacity)
 
 
 class _WatchedLFU(LFUPolicy):
