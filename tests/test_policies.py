@@ -166,25 +166,6 @@ def test_sieve_hand_restarts_at_the_oldest_after_the_cache_empties():
     assert ev == [1, 3, 2, 9, 4]
 
 
-@pytest.mark.parametrize("build", [lambda: BeladyPolicy([]), SievePolicy], ids=["belady", "sieve"])
-def test_victim_with_nothing_resident_raises(build):
-    policy = build()
-    policy.bind(CacheState())
-    with pytest.raises(IndexError):
-        policy.victim()
-
-
-def test_belady_victim_never_returns_a_stale_key():
-    # d1 was requested and admitted, but nothing is resident any more: its
-    # heap entry is stale and must not come back as a victim
-    policy = BeladyPolicy([1, 1])
-    policy.bind(CacheState())
-    policy.on_request(1, 1, False)
-    policy.on_admit(1)
-    with pytest.raises(IndexError):
-        policy.victim()
-
-
 # ---------------------------------------------------------------------------
 # Belady
 # ---------------------------------------------------------------------------
@@ -235,6 +216,25 @@ def test_belady_rejects_non_unit_sizes():
     tr = make_trace([(1, 1, 1), (2, 1, 2)], sizes={1: 2.0, 2: 5.0})
     with pytest.raises(ConfigurationError, match="unit-size"):
         simulate(tr, PolicyParams("belady"), CacheConfig(4.0))
+
+
+@pytest.mark.parametrize("build", [lambda: BeladyPolicy([]), SievePolicy], ids=["belady", "sieve"])
+def test_victim_with_nothing_resident_raises(build):
+    policy = build()
+    policy.bind(CacheState())
+    with pytest.raises(IndexError):
+        policy.victim()
+
+
+def test_belady_victim_never_returns_a_stale_key():
+    # d1 went through on_request and on_admit, but the state holds no
+    # resident: its heap entry must not come back as a victim
+    policy = BeladyPolicy([1, 1])
+    policy.bind(CacheState())
+    policy.on_request(1, 1, False)
+    policy.on_admit(1)
+    with pytest.raises(IndexError):
+        policy.victim()
 
 
 # ---------------------------------------------------------------------------
