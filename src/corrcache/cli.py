@@ -253,8 +253,7 @@ def _cmd_simulate(args) -> int:
     if follow_dump is not None:
         from .policies import build_policy
 
-        # follow-aware policies do not read the request keys
-        pol = build_policy(params, ())
+        pol = build_policy(params)
         metrics = simulate(trace, pol, config, seed=args.seed)
         metrics.policy = params.label()
         with open(follow_dump, "w", newline="\n") as fh:

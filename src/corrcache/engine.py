@@ -61,14 +61,12 @@ class CacheConfig:
 class CacheState:
     """Live state shared between the engine loop and the policy hooks."""
 
-    __slots__ = ("order", "last_requester")
+    __slots__ = ("order",)
 
     def __init__(self):
         # resident identities in recency order, least-recent first; the
         # value is the object size so eviction can release the bytes
         self.order: OrderedDict[int, float] = OrderedDict()
-        # identity key -> client that requested it last (survives eviction)
-        self.last_requester: dict[int, int] = {}
 
 
 @dataclass
@@ -305,41 +303,44 @@ def _replay(
     record_evictions: bool,
 ):
     """The engine loop: (hit flags, oversized misses, evictions, eviction log
-    or None)."""
+    or None).
+
+    Hooks get the request's position in ``keys``.  ``on_request`` runs on
+    hits, and on misses only for a policy that ``reads_misses``; hooks a
+    class does not override are not called.
+    """
     n = len(keys)
     if isinstance(policy, Policy):
         pol = policy
     else:
-        pol = build_policy(policy, keys)
+        pol = build_policy(policy)
     if pol.requires_unit_sizes and not trace.catalog.unit_sized():
         raise ConfigurationError(f"policy {pol.name!r} supports unit-size catalogs only")
 
     state = CacheState()
-    pol.bind(state)
-    hit_flags = np.zeros(n, dtype=bool)
+    pol.bind(state, keys)
+    hit_at: list[int] = []
+    record_hit = hit_at.append
     oversized = 0
     evictions = 0
     ev_log: list[int] | None = [] if record_evictions else None
 
     order = state.order
-    last_req = state.last_requester
-    base_on_request = Policy.on_request
-    on_request = None if type(pol).on_request is base_on_request else pol.on_request
+    on_hit = None if type(pol).on_request is Policy.on_request else pol.on_request
+    on_miss = on_hit if pol.reads_misses else None
     on_admit = None if type(pol).on_admit is Policy.on_admit else pol.on_admit
     on_evict = None if type(pol).on_evict is Policy.on_evict else pol.on_evict
     victim = pol.victim
     used = 0.0
-    for i in range(n):
-        k = keys[i]
-        c = clients[i]
-        hit = k in order
-        if on_request is not None:
-            on_request(c, k, hit)
-        last_req[k] = c
-        if hit:
+    for i, k in enumerate(keys):
+        if k in order:
+            if on_hit is not None:
+                on_hit(i, clients[i], k, True)
             order.move_to_end(k)
-            hit_flags[i] = True
+            record_hit(i)
             continue
+        if on_miss is not None:
+            on_miss(i, clients[i], k, False)
         s = sizes[i]
         if s > capacity:
             oversized += 1
@@ -358,8 +359,10 @@ def _replay(
         order[k] = s
         used += s
         if on_admit is not None:
-            on_admit(k)
+            on_admit(i, k)
 
+    hit_flags = np.zeros(n, dtype=bool)
+    hit_flags[np.array(hit_at, dtype=np.intp)] = True
     return hit_flags, oversized, evictions, ev_log
 
 
@@ -420,7 +423,7 @@ def simulate(
         and (sizes_arr == 1.0).all()
     ):
         # built although unused: the instance tags the run's policy for tracers
-        build_policy(policy, keys)
+        build_policy(policy)
         hit_flags, oversized, evictions = _unit_lru_replay(keys, config.capacity)
         ev_log = None
     else:

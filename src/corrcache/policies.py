@@ -1,12 +1,17 @@
 """Eviction policies.
 
-Policies plug into the cache engine through a small hook protocol:
+Policies plug into the cache engine through a small hook protocol.  A hook
+gets ``i``, the request's position in the key stream the engine replays:
 
-* ``bind(state)`` is called once with the live cache state (recency order,
-  resident sizes, last-requester index).
-* ``on_request(client, key, hit)`` fires once per main-cache event, after the
-  hit is determined but before residency or the last-requester index change.
-* ``on_admit(key)`` / ``on_evict(key)`` fire when residency changes.
+* ``bind(state, keys)`` is called once, before the replay, with the live
+  cache state (the recency order) and that key stream.  Policies that need
+  a table per request (LFU's priorities, Belady's next uses) build it here.
+* ``on_request(i, client, key, hit)`` fires on every hit, before the
+  recency order changes.  It fires on misses too, before admission, only
+  for a class whose ``reads_misses`` is true (the follow-aware policies).
+* ``on_admit(i, key)`` / ``on_evict(key)`` fire when residency changes.  An
+  object larger than the whole cache is never admitted and gets no
+  ``on_admit``.
 * ``victim()`` names the resident to evict next; the engine removes it.
 
 The engine's recency order (state.order, least-recent first) doubles as the
@@ -19,7 +24,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -79,14 +84,15 @@ class Policy:
 
     name = "lru"
     requires_unit_sizes = False
+    reads_misses = False  # on_request on misses too, not only on hits
 
-    def bind(self, state) -> None:
+    def bind(self, state, keys: list[int]) -> None:
         self.state = state
 
-    def on_request(self, client: int, key: int, hit: bool) -> None:  # pragma: no cover
+    def on_request(self, i: int, client: int, key: int, hit: bool) -> None:  # pragma: no cover
         pass
 
-    def on_admit(self, key: int) -> None:  # pragma: no cover
+    def on_admit(self, i: int, key: int) -> None:  # pragma: no cover
         pass
 
     def on_evict(self, key: int) -> None:  # pragma: no cover
@@ -101,23 +107,34 @@ class LRUPolicy(Policy):
     name = "lru"
 
 
+def _key_runs(keys: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """One stable argsort of ``keys``, and for each pair of neighbours in
+    that order whether they share a key: each key's requests form one run,
+    in request order."""
+    arr = np.asarray(keys, dtype=np.int64)
+    order = np.argsort(arr, kind="stable")
+    return order, arr[order[1:]] == arr[order[:-1]]
+
+
 class LFUPolicy(Policy):
     """Evict the resident with the smallest lifetime request count.
 
     Counts accumulate over the whole run and survive eviction; ties fall back
     to least-recently-used.
 
-    Victims come from a lazy min-heap of ``(count, stamp, key)``.  ``stamp``
-    numbers the requests, and ``_stamps`` holds each key's latest one; among
-    residents that stamp orders keys exactly as the recency order does, so
-    the heap minimum is the smallest count with the LRU tie-break.  An entry
-    is live while its key is resident and its stamp is the key's latest.  A
-    hit pushes in ``on_request``; a miss pushes in ``on_admit``, because
-    ``victim()`` runs while the missed key is counted but not yet resident
-    and would discard an entry pushed earlier.  Once stale entries make the
-    heap longer than ``HEAP_SLACK`` times the residents plus ``HEAP_EXTRA``,
-    it is rebuilt from the residents, so its size is bounded by the cache,
-    not by the trace.
+    ``bind`` gives request i of n the priority ``count * n + i``, where
+    ``count`` numbers the requests of its key up to i (from one stable
+    argsort of the keys, so oversized misses count too).  A resident's live
+    priority, in ``_live``, is that of its latest request; among residents
+    the latest requests order keys exactly as the recency order does, so the
+    smallest live priority is the smallest count with the LRU tie-break.
+    Victims come from a lazy min-heap of plain priorities, priority p naming
+    the key of request ``p % n``: a hit pushes in ``on_request``, an
+    admission in ``on_admit``, and an entry is live while it is its key's
+    entry in ``_live``.  ``victim`` drops its victim from ``_live``.  Once
+    stale entries make the heap longer than ``HEAP_SLACK`` times the
+    residents plus ``HEAP_EXTRA``, it is rebuilt from ``_live``, so its size
+    is bounded by the cache, not by the trace.
     """
 
     name = "lfu"
@@ -125,43 +142,53 @@ class LFUPolicy(Policy):
     HEAP_EXTRA = 64
 
     def __init__(self):
-        self.counts: dict[int, int] = {}
-        self._stamps: dict[int, int] = {}
-        self._stamp = 0
-        self._heap: list[tuple[int, int, int]] = []
+        self._live: dict[int, int] = {}
+        self._heap: list[int] = []
 
-    def on_request(self, client: int, key: int, hit: bool) -> None:
-        n = self.counts.get(key, 0) + 1
-        self.counts[key] = n
-        stamp = self._stamp = self._stamp + 1
-        self._stamps[key] = stamp
-        if hit:
-            heap = self._heap
-            heapq.heappush(heap, (n, stamp, key))
-            if len(heap) > self.HEAP_SLACK * len(self.state.order) + self.HEAP_EXTRA:
-                self._rebuild()
+    def bind(self, state, keys: list[int]) -> None:
+        super().bind(state, keys)
+        self._keys = keys
+        order, same = _key_runs(keys)
+        n = len(order)
+        rank = np.arange(n)
+        # each sorted slot's offset from the first slot of its run
+        first = np.ones(n, dtype=bool)
+        first[1:] = ~same
+        count = rank + 1 - np.maximum.accumulate(np.where(first, rank, 0))
+        priority = np.empty(n, dtype=np.int64)
+        priority[order] = count * n + order
+        self._priority = priority.tolist()
 
-    def on_admit(self, key: int) -> None:
+    def on_request(self, i: int, client: int, key: int, hit: bool) -> None:
+        p = self._live[key] = self._priority[i]
         heap = self._heap
-        heapq.heappush(heap, (self.counts[key], self._stamps[key], key))
-        if len(heap) > self.HEAP_SLACK * len(self.state.order) + self.HEAP_EXTRA:
+        heapq.heappush(heap, p)
+        if len(heap) > self.HEAP_SLACK * len(self._live) + self.HEAP_EXTRA:
+            self._rebuild()
+
+    def on_admit(self, i: int, key: int) -> None:
+        p = self._live[key] = self._priority[i]
+        heap = self._heap
+        heapq.heappush(heap, p)
+        if len(heap) > self.HEAP_SLACK * len(self._live) + self.HEAP_EXTRA:
             self._rebuild()
 
     def _rebuild(self) -> None:
         """Replace the heap by one live entry per resident."""
-        counts = self.counts
-        stamps = self._stamps
         heap = self._heap
-        heap[:] = [(counts[k], stamps[k], k) for k in self.state.order]
+        heap[:] = self._live.values()
         heapq.heapify(heap)
 
     def victim(self) -> int:
-        order = self.state.order
-        stamps = self._stamps
+        live = self._live
+        keys = self._keys
+        n = len(keys)
         heap = self._heap
         while heap:
-            _, stamp, key = heapq.heappop(heap)
-            if stamps[key] == stamp and key in order:
+            p = heapq.heappop(heap)
+            key = keys[p % n]
+            if live.get(key) == p:
+                del live[key]
                 return key
         raise RuntimeError("lfu victim requested with no resident candidates")
 
@@ -196,11 +223,10 @@ class SievePolicy(Policy):
         self._behind: deque[int] = deque()
         self._visited: set[int] = set()
 
-    def on_request(self, client: int, key: int, hit: bool) -> None:
-        if hit:
-            self._visited.add(key)
+    def on_request(self, i: int, client: int, key: int, hit: bool) -> None:
+        self._visited.add(key)
 
-    def on_admit(self, key: int) -> None:
+    def on_admit(self, i: int, key: int) -> None:
         self._behind.appendleft(key)
 
     def victim(self) -> int:
@@ -224,45 +250,46 @@ class BeladyPolicy(Policy):
     """Offline optimum for unit sizes: evict the resident used farthest in
     the future; never-again beats everything; ties (both never-again) are LRU.
 
-    Victims come from one heap of ``(-next_use, key)``, so its top is the
-    largest next use.  A hit pushes its request's next use in
-    ``on_request``; a miss parks it there and ``on_admit`` pushes it.
-    Request i of n with no later use gets next use 2n - i: beyond every
-    position, so never-again residents top the heap, and larger for earlier
+    ``bind`` gives request i of n its next use: the position of the next
+    request of its key, or 2n - i if there is none.  That is beyond every
+    position, so never-again residents come first, and larger for earlier
     requests, so they leave in the order of their last requests.  Nothing
-    touches them again, so that order is their LRU order.
+    touches them again, so that order is their LRU order.  A next use
+    names its key: the key of request j for j < n, of request 2n - j
+    beyond.
 
-    An entry whose next use is at most the current position is stale.  Each
-    resident has one entry further out, its latest, and an evicted key's
-    latest entry left the heap as its victim, so the heap top is always a
-    live resident and no ``on_evict`` is needed.  Once stale entries make
-    the heap longer than twice the residents, ``victim`` keeps only as many
-    entries as there are residents, the smallest, which are the live ones.
+    Victims come from one heap of negated next uses, so its top is the
+    largest.  A hit pushes its request's next use in ``on_request``, an
+    admission in ``on_admit``.  An entry whose next use is at most the
+    current position is stale.  Each resident has one entry further out,
+    its latest, and an evicted key's latest entry left the heap as its
+    victim, so the heap top is always a live resident and no ``on_evict``
+    is needed.  Once stale entries make the heap longer than twice the
+    residents, ``victim`` keeps only as many entries as there are
+    residents, the smallest, which are the live ones.
     """
 
     name = "belady"
     requires_unit_sizes = True
 
-    def __init__(self, keys: Sequence[int]):
-        # negated next use of every request, from one stable sort by key
-        keys = np.asarray(keys, dtype=np.int64)
-        n = len(keys)
+    def __init__(self):
+        self._heap: list[int] = []
+
+    def bind(self, state, keys: list[int]) -> None:
+        super().bind(state, keys)
+        self._keys = keys
+        # negated next use of every request: the next request in its run
+        order, same = _key_runs(keys)
+        n = len(order)
         neg_next = np.arange(n) - 2 * n
-        order = np.argsort(keys, kind="stable")
-        same = keys[order[1:]] == keys[order[:-1]]
         neg_next[order[:-1][same]] = -order[1:][same]
-        self._neg_next_use = iter(neg_next.tolist()).__next__
-        self._parked = 0  # a miss's negated next use, until on_admit
-        self._heap: list[tuple[int, int]] = []
+        self._neg_next_use = neg_next.tolist()
 
-    def on_request(self, client: int, key: int, hit: bool) -> None:
-        if hit:
-            heapq.heappush(self._heap, (self._neg_next_use(), key))
-        else:
-            self._parked = self._neg_next_use()
+    def on_request(self, i: int, client: int, key: int, hit: bool) -> None:
+        heapq.heappush(self._heap, self._neg_next_use[i])
 
-    def on_admit(self, key: int) -> None:
-        heapq.heappush(self._heap, (self._parked, key))
+    def on_admit(self, i: int, key: int) -> None:
+        heapq.heappush(self._heap, self._neg_next_use[i])
 
     def victim(self) -> int:
         heap = self._heap
@@ -271,7 +298,10 @@ class BeladyPolicy(Policy):
             # drop the stale entries, whose next uses are all smaller
             heap.sort()
             del heap[residents:]
-        return heapq.heappop(heap)[1]
+        keys = self._keys
+        next_use = -heapq.heappop(heap)
+        n = len(keys)
+        return keys[next_use if next_use < n else 2 * n - next_use]
 
 
 @dataclass(frozen=True)
@@ -391,6 +421,10 @@ class LFRUSPolicy(Policy):
     least-recently-used.  window=0 is the degenerate case and behaves exactly
     like LRU.
 
+    With window > 0 every request, a miss too, sets its object's entry in
+    ``last_requester``, which survives eviction; so the class
+    ``reads_misses``.
+
     Invariants:
 
     * ``rows[c1][c2]`` holds the floored entry F[c1][c2]; zero entries and
@@ -411,6 +445,7 @@ class LFRUSPolicy(Policy):
     """
 
     name = "lfrus"
+    reads_misses = True
 
     def __init__(self, window: int = 20, gamma: float = 0.5):
         if window < 0:
@@ -420,6 +455,8 @@ class LFRUSPolicy(Policy):
         self.window = window
         self.gamma = float(gamma)
         self._gamma_pow = [self.gamma**k for k in range(window + 1)]
+        # object key -> client that requested it last (survives eviction)
+        self.last_requester: dict[int, int] = {}
         self.windows: dict[int, deque] = {}
         self.rows: dict[int, dict[int, int]] = {}
         # gamma<1 only: each client's column as last patched into rows (so
@@ -430,14 +467,15 @@ class LFRUSPolicy(Policy):
         self._scores: dict[int, int] = {}
         self._touched: set[int] = set()  # rows whose cached score is out of date
 
-    def on_request(self, client: int, key: int, hit: bool) -> None:
+    def on_request(self, i: int, client: int, key: int, hit: bool) -> None:
         if self.window == 0:
             return
         outcome = None
         if hit:
-            prev = self.state.last_requester.get(key)
+            prev = self.last_requester.get(key)
             if prev is not None and prev != client:
                 outcome = prev
+        self.last_requester[key] = client
         dq = self.windows.get(client)
         if dq is None:
             dq = self.windows[client] = deque(maxlen=self.window + 1)
@@ -536,7 +574,7 @@ class LFRUSPolicy(Policy):
         order = self.state.order
         if not scores:
             return next(iter(order))
-        last_req = self.state.last_requester
+        last_req = self.last_requester
         best_key = None
         best = None
         for key in order:  # least-recent first: first minimum wins ties
@@ -559,7 +597,7 @@ class LFRUPolicy(LFRUSPolicy):
         super().__init__(window, gamma=1.0)
 
 
-def build_policy(params: PolicyParams, forwarded_keys: Sequence[int]) -> Policy:
+def build_policy(params: PolicyParams) -> Policy:
     """Instantiate a fresh policy for one replay.
 
     static_opt is not replayed: `simulate` computes it from
@@ -573,7 +611,7 @@ def build_policy(params: PolicyParams, forwarded_keys: Sequence[int]) -> Policy:
     if kind == "sieve":
         return SievePolicy()
     if kind == "belady":
-        return BeladyPolicy(forwarded_keys)
+        return BeladyPolicy()
     if kind == "lfru":
         return LFRUPolicy(params.window)
     if kind == "lfrus":

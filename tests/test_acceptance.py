@@ -490,8 +490,8 @@ class _CheckpointedLFRU(LFRUPolicy):
                     out[(outcome, c2)] = out.get((outcome, c2), 0) + 1
         return out
 
-    def on_request(self, client: int, key: int, hit: bool) -> None:
-        super().on_request(client, key, hit)
+    def on_request(self, i: int, client: int, key: int, hit: bool) -> None:
+        super().on_request(i, client, key, hit)
         self._event += 1
         if self._event in self._checkpoints:
             self.visited += 1
@@ -516,8 +516,8 @@ class _CheckpointedLFRUS(LFRUSPolicy):
                     sums[pair] = sums.get(pair, 0.0) + self.gamma**lag
         return {k: math.floor(v) for k, v in sums.items() if math.floor(v)}
 
-    def on_request(self, client: int, key: int, hit: bool) -> None:
-        super().on_request(client, key, hit)
+    def on_request(self, i: int, client: int, key: int, hit: bool) -> None:
+        super().on_request(i, client, key, hit)
         self._event += 1
         if self._event in self._checkpoints:
             self.visited += 1

@@ -87,7 +87,7 @@ def test_build_policy_builds_replayed_kinds_only():
     # static_opt is computed by simulate, never replayed
     for kind in ("static_opt", "mystery"):
         with pytest.raises(PolicyConfigError, match="unknown policy"):
-            build_policy(PolicyParams(kind), [])
+            build_policy(PolicyParams(kind))
 
 
 # ---------------------------------------------------------------------------
@@ -212,29 +212,157 @@ def test_belady_behind_the_private_tier_matches_naive_reference(seed):
     assert m.forwarded == len(hits) and m.hits == sum(hits)
 
 
+@pytest.mark.parametrize(
+    "build, kind, want",
+    [(BeladyPolicy, "belady", [825, 822, 801]), (LFUPolicy, "lfu", [714, 687, 684])],
+    ids=["belady", "lfu"],
+)
+def test_prebuilt_policy_behind_the_private_tier_equals_params(build, kind, want):
+    # a prebuilt instance builds its per-request table at bind, from the
+    # forwarded stream, exactly like one built from params
+    config = CacheConfig(12.0, local_cache_fraction=0.25)
+    got = []
+    for seed in range(3):
+        tr = random_unit_trace(seed, 1500, 40, 6)
+        a = simulate(tr, build(), config, record_evictions=True)
+        b = simulate(tr, PolicyParams(kind), config, record_evictions=True)
+        assert a.local_hits > 0
+        assert a.eviction_log == b.eviction_log and a.hits == b.hits
+        assert (a.pair_hits == b.pair_hits).all()
+        got.append(a.hits)
+    assert got == want
+
+
 def test_belady_rejects_non_unit_sizes():
     tr = make_trace([(1, 1, 1), (2, 1, 2)], sizes={1: 2.0, 2: 5.0})
     with pytest.raises(ConfigurationError, match="unit-size"):
         simulate(tr, PolicyParams("belady"), CacheConfig(4.0))
 
 
-@pytest.mark.parametrize("build", [lambda: BeladyPolicy([]), SievePolicy], ids=["belady", "sieve"])
+@pytest.mark.parametrize("build", [BeladyPolicy, SievePolicy], ids=["belady", "sieve"])
 def test_victim_with_nothing_resident_raises(build):
     policy = build()
-    policy.bind(CacheState())
+    policy.bind(CacheState(), [])
     with pytest.raises(IndexError):
         policy.victim()
 
 
 def test_belady_victim_never_returns_a_stale_key():
-    # d1 went through on_request and on_admit, but the state holds no
-    # resident: its heap entry must not come back as a victim
-    policy = BeladyPolicy([1, 1])
-    policy.bind(CacheState())
-    policy.on_request(1, 1, False)
-    policy.on_admit(1)
+    # d1 went through on_admit (a miss) and on_request (a hit), but the
+    # state holds no resident: its heap entries must not come back as victims
+    policy = BeladyPolicy()
+    policy.bind(CacheState(), [1, 1])
+    policy.on_admit(0, 1)
+    policy.on_request(1, 1, 1, True)
     with pytest.raises(IndexError):
         policy.victim()
+
+
+# ---------------------------------------------------------------------------
+# hook protocol: which hooks the engine calls, and at which positions
+# ---------------------------------------------------------------------------
+
+
+def _recording(cls):
+    """``cls`` recording its on_request and on_admit calls."""
+
+    class Recording(cls):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.requests: list = []
+            self.admits: list = []
+
+        def on_request(self, i, client, key, hit):
+            self.requests.append((i, client, key, hit))
+            super().on_request(i, client, key, hit)
+
+        def on_admit(self, i, key):
+            self.admits.append((i, key))
+            super().on_admit(i, key)
+
+    return Recording
+
+
+def _check_positions(pol, keys, clients, hits):
+    """``pol`` got on_request at every hit (and at every miss if it reads
+    misses) and on_admit at every miss, with request i's key and client."""
+    want = [(i, clients[i], keys[i], h) for i, h in enumerate(hits) if h or pol.reads_misses]
+    assert pol.requests == want
+    assert pol.admits == [(i, keys[i]) for i, h in enumerate(hits) if not h]
+
+
+@pytest.mark.parametrize(
+    "cls, kind",
+    [(LFUPolicy, "lfu"), (SievePolicy, "sieve"), (BeladyPolicy, "belady")],
+    ids=["lfu", "sieve", "belady"],
+)
+def test_on_request_fires_at_exactly_the_hits(cls, kind):
+    tr = random_unit_trace(3, 1500, 40, 6)
+    pol = _recording(cls)()
+    m = simulate(tr, pol, CacheConfig(12.0), record_evictions=True)
+    objects = tr.objects.tolist()
+    hits, victims = NAIVE[kind](objects, 12)
+    assert unpacked_eviction_objects(m) == victims
+    assert not pol.reads_misses and 0 < sum(hits) < len(hits)
+    _check_positions(pol, tr.identity_keys().tolist(), tr.clients.tolist(), hits)
+
+
+@pytest.mark.parametrize(
+    "cls, args", [(LFRUPolicy, (5,)), (LFRUSPolicy, (5, 0.5))], ids=["lfru", "lfrus"]
+)
+def test_follow_policies_get_on_request_at_every_position(cls, args):
+    tr = random_unit_trace(4, 1500, 30, 5)
+    pol = _recording(cls)(*args)
+    m = simulate(tr, pol, CacheConfig(8.0), record_evictions=True)
+    objects = tr.objects.tolist()
+    hits, victims = naive_follow(objects, tr.clients.tolist(), 8, 5, pol.gamma)
+    assert unpacked_eviction_objects(m) == victims
+    assert pol.reads_misses
+    assert [r[0] for r in pol.requests] == list(range(len(tr)))
+    _check_positions(pol, tr.identity_keys().tolist(), tr.clients.tolist(), hits)
+
+
+@pytest.mark.parametrize(
+    "cls, args", [(SievePolicy, ()), (LFRUPolicy, (5,))], ids=["sieve", "lfru"]
+)
+def test_hook_positions_index_the_forwarded_stream(cls, args):
+    # capacity 12 and fraction 0.25 give each client 3 private slots; hooks
+    # number the requests the shared cache sees, not the trace's events
+    tr = random_unit_trace(0, 1500, 40, 6)
+    pol = _recording(cls)(*args)
+    simulate(tr, pol, CacheConfig(12.0, local_cache_fraction=0.25))
+    objects, clients = tr.objects.tolist(), tr.clients.tolist()
+    forwarded, local_hits = naive_local_filter(objects, clients, 3)
+    assert local_hits > 0
+    keys = [k for k, f in zip(tr.identity_keys().tolist(), forwarded) if f]
+    fwd_clients = [c for c, f in zip(clients, forwarded) if f]
+    fwd_objects = [o for o, f in zip(objects, forwarded) if f]
+    if cls is SievePolicy:
+        hits, _ = NAIVE["sieve"](fwd_objects, 12)
+    else:
+        hits, _ = naive_follow(fwd_objects, fwd_clients, 12, 5, 1.0)
+    _check_positions(pol, keys, fwd_clients, hits)
+
+
+def test_oversized_miss_counts_for_lfu_but_is_never_admitted():
+    # d1 (size 11) never fits the 3-byte cache: its requests are misses that
+    # get neither on_request nor on_admit, yet count toward d1's total
+    requests = [1, 2, 1, 3, 1, 4, 2, 1, 5, 3, 6, 1]
+    tr = make_trace([(t, 1, o) for t, o in enumerate(requests, start=1)], sizes={1: 11.0})
+    pol = _recording(LFUPolicy)()
+    m = simulate(tr, pol, CacheConfig(3.0), record_evictions=True)
+    assert m.oversized_misses == requests.count(1) == 5
+    hits, victims = naive_sized_lfu(requests, [11 if o == 1 else 1 for o in requests], 3)
+    assert unpacked_eviction_objects(m) == victims and m.hits == sum(hits)
+    keys = tr.identity_keys().tolist()
+    assert [i for i, _ in pol.admits] == [
+        i for i, (o, h) in enumerate(zip(requests, hits)) if o != 1 and not h
+    ]
+    assert all(keys[i] != keys[0] for i, *_ in pol.requests)
+    n = len(requests)
+    counts = [pol._priority[i] // n for i in range(n)]
+    assert counts == [requests[: i + 1].count(o) for i, o in enumerate(requests)]
+    assert [p % n for p in pol._priority] == list(range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +439,15 @@ class _WatchedLFU(LFUPolicy):
         self.rebuilds += n <= before  # a push that did not grow the heap rebuilt it
         self.worst = max(self.worst, n / (4 * len(self.state.order) + 64))
 
-    def on_request(self, client, key, hit):
+    def on_request(self, i, client, key, hit):
         before = len(self._heap)
-        super().on_request(client, key, hit)
+        super().on_request(i, client, key, hit)
         if hit:
             self._watch(before)
 
-    def on_admit(self, key):
+    def on_admit(self, i, key):
         before = len(self._heap)
-        super().on_admit(key)
+        super().on_admit(i, key)
         self._watch(before)
 
 
@@ -352,15 +480,19 @@ def test_follow_victims_match_naive_reference(window, gamma, seed):
 class _FromScratchFollow(Policy):
     """Follow-aware policy that rebuilds every score from the windows."""
 
+    reads_misses = True
+
     def __init__(self, window: int, gamma: float):
         self.window = window
         self.gamma = gamma
         self.windows: dict = {}
+        self.last_requester: dict = {}
 
-    def on_request(self, client, key, hit):
+    def on_request(self, i, client, key, hit):
+        prev = self.last_requester.get(key)
+        self.last_requester[key] = client
         if self.window == 0:
             return
-        prev = self.state.last_requester.get(key)
         w = self.windows.setdefault(client, [])
         w.append(prev if hit and prev is not None and prev != client else None)
         del w[: -(self.window + 1)]
@@ -370,7 +502,7 @@ class _FromScratchFollow(Policy):
 
     def victim(self):
         scores = naive_follow_scores(self.windows, self.gamma)
-        last_req = self.state.last_requester
+        last_req = self.last_requester
         ranked = enumerate(self.state.order)
         return min(ranked, key=lambda ik: (scores.get(last_req[ik[1]], 0), ik[0]))[1]
 
