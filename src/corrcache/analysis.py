@@ -367,7 +367,7 @@ class WorkingSetModel:
         self, capacity: float, rel_tol: float = 1e-6, max_iter: int = 500
     ) -> CharacteristicTime:
         """Solve expected_cached_volume(t*) = capacity by bracketed bisection."""
-        if capacity <= 0:
+        if not capacity > 0:  # NaN too
             raise ModelError("capacity must be positive")
         if capacity >= self.total_volume():
             raise ModelError(

@@ -2,8 +2,9 @@
 
 Replays a request trace against a byte-budgeted cache under a pluggable
 eviction policy.  Optionally each client first consults a small private LRU
-cache; only its misses are forwarded to the shared cache, and all policy
-state and reported hit ratios concern the forwarded stream.
+cache, replayed by the same LRU code as the shared cache; only its misses are
+forwarded to the shared cache, and all policy state and reported hit ratios
+concern the forwarded stream.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import hashlib
 import itertools
 import json
 import math
-from collections import OrderedDict, defaultdict
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import IO
@@ -20,6 +21,7 @@ from typing import IO
 import numpy as np
 
 from .policies import (
+    LRUPolicy,
     Policy,
     PolicyConfigError,
     PolicyParams,
@@ -56,17 +58,6 @@ class CacheConfig:
 
     def local_capacity(self) -> float:
         return float(math.floor(self.local_cache_fraction * self.capacity))
-
-
-class CacheState:
-    """Live state shared between the engine loop and the policy hooks."""
-
-    __slots__ = ("order",)
-
-    def __init__(self):
-        # resident identities in recency order, least-recent first; the
-        # value is the object size so eviction can release the bytes
-        self.order: OrderedDict[int, float] = OrderedDict()
 
 
 @dataclass
@@ -174,128 +165,36 @@ def _event_sizes(trace: Trace) -> np.ndarray:
     return sizes
 
 
-# Calls an lru_cache with one argument, without a Python frame per call
-# (operator.call does the same, but only from Python 3.11 on).
-_call_cache = type(lru_cache(1)(int)).__call__
-
-
-def _unit_lru_hits(keys: list[int], slots: int, clients: list[int] | None = None):
-    """Hit flags of an LRU of ``slots`` unit-size objects replaying ``keys``,
-    and the caches that replayed them.
-
-    With ``clients``, each client has its own such cache and request i goes
-    to the cache of ``clients[i]``.  Each cache is a C-level
-    ``functools.lru_cache`` around one shared stamp source: a miss returns a
-    new stamp, larger than every earlier one, and a hit the stamp of that
-    key's last miss.  So request i hits exactly when its stamp is at most
-    the largest stamp before it.  ``slots`` must be at least 1.
-    """
-    stamp = partial(next, itertools.count())
-    # update_wrapper copies these onto each cache; a missing one costs it an
-    # AttributeError, which doubles the ~3 us it takes to build a cache
-    stamp.__name__ = stamp.__qualname__ = "stamp"
-    stamp.__annotations__ = {}
-    if clients is None:
-        caches = [lru_cache(slots)(stamp)]
-        stamps = np.fromiter(map(caches[0], keys), dtype=np.int64, count=len(keys))
-    else:
-        # a client's cache is built at its first request
-        by_client = defaultdict(partial(lru_cache(slots), stamp))
-        calls = map(_call_cache, map(by_client.__getitem__, clients), keys)
-        stamps = np.fromiter(calls, dtype=np.int64, count=len(keys))
-        caches = list(by_client.values())
-    hits = np.zeros(len(keys), dtype=bool)
-    if len(keys) > 1:
-        hits[1:] = stamps[1:] <= np.maximum.accumulate(stamps)[:-1]
-    return hits, caches
-
-
-def _local_filter(
-    keys_arr: np.ndarray, clients_arr: np.ndarray, sizes_arr: np.ndarray, local_capacity: float
-) -> tuple[np.ndarray | None, int]:
-    """Per-client private LRU prefilter.
-
-    Returns a boolean forwarded mask, or None when every event is forwarded,
-    and the private-tier hit count.  Objects larger than the private capacity
-    always miss it and are forwarded.  When every size is 1.0, one pass of
-    `_unit_lru_hits` with a cache per client flags the private hits; sized
-    traces run the loop below.
-    """
-    if local_capacity <= 0:
-        return None, 0
-    keys = keys_arr.tolist()
-    clients = clients_arr.tolist()
-    n = len(keys)
-    if (sizes_arr == 1.0).all():
-        # no more slots than events: lru_cache refuses sizes beyond an index
-        hits, _ = _unit_lru_hits(keys, min(int(local_capacity), n), clients)
-        local_hits = int(hits.sum())
-        return (~hits if local_hits else None), local_hits
-    sizes = sizes_arr.tolist()
-    forwarded = np.ones(n, dtype=bool)
-    caches: dict[int, OrderedDict] = {}
-    used: dict[int, float] = {}
-    local_hits = 0
-    for i in range(n):
-        c = clients[i]
-        cache = caches.get(c)
-        if cache is None:
-            cache = caches[c] = OrderedDict()
-            used[c] = 0.0
-        k = keys[i]
-        if k in cache:
-            cache.move_to_end(k)
-            local_hits += 1
-            forwarded[i] = False
-            continue
-        s = sizes[i]
-        if s <= local_capacity:
-            u = used[c]
-            while u + s > local_capacity:
-                _, vs = cache.popitem(last=False)
-                u -= vs
-            cache[k] = s
-            used[c] = u + s
-    return (forwarded if local_hits else None), local_hits
-
-
-def _forwarded(trace: Trace, config: CacheConfig) -> tuple[Trace, int]:
-    """The events the private tier forwards to the shared cache, and its hits.
-
-    The forwarded trace shares the catalog and meta of ``trace``; it is
-    ``trace`` itself when the private tier is off or absorbs nothing.  A
-    sweep filters once per capacity and replays the result under every
-    policy with ``CacheConfig(config.capacity)``.  Raises
-    ConfigurationError for a trace that `validate_trace` rejects.
-    """
-    sizes_arr = _event_sizes(trace)
-    local_cap = config.local_capacity()
-    if local_cap <= 0:
-        return trace, 0
-    mask, local_hits = _local_filter(trace.identity_keys(), trace.clients, sizes_arr, local_cap)
-    if mask is None:
-        return trace, 0
-    fwd = Trace(
-        trace.times[mask], trace.clients[mask], trace.objects[mask], trace.versions[mask],
-        trace.catalog, trace.meta,
-    )
-    return fwd, local_hits
-
-
 def _unit_lru_replay(keys: list[int], capacity: float):
-    """The shared cache's lru replay of unit-size requests, through
-    `_unit_lru_hits`: (hit flags, oversized misses, evictions)."""
+    """LRU replay of unit-size requests: (hit flags, oversized misses,
+    evictions).
+
+    The cache is a C-level ``functools.lru_cache`` of ``floor(capacity)``
+    slots around a stamp source: a miss returns a new stamp, larger than
+    every earlier one, and a hit the stamp of that key's last miss.  So
+    request i hits exactly when its stamp is at most the largest stamp
+    before it.
+    """
     n = len(keys)
+    # no more slots than requests: lru_cache refuses sizes beyond an index
     slots = min(math.floor(capacity), n)
     if slots == 0:
         return np.zeros(n, dtype=bool), n, 0
-    hit_flags, (cache,) = _unit_lru_hits(keys, slots)
-    return hit_flags, 0, n - int(hit_flags.sum()) - cache.cache_info().currsize
+    stamp = partial(next, itertools.count())
+    # update_wrapper copies these onto the cache; a missing one costs it an
+    # AttributeError, which doubles the ~3 us it takes to build a cache
+    stamp.__name__ = stamp.__qualname__ = "stamp"
+    stamp.__annotations__ = {}
+    cache = lru_cache(slots)(stamp)
+    stamps = np.fromiter(map(cache, keys), dtype=np.int64, count=n)
+    hits = np.zeros(n, dtype=bool)
+    if n > 1:
+        hits[1:] = stamps[1:] <= np.maximum.accumulate(stamps)[:-1]
+    return hits, 0, n - int(hits.sum()) - cache.cache_info().currsize
 
 
 def _replay(
-    trace: Trace,
-    policy: PolicyParams | Policy,
+    pol: Policy,
     keys: list[int],
     clients: list[int],
     sizes: list[float],
@@ -310,22 +209,16 @@ def _replay(
     class does not override are not called.
     """
     n = len(keys)
-    if isinstance(policy, Policy):
-        pol = policy
-    else:
-        pol = build_policy(policy)
-    if pol.requires_unit_sizes and not trace.catalog.unit_sized():
-        raise ConfigurationError(f"policy {pol.name!r} supports unit-size catalogs only")
-
-    state = CacheState()
-    pol.bind(state, keys)
+    # resident identities in recency order, least-recent first; the value is
+    # the object size so eviction can release the bytes
+    order: OrderedDict[int, float] = OrderedDict()
+    pol.bind(order, keys)
     hit_at: list[int] = []
     record_hit = hit_at.append
     oversized = 0
     evictions = 0
     ev_log: list[int] | None = [] if record_evictions else None
 
-    order = state.order
     on_hit = None if type(pol).on_request is Policy.on_request else pol.on_request
     on_miss = on_hit if pol.reads_misses else None
     on_admit = None if type(pol).on_admit is Policy.on_admit else pol.on_admit
@@ -366,6 +259,68 @@ def _replay(
     return hit_flags, oversized, evictions, ev_log
 
 
+def _local_filter(
+    keys_arr: np.ndarray, clients_arr: np.ndarray, sizes_arr: np.ndarray, local_capacity: float
+) -> tuple[np.ndarray | None, int]:
+    """Per-client private LRU prefilter.
+
+    Returns a boolean forwarded mask, or None when every event is forwarded,
+    and the private-tier hit count.  Each client's requests, in order, replay
+    through the shared cache's LRU code at ``local_capacity``:
+    `_unit_lru_replay` when every size is 1.0, else `_replay` with a fresh
+    `LRUPolicy`.  Objects larger than the private capacity always miss it
+    and are forwarded.
+    """
+    if local_capacity <= 0:
+        return None, 0
+    n = len(keys_arr)
+    # one stable sort puts each client's requests in one run, in request order
+    by_client = np.argsort(clients_arr, kind="stable")
+    sorted_clients = clients_arr[by_client]
+    cuts = (np.flatnonzero(sorted_clients[1:] != sorted_clients[:-1]) + 1).tolist()
+    keys = keys_arr[by_client].tolist()
+    unit = (sizes_arr == 1.0).all()
+    if not unit:
+        clients = sorted_clients.tolist()
+        sizes = sizes_arr[by_client].tolist()
+    run_hits = []
+    for a, b in zip([0, *cuts], [*cuts, n]):
+        if unit:
+            hits = _unit_lru_replay(keys[a:b], local_capacity)[0]
+        else:
+            hits = _replay(
+                LRUPolicy(), keys[a:b], clients[a:b], sizes[a:b], local_capacity, False
+            )[0]
+        run_hits.append(hits)
+    hit_flags = np.empty(n, dtype=bool)
+    hit_flags[by_client] = np.concatenate(run_hits)
+    local_hits = int(hit_flags.sum())
+    return (~hit_flags if local_hits else None), local_hits
+
+
+def _forwarded(trace: Trace, config: CacheConfig) -> tuple[Trace, int]:
+    """The events the private tier forwards to the shared cache, and its hits.
+
+    The forwarded trace shares the catalog and meta of ``trace``; it is
+    ``trace`` itself when the private tier is off or absorbs nothing.  A
+    sweep filters once per capacity and replays the result under every
+    policy with ``CacheConfig(config.capacity)``.  Raises
+    ConfigurationError for a trace that `validate_trace` rejects.
+    """
+    sizes_arr = _event_sizes(trace)
+    local_cap = config.local_capacity()
+    if local_cap <= 0:
+        return trace, 0
+    mask, local_hits = _local_filter(trace.identity_keys(), trace.clients, sizes_arr, local_cap)
+    if mask is None:
+        return trace, 0
+    fwd = Trace(
+        trace.times[mask], trace.clients[mask], trace.objects[mask], trace.versions[mask],
+        trace.catalog, trace.meta,
+    )
+    return fwd, local_hits
+
+
 def simulate(
     trace: Trace,
     policy: PolicyParams | Policy,
@@ -383,7 +338,7 @@ def simulate(
 
     ``PolicyParams("lru")`` without an eviction log, over forwarded requests
     that all have size 1.0, replays through the C-level ``lru_cache`` of
-    `_unit_lru_hits`; every other run (other sizes, an eviction log, a
+    `_unit_lru_replay`; every other run (other sizes, an eviction log, a
     prebuilt policy, other policies) takes the engine loop, which gives the
     same metrics.  ``PolicyParams("static_opt")`` is not replayed: the set
     `static_optimal_select` picks from its rates stays resident throughout,
@@ -416,21 +371,21 @@ def simulate(
         hit_flags = np.isin(keys_arr, resident)
         oversized = evictions = 0
         ev_log = [] if record_evictions else None
-    elif (
-        isinstance(policy, PolicyParams)
-        and policy.kind == "lru"
-        and not record_evictions
-        and (sizes_arr == 1.0).all()
-    ):
-        # built although unused: the instance tags the run's policy for tracers
-        build_policy(policy)
-        hit_flags, oversized, evictions = _unit_lru_replay(keys, config.capacity)
-        ev_log = None
     else:
-        hit_flags, oversized, evictions, ev_log = _replay(
-            trace, policy, keys, clients_arr.tolist(), sizes_arr.tolist(),
-            config.capacity, record_evictions,
-        )
+        fresh = isinstance(policy, PolicyParams)
+        # built on the lru_cache path too, which does not use it: the
+        # instance tags the run's policy for tracers
+        pol = build_policy(policy) if fresh else policy
+        if pol.requires_unit_sizes and not trace.catalog.unit_sized():
+            raise ConfigurationError(f"policy {pol.name!r} supports unit-size catalogs only")
+        if fresh and policy.kind == "lru" and not record_evictions and (sizes_arr == 1.0).all():
+            hit_flags, oversized, evictions = _unit_lru_replay(keys, config.capacity)
+            ev_log = None
+        else:
+            hit_flags, oversized, evictions, ev_log = _replay(
+                pol, keys, clients_arr.tolist(), sizes_arr.tolist(),
+                config.capacity, record_evictions,
+            )
 
     pair_codes = (clients_arr << _KEY_BITS) | keys_arr
     uniq, inverse = np.unique(pair_codes, return_inverse=True)

@@ -3,9 +3,9 @@
 Policies plug into the cache engine through a small hook protocol.  A hook
 gets ``i``, the request's position in the key stream the engine replays:
 
-* ``bind(state, keys)`` is called once, before the replay, with the live
-  cache state (the recency order) and that key stream.  Policies that need
-  a table per request (LFU's priorities, Belady's next uses) build it here.
+* ``bind(order, keys)`` is called once, before the replay, with the live
+  recency order and that key stream.  Policies that need a table per
+  request (LFU's priorities, Belady's next uses) build it here.
 * ``on_request(i, client, key, hit)`` fires on every hit, before the
   recency order changes.  It fires on misses too, before admission, only
   for a class whose ``reads_misses`` is true (the follow-aware policies).
@@ -14,8 +14,9 @@ gets ``i``, the request's position in the key stream the engine replays:
   ``on_admit``.
 * ``victim()`` names the resident to evict next; the engine removes it.
 
-The engine's recency order (state.order, least-recent first) doubles as the
-LRU bookkeeping every policy may consult for tie-breaking.
+The engine's recency order (``self.order``, an OrderedDict of resident key
+to size, least-recent first) doubles as the LRU bookkeeping every policy may
+consult for tie-breaking.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ class Policy:
     requires_unit_sizes = False
     reads_misses = False  # on_request on misses too, not only on hits
 
-    def bind(self, state, keys: list[int]) -> None:
-        self.state = state
+    def bind(self, order, keys: list[int]) -> None:
+        self.order = order
 
     def on_request(self, i: int, client: int, key: int, hit: bool) -> None:  # pragma: no cover
         pass
@@ -100,7 +101,7 @@ class Policy:
 
     def victim(self) -> int:
         # least recently used: the front of the recency order
-        return next(iter(self.state.order))
+        return next(iter(self.order))
 
 
 class LRUPolicy(Policy):
@@ -145,18 +146,18 @@ class LFUPolicy(Policy):
         self._live: dict[int, int] = {}
         self._heap: list[int] = []
 
-    def bind(self, state, keys: list[int]) -> None:
-        super().bind(state, keys)
+    def bind(self, order, keys: list[int]) -> None:
+        super().bind(order, keys)
         self._keys = keys
-        order, same = _key_runs(keys)
-        n = len(order)
+        by_key, same = _key_runs(keys)
+        n = len(by_key)
         rank = np.arange(n)
         # each sorted slot's offset from the first slot of its run
         first = np.ones(n, dtype=bool)
         first[1:] = ~same
         count = rank + 1 - np.maximum.accumulate(np.where(first, rank, 0))
         priority = np.empty(n, dtype=np.int64)
-        priority[order] = count * n + order
+        priority[by_key] = count * n + by_key
         self._priority = priority.tolist()
 
     def on_request(self, i: int, client: int, key: int, hit: bool) -> None:
@@ -275,14 +276,14 @@ class BeladyPolicy(Policy):
     def __init__(self):
         self._heap: list[int] = []
 
-    def bind(self, state, keys: list[int]) -> None:
-        super().bind(state, keys)
+    def bind(self, order, keys: list[int]) -> None:
+        super().bind(order, keys)
         self._keys = keys
         # negated next use of every request: the next request in its run
-        order, same = _key_runs(keys)
-        n = len(order)
+        by_key, same = _key_runs(keys)
+        n = len(by_key)
         neg_next = np.arange(n) - 2 * n
-        neg_next[order[:-1][same]] = -order[1:][same]
+        neg_next[by_key[:-1][same]] = -by_key[1:][same]
         self._neg_next_use = neg_next.tolist()
 
     def on_request(self, i: int, client: int, key: int, hit: bool) -> None:
@@ -293,7 +294,7 @@ class BeladyPolicy(Policy):
 
     def victim(self) -> int:
         heap = self._heap
-        residents = len(self.state.order)
+        residents = len(self.order)
         if len(heap) > 2 * residents:
             # drop the stale entries, whose next uses are all smaller
             heap.sort()
@@ -571,7 +572,7 @@ class LFRUSPolicy(Policy):
 
     def victim(self) -> int:
         scores = self._row_scores()
-        order = self.state.order
+        order = self.order
         if not scores:
             return next(iter(order))
         last_req = self.last_requester

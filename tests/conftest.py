@@ -290,19 +290,31 @@ def naive_local_filter(keys, clients, slots: int):
 
     Returns (forwarded flag per request, private-tier hit count).
     """
+    return naive_sized_local_filter(keys, [1] * len(keys), clients, slots)
+
+
+def naive_sized_local_filter(keys, sizes, clients, budget):
+    """Private tiers of ``budget`` bytes, one LRU per client, one size per
+    request.
+
+    Each client's cache evicts its least-recent entries until the request
+    fits; an object larger than the budget is never admitted.  With one
+    client for every request this is the shared cache's LRU.  Returns
+    (forwarded flag per request, private-tier hit count).
+    """
     caches: dict = {}
     forwarded = []
-    for key, client in zip(keys, clients):
+    for key, size, client in zip(keys, sizes, clients):
         cache = caches.setdefault(client, OrderedDict())
         if key in cache:
             cache.move_to_end(key)
             forwarded.append(False)
             continue
         forwarded.append(True)
-        if slots >= 1:
-            if len(cache) >= slots:
+        if size <= budget:
+            while sum(cache.values()) + size > budget:
                 cache.popitem(last=False)
-            cache[key] = None
+            cache[key] = size
     return forwarded, forwarded.count(False)
 
 

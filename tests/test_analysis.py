@@ -213,6 +213,9 @@ def test_solver_domain_errors():
     model = irm_model(d=10)
     with pytest.raises(ModelError, match="positive"):
         model.solve_characteristic_time(0.0)
+    # NaN compares false with everything; it must not reach the bisection
+    with pytest.raises(ModelError, match="positive"):
+        model.solve_characteristic_time(float("nan"))
     with pytest.raises(ModelError, match="unbounded"):
         model.solve_characteristic_time(10.0)
     with pytest.raises(ModelError, match="unbounded"):

@@ -32,7 +32,13 @@ from corrcache.trace import (
     validate_trace,
 )
 
-from conftest import make_trace, naive_local_filter, naive_lru, random_unit_trace
+from conftest import (
+    make_trace,
+    naive_local_filter,
+    naive_lru,
+    naive_sized_local_filter,
+    random_unit_trace,
+)
 
 
 def sim(events, capacity, policy="lru", sizes=None, **kw):
@@ -253,7 +259,7 @@ def test_admit_with_free_space_evicts_nothing():
     tr = make_trace([(1, 1, 1), (2, 1, 2)], sizes={1: 4.0, 2: 6.0})
     m = simulate(tr, pol, CacheConfig(10.0), record_evictions=True)
     assert m.eviction_log == []
-    assert list(pol.state.order) == [key(1), key(2)]
+    assert list(pol.order) == [key(1), key(2)]
 
 
 def test_admit_unit_full_cache_evicts_exactly_one():
@@ -271,7 +277,7 @@ def test_admit_large_object_evicts_until_it_fits():
         make_trace(events[:4], sizes=sizes), pol, CacheConfig(9.0), record_evictions=True
     )
     assert m.eviction_log == [key(1)]
-    assert sum(pol.state.order.values()) == 9.0
+    assert sum(pol.order.values()) == 9.0
     # then order is [2,3,4] with sizes 2,2,5; incoming 4.0 forces two evictions
     m = sim(events, 9.0, sizes=sizes, record_evictions=True)
     assert m.eviction_log == [key(1), key(2), key(3)]
@@ -286,7 +292,7 @@ def test_admit_rejects_resident_and_oversized():
     assert m.hits == 1
     assert m.oversized_misses == 1
     assert m.eviction_log == []
-    assert list(pol.state.order) == [key(1)]
+    assert list(pol.order) == [key(1)]
 
 
 def test_admit_detects_non_resident_victim():
@@ -431,27 +437,29 @@ def test_unit_size_lru_takes_the_lru_cache_path_only_for_fresh_lru_params(monkey
     tr = random_unit_trace(3, 400, 30, 4)
     config = CacheConfig(6.0, local_cache_fraction=0.5)
     want = outcome(simulate(tr, PolicyParams("lru"), config, record_evictions=True))
-    calls = Calls(monkeypatch, "_unit_lru_hits")
+    assert len(set(tr.clients.tolist())) == 4
+    calls = Calls(monkeypatch, "_unit_lru_replay")
     built = Calls(monkeypatch, "build_policy")
-    # the shared cache and the private tier (4 clients, ~100 events each)
+    # the shared cache, and the private tier once per client (4 clients,
+    # ~100 events each)
     assert outcome(simulate(tr, PolicyParams("lru"), config)) == want
-    assert (calls.n, built.n) == (2, 1)
+    assert (calls.n, built.n) == (1 + 4, 1)
     for run in (
         lambda: simulate(tr, PolicyParams("lru"), config, record_evictions=True),
         lambda: simulate(tr, LRUPolicy(), config),
     ):
         calls.n = 0
         assert outcome(run()) == want
-        assert calls.n == 1  # the private tier only
+        assert calls.n == 4  # the private tier only
     calls.n = 0
     simulate(tr, PolicyParams("sieve"), config)
-    assert calls.n == 1
+    assert calls.n == 4
 
 
 def test_prebuilt_lru_keeps_its_readable_state():
     pol = LRUPolicy()
     simulate(make_trace([(1, 1, 1), (2, 1, 2), (3, 1, 3), (4, 1, 2)]), pol, CacheConfig(2.0))
-    assert list(pol.state.order) == [key(3), key(2)]
+    assert list(pol.order) == [key(3), key(2)]
 
 
 @pytest.mark.parametrize("local", [0.0, 0.5])
@@ -462,9 +470,11 @@ def test_equal_non_unit_sizes_keep_the_loop(monkeypatch, local):
     ))]
     tr = make_trace(events, sizes={o: 2.0 for o in range(1, 10)})
     assert tr.catalog.unit_sized()
-    calls = Calls(monkeypatch, "_unit_lru_hits")
+    calls = Calls(monkeypatch, "_unit_lru_replay")
+    built = Calls(monkeypatch, "build_policy")
     m = simulate(tr, PolicyParams("lru"), CacheConfig(7.0, local))
     assert calls.n == 0
+    assert built.n == 1  # the shared cache's; the private tier builds its own
     counters, pairs = naive_outcome(tr, 7.0, local, size=2)
     assert tuple(getattr(m, f) for f in COUNTERS) == counters
     assert sorted_pairs(m) == pairs
@@ -504,7 +514,7 @@ def many_clients_trace(n_clients, per_client, seed=5):
 def test_private_tier_picks_its_path_by_sizes(monkeypatch, n_clients, per_client):
     tr = many_clients_trace(n_clients, per_client)
     keys, clients = tr.identity_keys(), tr.clients
-    calls = Calls(monkeypatch, "_unit_lru_hits")
+    calls = Calls(monkeypatch, "_unit_lru_replay")
     for slots in (1, 2, 3):
         want, want_hits = naive_local_filter(keys.tolist(), clients.tolist(), slots)
         # unit sizes take lru_cache, however few events each client has;
@@ -515,7 +525,7 @@ def test_private_tier_picks_its_path_by_sizes(monkeypatch, n_clients, per_client
             )
             assert local_hits == want_hits > 0
             assert mask.tolist() == want
-    assert calls.n == 3
+    assert calls.n == 3 * n_clients  # one per client at each unit-size slot count
 
 
 def test_private_tier_lru_cache_path_runs_without_operator_call(monkeypatch):
@@ -525,11 +535,59 @@ def test_private_tier_lru_cache_path_runs_without_operator_call(monkeypatch):
     monkeypatch.delattr(operator, "call", raising=False)
     tr = many_clients_trace(10, 32)
     keys, clients = tr.identity_keys(), tr.clients
-    calls = Calls(monkeypatch, "_unit_lru_hits")
+    calls = Calls(monkeypatch, "_unit_lru_replay")
     mask, local_hits = engine._local_filter(keys, clients, np.ones(len(tr)), 2.0)
     want, want_hits = naive_local_filter(keys.tolist(), clients.tolist(), 2)
-    assert calls.n == 1
+    assert calls.n == 10  # one per client
     assert (mask.tolist(), local_hits) == (want, want_hits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 30), st.integers(1, 40), st.integers(1, 12)),
+        min_size=1,
+        max_size=80,
+    ),
+    st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0]), min_size=12, max_size=12),
+    st.sampled_from([2.0, 3.0, 4.5, 6.0, 9.0, 17.0]),
+    st.sampled_from([0.25, 0.5]),
+)
+def test_private_tier_with_mixed_sizes_matches_the_naive_oracle(events, sizes, capacity, local):
+    # dyadic sizes add up exactly in binary, so float byte sums decide fits
+    # as exactly as the oracle's; private budgets fall below and above the
+    # largest size (2.0)
+    size_of = dict(enumerate(sizes, start=1))
+    tr = make_trace(events, sizes=size_of)
+    keys = tr.identity_keys().tolist()
+    clients = tr.clients.tolist()
+    event_sizes = [size_of[o] for o in tr.objects.tolist()]
+    config = CacheConfig(capacity, local)
+    budget = math.floor(local * capacity)
+    fwd, local_hits = naive_sized_local_filter(keys, event_sizes, clients, budget)
+    fwd_at = [i for i, f in enumerate(fwd) if f]
+    keys = [keys[i] for i in fwd_at]
+    clients = [clients[i] for i in fwd_at]
+    # the shared cache is one more LRU, with a single client
+    shared_fwd, hits = naive_sized_local_filter(
+        keys, [event_sizes[i] for i in fwd_at], [0] * len(keys), capacity
+    )
+    pairs: dict = {}
+    for c, k, miss in zip(clients, keys, shared_fwd):
+        row = pairs.setdefault((c, k >> 8, (k & 255) - 1), [0, 0])
+        row[0] += 1
+        row[1] += not miss
+    rows = sorted((c, o, v, r, h) for (c, o, v), (r, h) in pairs.items())
+    want_pairs = tuple(list(col) for col in zip(*rows)) if rows else ((),) * 5
+
+    m = simulate(tr, PolicyParams("lru"), config)
+    assert (m.local_hits, m.forwarded, m.hits) == (local_hits, len(keys), hits)
+    assert sorted_pairs(m) == want_pairs
+    forwarded, fwd_local_hits = engine._forwarded(tr, config)
+    assert fwd_local_hits == local_hits
+    assert forwarded.identity_keys().tolist() == keys
+    assert forwarded.clients.tolist() == clients
+    assert forwarded.times.tolist() == [tr.times[i] for i in fwd_at]
 
 
 # ---------------------------------------------------------------------------

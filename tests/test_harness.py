@@ -958,6 +958,20 @@ def test_cli_sweep_stdout_and_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("base", ["volume", "footprint"])
+def test_cli_sweep_reports_an_identity_missing_from_the_catalog(tmp_path, capsys, base):
+    # object 2 is requested but has no catalog line; resolving a footprint
+    # capacity must not look it up before the trace check reports it
+    trace = tmp_path / "t.trace"
+    trace.write_text("#obj 1 - 1.0\n0.0 1 1 -\n1.0 1 2 -\n")
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(
+        f"trace = {trace}\npolicies = lru\ncapacities = 50%\ncapacity_base = {base}\n"
+    )
+    assert cli.main(["sweep", str(cfg)]) == 2
+    assert "unknown object (2, None): referenced but not in catalog" in capsys.readouterr().err
+
+
 def test_cli_analyze(tmp_path, capsys):
     out = tmp_path / "model.csv"
     rc = cli.main([

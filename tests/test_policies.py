@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corrcache.engine import CacheConfig, CacheState, ConfigurationError, simulate
+from corrcache.engine import CacheConfig, ConfigurationError, simulate
 from corrcache.policies import (
     BeladyPolicy,
     LFRUPolicy,
@@ -242,16 +243,16 @@ def test_belady_rejects_non_unit_sizes():
 @pytest.mark.parametrize("build", [BeladyPolicy, SievePolicy], ids=["belady", "sieve"])
 def test_victim_with_nothing_resident_raises(build):
     policy = build()
-    policy.bind(CacheState(), [])
+    policy.bind(OrderedDict(), [])
     with pytest.raises(IndexError):
         policy.victim()
 
 
 def test_belady_victim_never_returns_a_stale_key():
     # d1 went through on_admit (a miss) and on_request (a hit), but the
-    # state holds no resident: its heap entries must not come back as victims
+    # order holds no resident: its heap entries must not come back as victims
     policy = BeladyPolicy()
-    policy.bind(CacheState(), [1, 1])
+    policy.bind(OrderedDict(), [1, 1])
     policy.on_admit(0, 1)
     policy.on_request(1, 1, 1, True)
     with pytest.raises(IndexError):
@@ -437,7 +438,7 @@ class _WatchedLFU(LFUPolicy):
     def _watch(self, before):
         n = len(self._heap)
         self.rebuilds += n <= before  # a push that did not grow the heap rebuilt it
-        self.worst = max(self.worst, n / (4 * len(self.state.order) + 64))
+        self.worst = max(self.worst, n / (4 * len(self.order) + 64))
 
     def on_request(self, i, client, key, hit):
         before = len(self._heap)
@@ -503,7 +504,7 @@ class _FromScratchFollow(Policy):
     def victim(self):
         scores = naive_follow_scores(self.windows, self.gamma)
         last_req = self.last_requester
-        ranked = enumerate(self.state.order)
+        ranked = enumerate(self.order)
         return min(ranked, key=lambda ik: (scores.get(last_req[ik[1]], 0), ik[0]))[1]
 
 
