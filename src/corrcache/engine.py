@@ -28,7 +28,11 @@ from .policies import (
     build_policy,
     static_optimal_select,
 )
-from .trace import _KEY_BITS, _VERSION_BITS, _VERSION_SPAN, Trace, _checked_sizes
+from .trace import _VERSION_BITS, _VERSION_SPAN, Trace, _checked_sizes
+
+# Per-pair counts go through dense tables while a table holds at most this
+# many slots per forwarded request (see `_pair_rows`).
+_PAIR_TABLE_FILL = 4
 
 
 class ConfigurationError(ValueError):
@@ -157,12 +161,13 @@ def config_digest(policy_label: str, config: CacheConfig, trace: Trace) -> str:
     return h.hexdigest()[:16]
 
 
-def _event_sizes(trace: Trace) -> np.ndarray:
-    """Per-event sizes of a trace that `validate_trace` accepts."""
-    problems, sizes = _checked_sizes(trace, 3)
+def _event_sizes(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
+    """Per-event sizes and catalog ranks of a trace that `validate_trace`
+    accepts."""
+    problems, sizes, ranks = _checked_sizes(trace, 3)
     if problems:
         raise ConfigurationError("trace failed validation: " + "; ".join(problems[:3]))
-    return sizes
+    return sizes, ranks
 
 
 def _unit_lru_replay(keys: list[int], capacity: float):
@@ -307,7 +312,7 @@ def _forwarded(trace: Trace, config: CacheConfig) -> tuple[Trace, int]:
     policy with ``CacheConfig(config.capacity)``.  Raises
     ConfigurationError for a trace that `validate_trace` rejects.
     """
-    sizes_arr = _event_sizes(trace)
+    sizes_arr = _event_sizes(trace)[0]
     local_cap = config.local_capacity()
     if local_cap <= 0:
         return trace, 0
@@ -344,7 +349,7 @@ def simulate(
     `static_optimal_select` picks from its rates stays resident throughout,
     so a forwarded request hits exactly when its identity is in that set.
     """
-    sizes_arr = _event_sizes(trace)
+    sizes_arr, ranks_arr = _event_sizes(trace)
     keys_arr = trace.identity_keys()
     clients_arr = trace.clients
     fwd_mask, local_hits = _local_filter(
@@ -354,6 +359,7 @@ def simulate(
         keys_arr = keys_arr[fwd_mask]
         clients_arr = clients_arr[fwd_mask]
         sizes_arr = sizes_arr[fwd_mask]
+        ranks_arr = ranks_arr[fwd_mask]
     keys = keys_arr.tolist()
     n = len(keys)
     static_exact = None
@@ -387,14 +393,9 @@ def simulate(
                 config.capacity, record_evictions,
             )
 
-    pair_codes = (clients_arr << _KEY_BITS) | keys_arr
-    uniq, inverse = np.unique(pair_codes, return_inverse=True)
-    req_counts = np.bincount(inverse, minlength=len(uniq))
-    hit_counts = np.bincount(inverse, weights=hit_flags, minlength=len(uniq)).astype(np.int64)
-    pc = (uniq >> _KEY_BITS).astype(np.int64)
-    pk = uniq & ((1 << _KEY_BITS) - 1)
-    po = (pk >> _VERSION_BITS).astype(np.int64)
-    pv = (pk & (_VERSION_SPAN - 1)).astype(np.int64) - 1
+    pc, po, pv, req_counts, hit_counts = _pair_rows(
+        clients_arr, ranks_arr, hit_flags, trace.catalog.size_arrays()[0]
+    )
 
     metrics = SimulationMetrics(
         policy=policy.label() if isinstance(policy, PolicyParams) else policy.name,
@@ -409,7 +410,7 @@ def simulate(
         pair_clients=pc,
         pair_objects=po,
         pair_versions=pv,
-        pair_requests=req_counts.astype(np.int64),
+        pair_requests=req_counts,
         pair_hits=hit_counts,
         eviction_log=ev_log,
         static_exact=static_exact,
@@ -417,6 +418,40 @@ def simulate(
     )
     check_metrics(metrics)
     return metrics
+
+
+def _pair_rows(
+    clients: np.ndarray, ranks: np.ndarray, hit_flags: np.ndarray, cat_keys: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Per (client, identity) rows of forwarded requests: (clients, objects,
+    versions, requests, hits), by client and then by ascending key.
+
+    Requests and hits are counted over the codes ``(client - least client)
+    * catalog size + rank``, whose order is that of the rows: by two
+    `np.bincount`s while the code range is at most `_PAIR_TABLE_FILL`
+    times the request count, else by `np.unique`.
+    """
+    m = max(len(cat_keys), 1)  # a trace without events may have an empty catalog
+    first = int(clients.min()) if len(clients) else 0
+    codes = (clients - first) * m + ranks
+    table = (int(clients.max()) - first + 1) * m if len(clients) else 0
+    if table <= _PAIR_TABLE_FILL * len(codes):
+        requests = np.bincount(codes, minlength=table)
+        hits = np.bincount(codes[hit_flags], minlength=table)
+        rows = np.flatnonzero(requests)
+        requests, hits = requests[rows], hits[rows]
+    else:
+        rows, inverse = np.unique(codes, return_inverse=True)
+        requests = np.bincount(inverse, minlength=len(rows))
+        hits = np.bincount(inverse[hit_flags], minlength=len(rows))
+    keys = cat_keys[rows % m]
+    return (
+        rows // m + first,
+        keys >> _VERSION_BITS,
+        (keys & (_VERSION_SPAN - 1)) - 1,
+        requests.astype(np.int64, copy=False),
+        hits.astype(np.int64, copy=False),
+    )
 
 
 def check_metrics(metrics: SimulationMetrics) -> None:

@@ -19,8 +19,9 @@ import numpy as np
 NO_VERSION = -1
 
 # Identity keys pack (object_id, version) into one int: id << 8 | (version+1).
-# The engine aggregates per-pair rows under client << _KEY_BITS | key in an
-# int64.  Ids outside the half-open ranges below would collide in either.
+# Ids outside the half-open ranges below would collide.  The client range
+# keeps client << _KEY_BITS | key inside an int64, and with it the engine's
+# per-pair codes (client - least client) * catalog size + catalog rank.
 _VERSION_BITS = 8
 _VERSION_SPAN = 1 << _VERSION_BITS
 _OBJECT_BITS = 32
@@ -28,6 +29,10 @@ _KEY_BITS = _OBJECT_BITS + _VERSION_BITS
 _OBJECT_RANGE = (1, 1 << _OBJECT_BITS)
 _CLIENT_RANGE = (1, 1 << (63 - _KEY_BITS))
 _VERSION_RANGE = (NO_VERSION, _VERSION_SPAN - 1)
+
+# A catalog ranks through a dense table while that holds at most this many
+# slots per identity (see ObjectCatalog._ranks).
+_RANK_TABLE_FILL = 4
 
 
 class TraceFormatError(ValueError):
@@ -58,14 +63,15 @@ def unpack_key(key: int) -> tuple[int, int | None]:
 class ObjectCatalog:
     """Maps identities to positive sizes (abstract units).
 
-    The sorted identity list and the `size_arrays()` pair are built on first
-    use and kept until the next `add`.
+    The sorted identity list, the `size_arrays()` pair and the rank table
+    behind `_ranks` are built on first use and kept until the next `add`.
     """
 
     def __init__(self, sizes: Mapping[tuple[int, int | None], float] | None = None):
         self._sizes: dict[tuple[int, int | None], float] = {}
         self._sorted: list[tuple[int, int | None]] | None = None
         self._arrays: tuple[np.ndarray, np.ndarray] | None = None
+        self._table: tuple[np.ndarray | None, int, int] | None = None
         if sizes:
             for (oid, ver), s in sizes.items():
                 self.add(oid, s, ver)
@@ -80,7 +86,7 @@ class ObjectCatalog:
         if not size > 0:
             raise ValueError(f"object ({object_id}, {version}) size must be > 0, got {size}")
         self._sizes[(int(object_id), version)] = size
-        self._sorted = self._arrays = None
+        self._sorted = self._arrays = self._table = None
 
     def size(self, object_id: int, version: int | None = None) -> float:
         return self._sizes[(object_id, version)]
@@ -114,12 +120,69 @@ class ObjectCatalog:
         """Read-only (keys, sizes) arrays in ascending key order, aligned for
         vectorized lookups."""
         if self._arrays is None:
-            idents = self.identities()
-            keys = np.array([pack_key(o, v) for o, v in idents], dtype=np.int64)
-            sizes = np.array([self._sizes[iv] for iv in idents], dtype=np.float64)
+            n = len(self._sizes)
+            objects = np.fromiter((o for o, _ in self._sizes), dtype=np.int64, count=n)
+            versions = np.array(
+                [NO_VERSION if v is None else v for _, v in self._sizes], dtype=np.int64
+            )
+            # `add` has checked the ranges, so the keys are distinct
+            keys = (objects << _VERSION_BITS) | (versions + 1)
+            order = np.argsort(keys)
+            keys = keys[order]
+            sizes = np.fromiter(self._sizes.values(), dtype=np.float64, count=n)[order]
             keys.flags.writeable = sizes.flags.writeable = False
             self._arrays = keys, sizes
         return self._arrays
+
+    def _ranks(self, objects: np.ndarray, versions: np.ndarray) -> np.ndarray:
+        """Each identity's index in `size_arrays()` as int32, or -1 where the
+        catalog lacks it.
+
+        A dense catalog looks ranks up in a table indexed by
+        ``(object - least object) * version slots + version + 1``; a sparse
+        one, whose table would hold more than `_RANK_TABLE_FILL` slots per
+        identity, binary-searches its keys.
+        """
+        table, first, span = self._rank_table()
+        if table is None:
+            cat_keys = self.size_arrays()[0]
+            keys = (objects << _VERSION_BITS) | (versions + 1)
+            ranks = np.searchsorted(cat_keys, keys)
+            known = ranks < len(cat_keys)
+            known[known] = cat_keys[ranks[known]] == keys[known]
+            # packed keys alias outside the packable ranges
+            known &= (objects >= _OBJECT_RANGE[0]) & (objects < _OBJECT_RANGE[1])
+            known &= (versions >= _VERSION_RANGE[0]) & (versions < _VERSION_RANGE[1])
+            return np.where(known, ranks, -1).astype(np.int32)
+        last = first + len(table) // span - 1
+        if len(objects) and (
+            objects.min() < first or objects.max() > last
+            or versions.min() < NO_VERSION or versions.max() + 1 >= span
+        ):
+            inside = (objects >= first) & (objects <= last)
+            inside &= (versions >= NO_VERSION) & (versions + 1 < span)
+            ranks = np.full(len(objects), -1, dtype=np.int32)
+            ranks[inside] = table[(objects[inside] - first) * span + versions[inside] + 1]
+            return ranks
+        return table[(objects - first) * span + versions + 1]
+
+    def _rank_table(self) -> tuple[np.ndarray | None, int, int]:
+        """(table, least object id, version slots) for `_ranks`; the table
+        is None for a sparse catalog."""
+        if self._table is None:
+            keys = self.size_arrays()[0]
+            table, first, span = None, 0, 0
+            if len(keys):
+                objects = keys >> _VERSION_BITS
+                slots = keys & (_VERSION_SPAN - 1)
+                first, span = int(objects[0]), int(slots.max()) + 1
+                size = (int(objects[-1]) - first + 1) * span
+                if size <= _RANK_TABLE_FILL * len(keys):
+                    table = np.full(size, -1, dtype=np.int32)
+                    table[(objects - first) * span + slots] = np.arange(len(keys), dtype=np.int32)
+                    table.flags.writeable = False
+            self._table = table, first, span
+        return self._table
 
 
 class Trace:
@@ -154,8 +217,28 @@ class Trace:
         return len(self.times)
 
     def sort_events(self) -> None:
-        """Re-establish canonical (time, client, object) order in place."""
-        order = np.lexsort((self.objects, self.clients, self.times))
+        """Re-establish canonical (time, client, object) order in place.
+
+        Events equal in all three keep their order.  One sort by time, then
+        a sort of only the runs of tied times by (time, client, object,
+        position), gives the order of a 3-key `np.lexsort`, which is used
+        directly when most neighbours tie (slot times).
+        """
+        order = np.argsort(self.times)
+        times = self.times[order]
+        tied = times[1:] == times[:-1]
+        ties = int(np.count_nonzero(tied))
+        # NaNs sort last and never compare equal, so no tie run holds them
+        if 2 * ties > len(tied) or (len(times) and np.isnan(times[-1])):
+            order = np.lexsort((self.objects, self.clients, self.times))
+        elif ties:
+            in_run = np.zeros(len(times), dtype=bool)
+            in_run[1:] = tied
+            in_run[:-1] |= tied
+            run = order[in_run]
+            order[in_run] = run[
+                np.lexsort((run, self.objects[run], self.clients[run], self.times[run]))
+            ]
         self.times = self.times[order]
         self.clients = self.clients[order]
         self.objects = self.objects[order]
@@ -179,14 +262,16 @@ def validate_trace(trace: Trace, max_violations: int = 20) -> ValidationReport:
     raising, so callers can show several issues at once.  `simulate` runs
     the same check and refuses every trace it rejects.
     """
-    problems, _ = _checked_sizes(trace, max_violations)
+    problems, _, _ = _checked_sizes(trace, max_violations)
     return ValidationReport(ok=not problems, violations=problems[:max_violations])
 
 
-def _checked_sizes(trace: Trace, max_violations: int) -> tuple[list[str], np.ndarray | None]:
+def _checked_sizes(
+    trace: Trace, max_violations: int
+) -> tuple[list[str], np.ndarray | None, np.ndarray | None]:
     """The problems `validate_trace` reports, of which the first
-    `max_violations` are complete, and the per-event sizes when there are
-    none."""
+    `max_violations` are complete, and, when there are none, the per-event
+    sizes and catalog ranks (see `ObjectCatalog._ranks`)."""
     problems: list[str] = []
     times = trace.times
     if len(trace) and not np.isfinite(times).all():
@@ -219,20 +304,21 @@ def _checked_sizes(trace: Trace, max_violations: int) -> tuple[list[str], np.nda
             problems.append(f"unsorted at index {bad}")
 
     if not ranges_ok:
-        return problems, None
-    # coverage: look up each distinct identity once
-    keys, inverse = np.unique(trace.identity_keys(), return_inverse=True)
-    cat_keys, cat_sizes = trace.catalog.size_arrays()
-    pos = np.searchsorted(cat_keys, keys)
-    known = pos < len(cat_keys)
-    known[known] = cat_keys[pos[known]] == keys[known]
-    # at least one, so that a report is never ok when something is wrong
-    for key in keys[~known][: max(max_violations, 1)].tolist():
-        oid, ver = unpack_key(key)
-        problems.append(f"unknown object ({oid}, {ver}): referenced but not in catalog")
+        return problems, None, None
+    # coverage: each event's rank in the catalog's key order
+    ranks = trace.catalog._ranks(trace.objects, trace.versions)
+    unknown = ranks < 0
+    if unknown.any():
+        keys = np.unique(
+            (trace.objects[unknown] << _VERSION_BITS) | (trace.versions[unknown] + 1)
+        )
+        # at least one, so that a report is never ok when something is wrong
+        for key in keys[: max(max_violations, 1)].tolist():
+            oid, ver = unpack_key(key)
+            problems.append(f"unknown object ({oid}, {ver}): referenced but not in catalog")
     if problems:
-        return problems, None
-    return problems, cat_sizes[pos][inverse]
+        return problems, None, None
+    return problems, trace.catalog.size_arrays()[1][ranks], ranks
 
 
 @dataclass
@@ -251,13 +337,21 @@ def trace_stats(trace: Trace) -> TraceStats:
     """Summary counts used by the harness and by sanity tests."""
     if len(trace) == 0:
         return TraceStats(0, 0, 0, 0, (0.0, 0.0), 0.0, trace.catalog.total_volume(), {})
-    keys = np.unique(trace.identity_keys())
-    objs = np.unique(trace.objects)
+    ranks = trace.catalog._ranks(trace.objects, trace.versions)
+    unknown = ranks < 0
+    if unknown.any():
+        # the least unknown identity, as a lookup in ascending key order meets it
+        objects, versions = trace.objects[unknown], trace.versions[unknown]
+        first = np.lexsort((versions, objects))[0]
+        ver = int(versions[first])
+        raise KeyError((int(objects[first]), None if ver == NO_VERSION else ver))
+    cat_keys, cat_sizes = trace.catalog.size_arrays()
+    present = np.bincount(ranks, minlength=len(cat_keys)) > 0
+    keys = cat_keys[present]
+    objs = np.unique(keys >> _VERSION_BITS)
     clients, counts = np.unique(trace.clients, return_counts=True)
-    fp_volume = 0.0
-    for key in keys.tolist():
-        oid, ver = unpack_key(key)
-        fp_volume += trace.catalog.size(oid, ver)
+    # a sequential sum in ascending key order, as a Python loop adds
+    fp_volume = float(np.cumsum(cat_sizes[present])[-1])
     return TraceStats(
         num_events=len(trace),
         num_clients=len(clients),

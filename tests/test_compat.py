@@ -1,7 +1,9 @@
-"""The package keeps to the oldest Python that pyproject.toml declares, 3.10.
+"""The package keeps to the oldest Python and numpy that pyproject.toml
+declares, 3.10 and 1.23.
 
-Without a 3.10 interpreter these checks are static: every module must parse
-under the 3.10 grammar and name no standard-library feature added in 3.11.
+Without those versions installed these checks are static: every module must
+parse under the 3.10 grammar, name no standard-library feature added in 3.11
+and no numpy name or keyword added in 2.x.
 """
 
 from __future__ import annotations
@@ -34,6 +36,34 @@ NEW_IN_311 = {
 }
 MODULES_NEW_IN_311 = {"tomllib", "wsgiref.types"}
 BUILTINS_NEW_IN_311 = {"BaseExceptionGroup", "ExceptionGroup"}
+
+
+# numpy functions added in 2.x, and the keyword its sorts gained there
+NEW_IN_NUMPY_2 = {"unique_all", "unique_counts", "unique_inverse", "unique_values",
+                  "cumulative_sum", "cumulative_prod", "concat", "astype", "isdtype",
+                  "bitwise_count", "permute_dims", "pow", "vecdot"}
+SORTS_WITH_STABLE = {"sort", "argsort"}
+
+
+def names_new_in_numpy_2(source: str) -> list[str]:
+    """Uses of numpy names and keywords added in 2.x in ``source``."""
+    tree = ast.parse(source)
+    aliases = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names if a.name == "numpy"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [f"numpy.{a.name}" for a in node.names if a.name in NEW_IN_NUMPY_2]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in aliases and node.attr in NEW_IN_NUMPY_2):
+            found.append(f"numpy.{node.attr}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in SORTS_WITH_STABLE
+              and any(k.arg == "stable" for k in node.keywords)):
+            # np.sort(a, stable=True) and a.sort(stable=True) alike: no
+            # standard-library sort takes that keyword
+            found.append(f"{node.func.attr}(stable=)")
+    return found
 
 
 def names_new_in_311(source: str) -> list[str]:
@@ -82,6 +112,11 @@ def test_module_keeps_to_python_3_10(path):
     assert names_new_in_311(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_keeps_to_numpy_1_23(path):
+    assert names_new_in_numpy_2(path.read_text()) == []
+
+
 @pytest.mark.parametrize(
     "source, name",
     [
@@ -110,3 +145,39 @@ def test_guard_rejects_3_11_syntax_and_passes_3_10_code():
         "match x:\n    case 1:\n        y = operator.add(x, 1)\n"
     )
     assert names_new_in_311(ok) == []
+
+
+@pytest.mark.parametrize(
+    "source, name",
+    [
+        ("import numpy as np\nu, c = np.unique_counts(a)\n", "numpy.unique_counts"),
+        ("import numpy\nnumpy.unique_values(a)\n", "numpy.unique_values"),
+        ("import numpy as np\nnp.unique_inverse(a)\n", "numpy.unique_inverse"),
+        ("import numpy as np\nnp.unique_all(a)\n", "numpy.unique_all"),
+        ("import numpy as np\nnp.cumulative_sum(a)\n", "numpy.cumulative_sum"),
+        ("import numpy as np\nnp.cumulative_prod(a)\n", "numpy.cumulative_prod"),
+        ("import numpy as np\nnp.concat([a, b])\n", "numpy.concat"),
+        ("import numpy as np\nnp.astype(a, np.int32)\n", "numpy.astype"),
+        ("import numpy as np\nnp.isdtype(a.dtype, 'integral')\n", "numpy.isdtype"),
+        ("import numpy as np\nnp.bitwise_count(a)\n", "numpy.bitwise_count"),
+        ("import numpy as np\nnp.permute_dims(a, (1, 0))\n", "numpy.permute_dims"),
+        ("import numpy as np\nnp.pow(a, 2)\n", "numpy.pow"),
+        ("import numpy as np\nnp.vecdot(a, b)\n", "numpy.vecdot"),
+        ("from numpy import concat\n", "numpy.concat"),
+        ("import numpy as np\nnp.argsort(a, stable=True)\n", "argsort(stable=)"),
+        ("import numpy as np\nnp.sort(a, stable=True)\n", "sort(stable=)"),
+        ("a.sort(stable=False)\n", "sort(stable=)"),
+    ],
+)
+def test_guard_finds_numpy_2_names(source, name):
+    assert names_new_in_numpy_2(source) == [name]
+
+
+def test_guard_passes_numpy_1_23_code():
+    ok = (
+        "import numpy as np\nimport math\n"
+        "np.argsort(a, kind='stable')\na.astype(np.int32)\nnp.concatenate([a])\n"
+        "np.unique(a, return_counts=True)\nnp.power(a, 2)\nmath.pow(2, 3)\n"
+        "b = sorted(a)\na.sort()\n"
+    )
+    assert names_new_in_numpy_2(ok) == []

@@ -205,10 +205,11 @@ def test_simulate_refuses_exactly_what_validation_rejects(events, sizes, fault, 
     inject_fault(tr, fault, data.draw(st.integers(0, len(tr) - 1)))
     ok = validate_trace(tr).ok
     if ok:
-        problems, got = _checked_sizes(tr, 20)
+        problems, got, ranks = _checked_sizes(tr, 20)
         assert problems == []
         want = [tr.catalog.size(*unpack_key(k)) for k in tr.identity_keys().tolist()]
         assert got.tolist() == want
+        assert (tr.catalog.size_arrays()[0][ranks] == tr.identity_keys()).all()
     for config in (CacheConfig(3.0), CacheConfig(10.0, local_cache_fraction=0.3)):
         if ok:
             simulate(tr, PolicyParams("lru"), config)
@@ -709,3 +710,67 @@ def test_static_opt_behind_the_private_tier_hits_exactly_the_selection():
 def test_static_opt_without_rates_is_refused():
     with pytest.raises(PolicyConfigError, match="static_opt needs per-object request rates"):
         simulate(make_trace([(1, 1, 1)]), PolicyParams("static_opt"), CacheConfig(1.0))
+
+
+# ---------------------------------------------------------------------------
+# per-pair rows from catalog ranks, against np.unique of packed codes
+# ---------------------------------------------------------------------------
+
+
+def unique_pair_rows(clients, keys, hit_flags):
+    """Per-pair rows by `np.unique` of ``client << 40 | key`` codes."""
+    codes = (np.asarray(clients, dtype=np.int64) << 40) | np.asarray(keys, dtype=np.int64)
+    uniq, inverse = np.unique(codes, return_inverse=True)
+    flags = np.asarray(hit_flags, dtype=bool)
+    return (
+        (uniq >> 40).tolist(),
+        ((uniq & (2**40 - 1)) >> 8).tolist(),
+        ((uniq & 255) - 1).tolist(),
+        np.bincount(inverse, minlength=len(uniq)).tolist(),
+        np.bincount(inverse[flags], minlength=len(uniq)).tolist(),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 30),
+            st.one_of(st.integers(1, 4), st.integers(2**23 - 3, 2**23 - 1)),
+            st.one_of(st.integers(1, 6), st.integers(2**32 - 4, 2**32 - 1)),
+            st.sampled_from([None, 0, 1, 254]),
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+    st.integers(1, 6),
+    st.sampled_from([0.0, 0.5]),
+)
+def test_pair_rows_equal_np_unique_of_packed_codes(events, slots, fraction):
+    tr = make_trace(events, versions=True)
+    capacity = float(slots) if fraction == 0 else 2.0 * slots
+    metrics = simulate(tr, PolicyParams("lru"), CacheConfig(capacity, fraction))
+    keys, clients = tr.identity_keys().tolist(), tr.clients.tolist()
+    forwarded = naive_local_filter(keys, clients, math.floor(fraction * capacity))[0]
+    keys = [k for k, f in zip(keys, forwarded) if f]
+    clients = [c for c, f in zip(clients, forwarded) if f]
+    hits = naive_lru(keys, math.floor(capacity))[0]
+    got = (metrics.pair_clients, metrics.pair_objects, metrics.pair_versions,
+           metrics.pair_requests, metrics.pair_hits)
+    assert all(a.dtype == np.int64 for a in got)
+    assert tuple(a.tolist() for a in got) == unique_pair_rows(clients, keys, hits)
+
+
+@pytest.mark.parametrize("clients, tables", [((1, 2, 3, 2), True), ((1, 2**23 - 1, 1, 5), False)])
+def test_pair_rows_count_in_tables_unless_clients_are_sparse(monkeypatch, clients, tables):
+    tr = make_trace([(float(t), c, 1 + t % 2) for t, c in enumerate(clients)])
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(1) or unique(*a, **kw))
+    metrics = simulate(tr, PolicyParams("lru"), CacheConfig(1.0))
+    assert len(calls) == (0 if tables else 1)
+    keys = tr.identity_keys().tolist()
+    want = unique_pair_rows(tr.clients, keys, naive_lru(keys, 1)[0])
+    assert (metrics.pair_clients.tolist(), metrics.pair_objects.tolist(),
+            metrics.pair_versions.tolist(), metrics.pair_requests.tolist(),
+            metrics.pair_hits.tolist()) == want

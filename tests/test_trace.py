@@ -558,3 +558,204 @@ def test_sort_is_canonical_and_idempotent(events):
     before = trace_to_string(tr)
     tr.sort_events()
     assert trace_to_string(tr) == before
+
+
+# ---------------------------------------------------------------------------
+# catalog ranks and the time-first sort, against np.unique / np.lexsort
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def ranked_traces(draw) -> Trace:
+    """A sorted trace over a dense or a sparse catalog, some of whose events
+    may name identities the catalog lacks (inside or outside its rank table),
+    with dense or sparse client ids."""
+    mode = draw(st.sampled_from(["dense", "sparse", "high versions"]))
+    if mode == "dense":
+        # every object of 1..k has at least one version: the table is full
+        k = draw(st.integers(1, 8))
+        idents = {(o, draw(st.sampled_from([None, 0, 1, 2]))) for o in range(1, k + 1)}
+        idents |= set(draw(st.lists(st.tuples(
+            st.integers(1, k), st.sampled_from([None, 0, 1, 2])), max_size=12)))
+    else:
+        objects = st.one_of(st.integers(1, 6), st.integers(2**32 - 6, 2**32 - 1))
+        versions = st.sampled_from([None, 0, 3] + ([253, 254] if mode == "high versions" else []))
+        idents = set(draw(st.lists(st.tuples(objects, versions), min_size=1, max_size=10)))
+        if mode == "sparse":
+            idents |= {(1, None), (2**32 - 1, None)}
+    catalog = ObjectCatalog({iv: draw(st.sampled_from([0.1, 0.2, 0.5, 1.0, 3.0]))
+                             for iv in idents})
+    unknown = st.tuples(
+        st.one_of(st.integers(1, 12), st.integers(2**32 - 8, 2**32 - 1)),
+        st.sampled_from([None, 0, 1, 2, 3, 7, 254]),
+    )
+    chosen = draw(st.lists(
+        st.one_of(st.sampled_from(sorted(idents, key=lambda iv: pack_key(*iv))), unknown),
+        min_size=1, max_size=30,
+    ))
+    clients = st.one_of(st.integers(1, 4), st.integers(2**23 - 3, 2**23 - 1))
+    events = [(float(draw(st.integers(0, 5))), draw(clients), o, NO_VERSION if v is None else v)
+              for o, v in chosen]
+    tr = Trace(
+        np.array([e[0] for e in events]),
+        np.array([e[1] for e in events], dtype=np.int64),
+        np.array([e[2] for e in events], dtype=np.int64),
+        np.array([e[3] for e in events], dtype=np.int64),
+        catalog,
+    )
+    tr.sort_events()
+    return tr
+
+
+def unique_ranks(tr: Trace) -> np.ndarray:
+    """Catalog ranks through `np.unique` of the packed keys and a search of
+    the catalog keys; -1 for an identity the catalog lacks."""
+    keys, inverse = np.unique(tr.identity_keys(), return_inverse=True)
+    cat_keys = tr.catalog.size_arrays()[0]
+    pos = np.searchsorted(cat_keys, keys)
+    known = pos < len(cat_keys)
+    known[known] = cat_keys[pos[known]] == keys[known]
+    return np.where(known, pos, -1)[inverse]
+
+
+def unique_coverage_messages(tr: Trace, max_violations: int) -> list[str]:
+    """The coverage violations as listed from `np.unique` of every key."""
+    keys = np.unique(tr.identity_keys())
+    missing = [unpack_key(k) for k in keys.tolist() if unpack_key(k) not in tr.catalog]
+    return [f"unknown object ({o}, {v}): referenced but not in catalog"
+            for o, v in missing[: max(max_violations, 1)]]
+
+
+def key_loop_stats(tr: Trace):
+    """`trace_stats`' identity figures by a Python loop over the distinct keys."""
+    volume = 0.0
+    keys = np.unique(tr.identity_keys()).tolist()
+    for key in keys:
+        volume += tr.catalog.size(*unpack_key(key))
+    return len(keys), len(np.unique(tr.objects)), volume
+
+
+@settings(max_examples=200, deadline=None)
+@given(ranked_traces(), st.integers(0, 4))
+def test_catalog_ranks_and_coverage_equal_np_unique(tr, max_violations):
+    ranks = tr.catalog._ranks(tr.objects, tr.versions)
+    assert ranks.dtype == np.int32
+    assert ranks.tolist() == unique_ranks(tr).tolist()
+    report = validate_trace(tr, max_violations)
+    want = unique_coverage_messages(tr, max_violations)
+    assert report.ok == (not want)
+    assert report.violations == want[:max_violations]
+    problems, sizes, got_ranks = trace_mod._checked_sizes(tr, max_violations)
+    if not want:
+        assert sizes.tolist() == [tr.catalog.size(*unpack_key(k))
+                                  for k in tr.identity_keys().tolist()]
+        assert got_ranks.tolist() == ranks.tolist()
+    else:
+        assert sizes is None and got_ranks is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(ranked_traces())
+def test_trace_stats_equal_a_loop_over_distinct_keys(tr):
+    try:
+        want = key_loop_stats(tr)
+    except KeyError as exc:
+        with pytest.raises(KeyError) as got:
+            trace_stats(tr)
+        assert got.value.args == exc.args
+        return
+    s = trace_stats(tr)
+    got = (s.distinct_identities, s.distinct_objects, s.footprint_volume)
+    assert repr(got) == repr(want)  # the volume bit for bit
+
+
+def test_stats_footprint_adds_sizes_in_key_order_one_by_one():
+    # np.sum's pairwise order gives 933.9333333333334 here
+    sizes = {(o, None): 0.1 * ((7 * o) % 13) + 1 / 3 for o in range(1, 1001)}
+    objects = np.arange(1000, 0, -1, dtype=np.int64)
+    tr = Trace(np.arange(1000.0), np.ones(1000, np.int64), objects, None, ObjectCatalog(sizes))
+    volume = 0.0
+    for o in range(1, 1001):
+        volume += sizes[(o, None)]
+    assert repr(trace_stats(tr).footprint_volume) == repr(volume) == "933.9333333333301"
+
+
+def test_rank_table_is_built_for_compact_catalogs_only():
+    dense = ObjectCatalog({(o, v): 1.0 for o in range(5, 9) for v in (None, 0, 2)})
+    table, first, span = dense._rank_table()
+    assert (first, span, len(table)) == (5, 4, 16)  # 12 identities
+    sparse = ObjectCatalog({(1, None): 1.0, (2**32 - 1, None): 1.0})
+    assert sparse._rank_table()[0] is None
+    high = ObjectCatalog({(1, None): 1.0, (1, 254): 1.0})
+    assert high._rank_table()[0] is None  # 256 version slots for 2 identities
+    assert ObjectCatalog()._rank_table()[0] is None
+    dense.add(9, 1.0)  # add drops the table
+    assert dense._rank_table()[1:] == (5, 4) and len(dense._rank_table()[0]) == 20
+
+
+@pytest.mark.parametrize("catalog", [
+    ObjectCatalog({(o, None): 1.0 for o in range(3, 7)}),
+    ObjectCatalog({(3, None): 1.0, (2**32 - 1, 0): 1.0}),
+], ids=["table", "search"])
+def test_ranks_of_ids_outside_the_packable_ranges_are_unknown(catalog):
+    # (4, 255) packs to the key of (5, None), (2, 255) to that of (3, None)
+    objects = np.array([3, 4, 2, 0, -5, 2**32 + 3, 2**62, 3, 6], dtype=np.int64)
+    versions = np.array([-1, 255, 255, -1, -1, -1, -1, -2, 300], dtype=np.int64)
+    ranks = catalog._ranks(objects, versions)
+    assert ranks.tolist() == [0] + [-1] * 8
+    tr = Trace(np.arange(9.0), np.ones(9, np.int64), objects, versions, catalog)
+    with pytest.raises(KeyError) as got:
+        trace_stats(tr)
+    assert got.value.args == ((-5, None),)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.integers(0, 6).map(float),
+                      st.sampled_from([-0.0, 0.0, 2.5, float("nan"), float("inf")])),
+            st.integers(1, 3),
+            st.integers(1, 3),
+            st.integers(-1, 2),  # duplicates that differ only in version
+        ),
+        max_size=40,
+    ),
+    st.booleans(),
+)
+def test_sort_events_equals_a_three_key_lexsort(events, spread):
+    times = np.array([e[0] for e in events])
+    if spread:  # fewer ties, so that both sides of the "most neighbours tie" choice are met
+        times = times + 0.37 * (np.arange(len(events)) % 5)
+    cols = [times] + [np.array([e[k] for e in events], dtype=np.int64) for k in (1, 2, 3)]
+    tr = Trace(*cols, ObjectCatalog())
+    tr.sort_events()
+    order = np.lexsort((cols[2], cols[1], cols[0]))
+    for got, col in zip((tr.times, tr.clients, tr.objects, tr.versions), cols):
+        assert got.tobytes() == col[order].tobytes()
+
+
+def test_sort_events_lexsorts_only_tied_runs_unless_most_tie(monkeypatch):
+    sorted_lengths = []
+    lexsort = np.lexsort
+
+    def spy(keys):
+        sorted_lengths.append(len(keys[0]))
+        return lexsort(keys)
+
+    monkeypatch.setattr(trace_mod.np, "lexsort", spy)
+
+    def sort(times):
+        n = len(times)
+        tr = Trace(np.array(times), np.arange(n, 0, -1), np.ones(n, np.int64), None,
+                   ObjectCatalog())
+        tr.sort_events()
+        return tr.clients.tolist()
+
+    assert sort([3.0, 2.0, 1.0, 0.0]) == [1, 2, 3, 4] and sorted_lengths == []
+    # one run of three tied times among six events
+    assert sort([5.0, 1.0, 1.0, 0.0, 1.0, 2.0]) == [3, 2, 4, 5, 1, 6]
+    assert sorted_lengths == [3]
+    # four of five neighbours tie: one lexsort of every event
+    assert sort([1.0, 1.0, 1.0, 0.0, 1.0, 1.0]) == [3, 1, 2, 4, 5, 6]
+    assert sorted_lengths == [3, 6]
