@@ -217,7 +217,7 @@ def _replay(
     # resident identities in recency order, least-recent first; the value is
     # the object size so eviction can release the bytes
     order: OrderedDict[int, float] = OrderedDict()
-    pol.bind(order, keys)
+    pol.bind(order, keys, clients)
     hit_at: list[int] = []
     record_hit = hit_at.append
     oversized = 0
@@ -276,11 +276,15 @@ def _local_filter(
     `LRUPolicy`.  Objects larger than the private capacity always miss it
     and are forwarded.
     """
-    if local_capacity <= 0:
-        return None, 0
     n = len(keys_arr)
-    # one stable sort puts each client's requests in one run, in request order
-    by_client = np.argsort(clients_arr, kind="stable")
+    if local_capacity <= 0 or n == 0:
+        return None, 0
+    # one stable sort puts each client's requests in one run, in request
+    # order; offsets from the least client in the narrowest dtype that holds
+    # them let numpy radix-sort 8- and 16-bit spans
+    first = clients_arr.min()
+    offsets = (clients_arr - first).astype(np.min_scalar_type(clients_arr.max() - first))
+    by_client = np.argsort(offsets, kind="stable")
     sorted_clients = clients_arr[by_client]
     cuts = (np.flatnonzero(sorted_clients[1:] != sorted_clients[:-1]) + 1).tolist()
     keys = keys_arr[by_client].tolist()

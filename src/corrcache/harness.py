@@ -66,9 +66,15 @@ class CapacityGrid:
         if self.base == "volume":
             ref = trace.catalog.total_volume()
         else:
-            # no catalog lookup: a trace naming an identity the catalog lacks
-            # must reach the trace check, which reports it
-            ref = float(len(np.unique(trace.identity_keys())))
+            # catalogued identities counted over their ranks, the rest over
+            # their keys: a trace naming an identity the catalog lacks must
+            # reach the trace check, which reports it
+            ranks = trace.catalog._ranks(trace.objects, trace.versions)
+            unknown = ranks < 0
+            ref = float(
+                np.count_nonzero(np.bincount(ranks[~unknown]))
+                + len(np.unique(trace.identity_keys()[unknown]))
+            )
         return tuple(v * ref for v in self.values)
 
 

@@ -3,9 +3,10 @@
 Policies plug into the cache engine through a small hook protocol.  A hook
 gets ``i``, the request's position in the key stream the engine replays:
 
-* ``bind(order, keys)`` is called once, before the replay, with the live
-  recency order and that key stream.  Policies that need a table per
-  request (LFU's priorities, Belady's next uses) build it here.
+* ``bind(order, keys, clients)`` is called once, before the replay, with
+  the live recency order, that key stream and each request's client.
+  Policies that need a table per request (LFU's priorities, Belady's next
+  uses, lfru's stamps) build it here.
 * ``on_request(i, client, key, hit)`` fires on every hit, before the
   recency order changes.  It fires on misses too, before admission, only
   for a class whose ``reads_misses`` is true (the follow-aware policies).
@@ -21,6 +22,7 @@ consult for tie-breaking.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from collections import deque
@@ -87,7 +89,7 @@ class Policy:
     requires_unit_sizes = False
     reads_misses = False  # on_request on misses too, not only on hits
 
-    def bind(self, order, keys: list[int]) -> None:
+    def bind(self, order, keys: list[int], clients: list[int]) -> None:
         self.order = order
 
     def on_request(self, i: int, client: int, key: int, hit: bool) -> None:  # pragma: no cover
@@ -146,8 +148,8 @@ class LFUPolicy(Policy):
         self._live: dict[int, int] = {}
         self._heap: list[int] = []
 
-    def bind(self, order, keys: list[int]) -> None:
-        super().bind(order, keys)
+    def bind(self, order, keys: list[int], clients: list[int]) -> None:
+        super().bind(order, keys, clients)
         self._keys = keys
         by_key, same = _key_runs(keys)
         n = len(by_key)
@@ -276,8 +278,8 @@ class BeladyPolicy(Policy):
     def __init__(self):
         self._heap: list[int] = []
 
-    def bind(self, order, keys: list[int]) -> None:
-        super().bind(order, keys)
+    def bind(self, order, keys: list[int], clients: list[int]) -> None:
+        super().bind(order, keys, clients)
         self._keys = keys
         # negated next use of every request: the next request in its run
         by_key, same = _key_runs(keys)
@@ -422,9 +424,32 @@ class LFRUSPolicy(Policy):
     least-recently-used.  window=0 is the degenerate case and behaves exactly
     like LRU.
 
-    With window > 0 every request, a miss too, sets its object's entry in
-    ``last_requester``, which survives eviction; so the class
-    ``reads_misses``.
+    With window > 0 every request, a miss too, records its client as its
+    object's last requester, which survives eviction; so the class
+    ``reads_misses``.  gamma<1 keeps the last requesters in
+    ``last_requester`` and finds a victim by scanning the residents,
+    least-recent first.  gamma=1 keeps one stamp byte per request instead
+    and finds a victim with a C-level byte search, as follows.
+
+    * ``_seen`` maps each key to the position of its latest request, so its
+      last requester is ``clients[_seen[key]]``.
+    * ``_stamps[p]`` holds the code of request p's client while p is the
+      latest request of a resident, and 255 once a hit supersedes it or its
+      key is evicted.  Clients get codes 0-253 in ascending id order; any
+      further clients share code 254.  A request that was never admitted
+      (an object larger than the cache) keeps its code until a search finds
+      it not resident and clears it.
+    * ``_table`` maps each code to its client's score class, the score
+      capped at 254; the shared code maps to class 0 and 255 to itself.  A
+      class is a lower bound on the score, and exact except under the
+      shared code and in class 254.
+    * A victim is the least (score, latest position) among the residents.
+      If the least-recent resident's last requester scores 0 it wins at
+      once.  Otherwise the stamps from that resident's latest request up to
+      the request being admitted are translated through ``_table``, and each
+      class in ascending order is searched with ``find``: the first live
+      request of a class wins it, unless its exact score is higher than the
+      class, in which case the search goes on through that class.
 
     Invariants:
 
@@ -442,7 +467,7 @@ class LFRUSPolicy(Policy):
       not mark it stale: every remaining weight only shrinks (gamma**k falls
       with k), so its floored sums stay zero.
     * Row scores are cached; a score read recomputes only the rows touched
-      since the previous read.
+      since the previous read, and writes their entries of ``_table``.
     """
 
     name = "lfrus"
@@ -456,7 +481,9 @@ class LFRUSPolicy(Policy):
         self.window = window
         self.gamma = float(gamma)
         self._gamma_pow = [self.gamma**k for k in range(window + 1)]
-        # object key -> client that requested it last (survives eviction)
+        self._stamped = window > 0 and self.gamma == 1
+        # gamma<1 only: object key -> client that requested it last
+        # (survives eviction)
         self.last_requester: dict[int, int] = {}
         self.windows: dict[int, deque] = {}
         self.rows: dict[int, dict[int, int]] = {}
@@ -467,16 +494,44 @@ class LFRUSPolicy(Policy):
         self._stale: set[int] = set()
         self._scores: dict[int, int] = {}
         self._touched: set[int] = set()  # rows whose cached score is out of date
+        # gamma=1 only (filled by bind): see the class docstring
+        self._seen: dict[int, int] = {}
+        self._code: dict[int, int] = {}  # client -> its own code, 0-253
+        self._table = bytearray(255) + b"\xff"
+        self._class_counts = [255] + [0] * 255  # codes per class; all 255 start at 0
+        self._classes = [0]  # the classes with codes, ascending
+        self._now = 0  # position of the latest request
+
+    def bind(self, order, keys: list[int], clients: list[int]) -> None:
+        super().bind(order, keys, clients)
+        if not self._stamped:
+            return
+        self._keys = keys
+        self._clients = clients
+        ids, rank = np.unique(np.asarray(clients, dtype=np.int64), return_inverse=True)
+        self._code = dict(zip(ids[:254].tolist(), range(254)))
+        self._stamps = bytearray(np.minimum(rank, 254).astype(np.uint8).tobytes())
 
     def on_request(self, i: int, client: int, key: int, hit: bool) -> None:
         if self.window == 0:
             return
         outcome = None
-        if hit:
-            prev = self.last_requester.get(key)
-            if prev is not None and prev != client:
-                outcome = prev
-        self.last_requester[key] = client
+        if self._stamped:
+            self._now = i
+            seen = self._seen
+            if hit:
+                p = seen[key]
+                self._stamps[p] = 255  # superseded by this request
+                prev = self._clients[p]
+                if prev != client:
+                    outcome = prev
+            seen[key] = i
+        else:
+            if hit:
+                prev = self.last_requester.get(key)
+                if prev is not None and prev != client:
+                    outcome = prev
+            self.last_requester[key] = client
         dq = self.windows.get(client)
         if dq is None:
             dq = self.windows[client] = deque(maxlen=self.window + 1)
@@ -546,14 +601,35 @@ class LFRUSPolicy(Policy):
         if self._touched:
             scores = self._scores
             rows = self.rows
+            code = self._code
+            table = self._table
             for c1 in self._touched:
                 row = rows.get(c1)
                 if row:
-                    scores[c1] = max(row.values())
+                    s = scores[c1] = max(row.values())
                 else:
                     scores.pop(c1, None)
+                    s = 0
+                c = code.get(c1)
+                if c is not None:
+                    cls = s if s < 254 else 254
+                    old = table[c]
+                    if old != cls:
+                        table[c] = cls
+                        self._class_moved(old, cls)
             self._touched.clear()
         return self._scores
+
+    def _class_moved(self, old: int, new: int) -> None:
+        """Keep ``_classes`` the sorted distinct classes of ``_table`` when
+        one code moves from class ``old`` to ``new``."""
+        counts, classes = self._class_counts, self._classes
+        counts[old] -= 1
+        if not counts[old]:
+            classes.remove(old)
+        if not counts[new]:
+            bisect.insort(classes, new)
+        counts[new] += 1
 
     def window_snapshot(self) -> dict[int, tuple]:
         """Outcome windows, oldest first (for consistency checks)."""
@@ -573,6 +649,10 @@ class LFRUSPolicy(Policy):
     def victim(self) -> int:
         scores = self._row_scores()
         order = self.order
+        if not order:
+            raise IndexError(f"{self.name} victim requested with nothing resident")
+        if self._stamped:
+            return self._stamp_victim(scores)
         if not scores:
             return next(iter(order))
         last_req = self.last_requester
@@ -587,6 +667,41 @@ class LFRUSPolicy(Policy):
                 best = s
                 best_key = key
         return best_key
+
+    def _stamp_victim(self, scores: dict[int, int]) -> int:
+        """The gamma=1 victim: the least (score, latest position) among the
+        residents, from the stamps (see the class docstring)."""
+        order, keys, clients, seen, stamps = (
+            self.order, self._keys, self._clients, self._seen, self._stamps
+        )
+        key = next(iter(order))
+        lo = seen[key]
+        if clients[lo] not in scores:
+            stamps[lo] = 255
+            return key
+        # the request being admitted, at _now, is not resident yet
+        marks = stamps[lo : self._now].translate(self._table)
+        best = best_p = None  # score and position of the best resident so far
+        for c in self._classes:
+            if best is not None and best < c:
+                break
+            j = marks.find(c)
+            while j >= 0:
+                p = lo + j
+                if c == best and p > best_p:
+                    break  # this class has no better resident left
+                key = keys[p]
+                if key in order and seen[key] == p:
+                    s = scores.get(clients[p], 0)
+                    if best is None or s < best or (s == best and p < best_p):
+                        best, best_p = s, p
+                    if s == c:
+                        break  # the class is exact here: later requests lose
+                else:
+                    stamps[p] = 255  # a request that was never admitted
+                j = marks.find(c, j + 1)
+        stamps[best_p] = 255
+        return keys[best_p]
 
 
 class LFRUPolicy(LFRUSPolicy):

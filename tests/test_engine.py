@@ -529,6 +529,28 @@ def test_private_tier_picks_its_path_by_sizes(monkeypatch, n_clients, per_client
     assert calls.n == 3 * n_clients  # one per client at each unit-size slot count
 
 
+@pytest.mark.parametrize(
+    "ids",
+    [np.arange(1, 41), np.arange(2**23 - 300, 2**23), np.array([1, 2, 2**16, 2**23 - 1])],
+    ids=["dense", "near-2**23", "wide"],
+)
+def test_private_tier_runs_match_the_naive_oracle_at_any_client_span(ids):
+    # client offsets from the least client sort as 8-, 16- and 32-bit ints
+    rng = np.random.default_rng(11)
+    clients = rng.choice(ids, 1200)
+    objects = rng.integers(1, 8, 1200)
+    tr = make_trace([(t, int(c), int(o)) for t, (c, o) in enumerate(zip(clients, objects))])
+    keys = tr.identity_keys()
+    for slots in (1, 3):
+        want, want_hits = naive_local_filter(keys.tolist(), tr.clients.tolist(), slots)
+        for size in (1.0, 2.0):
+            mask, local_hits = engine._local_filter(
+                keys, tr.clients, np.full(len(tr), size), slots * size
+            )
+            assert local_hits == want_hits > 0
+            assert mask.tolist() == want
+
+
 def test_private_tier_lru_cache_path_runs_without_operator_call(monkeypatch):
     # operator.call exists only from Python 3.11 on; the package supports 3.10
     import operator

@@ -73,6 +73,36 @@ def test_capacity_grid_resolution_bases():
     assert CapacityGrid((7.0,), "absolute").resolve(tr) == (7.0,)
 
 
+_IDS = [1, 2, 3, 7, 2**31, 2**32 - 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(_IDS), st.integers(-1, 3)), max_size=60),
+    st.lists(st.tuples(st.sampled_from(_IDS), st.integers(-1, 3)), max_size=12),
+    st.booleans(),
+)
+def test_footprint_base_counts_the_distinct_requested_identities(requested, catalogued, dense):
+    # the catalog may lack requested identities and hold unrequested ones;
+    # ids up to 2**32 - 1 make its rank lookup binary-search, ids up to 7
+    # make it index a table
+    if dense:
+        requested = [(o, v) for o, v in requested if o <= 7]
+        catalogued = [(o, v) for o, v in catalogued if o <= 7]
+    catalog = ObjectCatalog({(o, None if v < 0 else v): 1.0 for o, v in catalogued})
+    n = len(requested)
+    tr = Trace(
+        np.arange(n, dtype=np.float64),
+        np.ones(n, dtype=np.int64),
+        np.array([o for o, _ in requested], dtype=np.int64),
+        np.array([v for _, v in requested], dtype=np.int64),
+        catalog,
+        {},
+    )
+    want = float(len(np.unique(tr.identity_keys())))
+    assert CapacityGrid((1.0,), "footprint").resolve(tr) == (want,)
+
+
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------

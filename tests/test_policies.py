@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -240,10 +241,27 @@ def test_belady_rejects_non_unit_sizes():
         simulate(tr, PolicyParams("belady"), CacheConfig(4.0))
 
 
-@pytest.mark.parametrize("build", [BeladyPolicy, SievePolicy], ids=["belady", "sieve"])
+@pytest.mark.parametrize(
+    "build",
+    [BeladyPolicy, SievePolicy, LFRUPolicy, lambda: LFRUSPolicy(20, 0.5)],
+    ids=["belady", "sieve", "lfru", "lfrus"],
+)
 def test_victim_with_nothing_resident_raises(build):
     policy = build()
-    policy.bind(OrderedDict(), [])
+    policy.bind(OrderedDict(), [], [])
+    with pytest.raises(IndexError):
+        policy.victim()
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5], ids=["lfru", "lfrus"])
+def test_follow_victim_with_scores_and_nothing_resident_raises(gamma):
+    # client 2 follows client 1 on d1, so client 1 scores 1, but the order
+    # holds no resident
+    policy = LFRUSPolicy(20, gamma)
+    policy.bind(OrderedDict(), [1, 1], [1, 2])
+    policy.on_request(0, 1, 1, False)
+    policy.on_request(1, 2, 1, True)
+    assert policy._row_scores() == {1: 1}
     with pytest.raises(IndexError):
         policy.victim()
 
@@ -252,7 +270,7 @@ def test_belady_victim_never_returns_a_stale_key():
     # d1 went through on_admit (a miss) and on_request (a hit), but the
     # order holds no resident: its heap entries must not come back as victims
     policy = BeladyPolicy()
-    policy.bind(OrderedDict(), [1, 1])
+    policy.bind(OrderedDict(), [1, 1], [1, 1])
     policy.on_admit(0, 1)
     policy.on_request(1, 1, 1, True)
     with pytest.raises(IndexError):
@@ -529,6 +547,139 @@ def test_follow_policy_matches_from_scratch_with_sizes(requests, sizes, capacity
     assert a.eviction_log == b.eviction_log
     assert a.hits == b.hits
     assert fast.follow_counts() == slow.follow_counts()
+
+
+# ---------------------------------------------------------------------------
+# lfru's stamp search: shared client codes, saturated classes, oversized
+# requests (see LFRUSPolicy)
+# ---------------------------------------------------------------------------
+
+
+def _shared_code_trace(seed: int, n_events: int) -> tuple[list, list]:
+    """(objects, clients) of a unit-size stream where 300 filler clients
+    (ids 1-300) take turns requesting random objects, while client 1000
+    requests objects that client 1001 requests next.  The pair has the two
+    largest ids, so both share the stamp code of every client past the
+    254th, and client 1000 keeps a positive score."""
+    rng = np.random.default_rng(seed)
+    objects, clients = [], []
+    lead = None
+    filler = 0
+    for r in rng.random(n_events).tolist():
+        if r < 0.3:
+            lead = int(rng.integers(1, 40))
+            objects.append(lead)
+            clients.append(1000)
+        elif r < 0.5 and lead is not None:
+            objects.append(lead)
+            clients.append(1001)
+        else:
+            objects.append(int(rng.integers(1, 40)))
+            clients.append(1 + filler % 300)
+            filler += 1
+    return objects, clients
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**16), st.sampled_from([2, 5, 20]), st.integers(4, 12))
+def test_lfru_with_more_clients_than_codes_matches_naive_reference(seed, window, capacity):
+    objects, clients = _shared_code_trace(seed, 900)
+    assert len(set(clients)) > 254
+    tr = make_trace([(t, c, o) for t, (c, o) in enumerate(zip(clients, objects), start=1)])
+    pol = LFRUPolicy(window)
+    m = simulate(tr, pol, CacheConfig(float(capacity)), record_evictions=True)
+    hits, victims = naive_follow(tr.objects.tolist(), tr.clients.tolist(), capacity, window, 1.0)
+    assert unpacked_eviction_objects(m) == victims
+    assert m.hits == sum(hits)
+    assert pol._row_scores().get(1000, 0) > 0
+
+
+def _saturated_trace(seed: int, rounds: int) -> list:
+    """(client, object) requests of two groups whose leaders score beyond
+    254 at windows of 280-300.
+
+    In a round of group (leader, follower), the leader requests a new
+    object, the follower requests it (following the leader) and the leader
+    requests it again (following the follower), so the leader owns it.  The
+    groups take rounds in random order.  Group (1, 2) never skips; in every
+    16th round of group (3, 4) the follower requests a new object of its own
+    instead, so leader 3 scores less than leader 1."""
+    rng = np.random.default_rng(seed)
+    requests = []
+    fresh = 0
+    skips = 0
+    for g in rng.integers(0, 2, rounds).tolist():
+        leader, follower = (1, 2) if g == 0 else (3, 4)
+        fresh += 1
+        requests.append((leader, fresh))
+        skips += g
+        if g and skips % 16 == 0:
+            fresh += 1
+            requests.append((follower, fresh))
+        else:
+            requests += [(follower, fresh), (leader, fresh)]
+    return requests
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(0, 2**16), st.sampled_from([280, 300]), st.integers(3, 8))
+def test_lfru_with_saturated_scores_matches_naive_reference(seed, window, capacity):
+    requests = _saturated_trace(seed, 1300)
+    tr = make_trace([(t, c, o) for t, (c, o) in enumerate(requests, start=1)])
+    pol = LFRUPolicy(window)
+    m = simulate(tr, pol, CacheConfig(float(capacity)), record_evictions=True)
+    hits, victims = naive_follow(tr.objects.tolist(), tr.clients.tolist(), capacity, window, 1.0)
+    assert unpacked_eviction_objects(m) == victims
+    assert m.hits == sum(hits)
+    scores = pol._row_scores()
+    assert scores[1] > scores[3] >= 254
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 4), st.integers(1, 10)), min_size=1, max_size=150),
+    st.lists(st.sampled_from([1.0, 2.0, 3.0, 11.0]), min_size=10, max_size=10),
+    st.integers(3, 10),
+    st.sampled_from([1, 2, 3, 6]),
+    st.sampled_from([0.0, 0.4]),
+)
+def test_lfru_with_oversized_objects_matches_from_scratch(requests, sizes, capacity, window, local):
+    # size 11 never fits: its requests are stamped but never admitted;
+    # fraction 0.4 gives each client a private tier of 1-4 bytes
+    tr = make_trace(
+        [(t, c, o) for t, (c, o) in enumerate(requests, start=1)],
+        sizes={o: s for o, s in enumerate(sizes, start=1)},
+    )
+    config = CacheConfig(float(capacity), local_cache_fraction=local)
+    fast = LFRUPolicy(window)
+    slow = _FromScratchFollow(window, 1.0)
+    a = simulate(tr, fast, config, record_evictions=True)
+    b = simulate(tr, slow, config, record_evictions=True)
+    assert a.eviction_log == b.eviction_log
+    assert (a.hits, a.local_hits, a.oversized_misses) == (b.hits, b.local_hits, b.oversized_misses)
+    assert fast.follow_counts() == slow.follow_counts()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 6), st.integers(1, 12)), min_size=1, max_size=200),
+    st.lists(st.sampled_from([1.0, 2.0, 11.0]), min_size=12, max_size=12),
+    st.integers(3, 10),
+    st.sampled_from([1, 3, 20]),
+    st.sampled_from([0.0, 0.4]),
+)
+def test_lfrus_at_gamma_one_equals_lfru(requests, sizes, capacity, window, local):
+    tr = make_trace(
+        [(t, c, o) for t, (c, o) in enumerate(requests, start=1)],
+        sizes={o: s for o, s in enumerate(sizes, start=1)},
+    )
+    config = CacheConfig(float(capacity), local_cache_fraction=local)
+    lfru = build_policy(parse_policy_spec(f"lfru:w={window}"))
+    lfrus = build_policy(parse_policy_spec(f"lfrus:w={window}:g=1"))
+    a = simulate(tr, lfru, config, record_evictions=True)
+    b = simulate(tr, lfrus, config, record_evictions=True)
+    assert a.eviction_log == b.eviction_log and a.hits == b.hits
+    assert lfru.follow_counts() == lfrus.follow_counts()
 
 
 # ---------------------------------------------------------------------------
