@@ -25,7 +25,7 @@ from .engine import (
 )
 from .policies import PolicyParams, parse_policy_spec
 from .presets import Preset, get_preset
-from .trace import Trace, read_trace
+from .trace import Trace, _distinct_identities, read_trace
 from .workloads import group_clients
 
 
@@ -66,15 +66,9 @@ class CapacityGrid:
         if self.base == "volume":
             ref = trace.catalog.total_volume()
         else:
-            # catalogued identities counted over their ranks, the rest over
-            # their keys: a trace naming an identity the catalog lacks must
-            # reach the trace check, which reports it
-            ranks = trace.catalog._ranks(trace.objects, trace.versions)
-            unknown = ranks < 0
-            ref = float(
-                np.count_nonzero(np.bincount(ranks[~unknown]))
-                + len(np.unique(trace.identity_keys()[unknown]))
-            )
+            # identities the catalog lacks count too: a trace naming one
+            # must reach the trace check, which reports it
+            ref = float(_distinct_identities(trace))
         return tuple(v * ref for v in self.values)
 
 

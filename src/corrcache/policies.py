@@ -24,12 +24,18 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
+
+# a stamp search covers at most this many requests per resident (see
+# LFRUSPolicy)
+_STAMP_SPAN = 64
+
 
 class PolicyConfigError(ValueError):
     """Bad policy parameters or a policy/trace mismatch."""
@@ -424,32 +430,36 @@ class LFRUSPolicy(Policy):
     least-recently-used.  window=0 is the degenerate case and behaves exactly
     like LRU.
 
-    With window > 0 every request, a miss too, records its client as its
-    object's last requester, which survives eviction; so the class
-    ``reads_misses``.  gamma<1 keeps the last requesters in
-    ``last_requester`` and finds a victim by scanning the residents,
-    least-recent first.  gamma=1 keeps one stamp byte per request instead
-    and finds a victim with a C-level byte search, as follows.
+    With window > 0 every request, a miss too, records its position as its
+    object's latest request in ``_seen``, which survives eviction; so the
+    class ``reads_misses``.  An object's last requester is
+    ``clients[_seen[key]]``.  A victim is the least (score, latest position)
+    among the residents.  The resident scan finds it by walking the
+    residents, least-recent first, and stops at the first whose last
+    requester scores 0.  gamma=1 also keeps one stamp byte per request and
+    finds the victim with a C-level byte search instead, as follows.
 
-    * ``_seen`` maps each key to the position of its latest request, so its
-      last requester is ``clients[_seen[key]]``.
     * ``_stamps[p]`` holds the code of request p's client while p is the
-      latest request of a resident, and 255 once a hit supersedes it or its
-      key is evicted.  Clients get codes 0-253 in ascending id order; any
-      further clients share code 254.  A request that was never admitted
-      (an object larger than the cache) keeps its code until a search finds
-      it not resident and clears it.
+      latest request of a resident, and 255 once a hit supersedes it.
+      Clients get codes 0-253 in ascending id order; any further clients
+      share code 254.  A request whose key was evicted, or never admitted
+      (an object larger than the cache), may keep its code until a search
+      finds it not resident and clears it.
     * ``_table`` maps each code to its client's score class, the score
       capped at 254; the shared code maps to class 0 and 255 to itself.  A
       class is a lower bound on the score, and exact except under the
       shared code and in class 254.
-    * A victim is the least (score, latest position) among the residents.
-      If the least-recent resident's last requester scores 0 it wins at
+    * If the least-recent resident's last requester scores 0 it wins at
       once.  Otherwise the stamps from that resident's latest request up to
       the request being admitted are translated through ``_table``, and each
       class in ascending order is searched with ``find``: the first live
       request of a class wins it, unless its exact score is higher than the
       class, in which case the search goes on through that class.
+    * The search covers every request since the least-recent resident's
+      latest one, a span with no bound of its own (an idle follower keeps
+      its leader's score up, and so that leader's object least recent).
+      Past `_STAMP_SPAN` requests per resident the resident scan runs
+      instead: it costs ~70 ns per resident, the search ~1 ns per request.
 
     Invariants:
 
@@ -482,9 +492,6 @@ class LFRUSPolicy(Policy):
         self.gamma = float(gamma)
         self._gamma_pow = [self.gamma**k for k in range(window + 1)]
         self._stamped = window > 0 and self.gamma == 1
-        # gamma<1 only: object key -> client that requested it last
-        # (survives eviction)
-        self.last_requester: dict[int, int] = {}
         self.windows: dict[int, deque] = {}
         self.rows: dict[int, dict[int, int]] = {}
         # gamma<1 only: each client's column as last patched into rows (so
@@ -494,7 +501,8 @@ class LFRUSPolicy(Policy):
         self._stale: set[int] = set()
         self._scores: dict[int, int] = {}
         self._touched: set[int] = set()  # rows whose cached score is out of date
-        # gamma=1 only (filled by bind): see the class docstring
+        # see the class docstring; _code, _table and the class lists are
+        # gamma=1 only, _stamps too (filled by bind)
         self._seen: dict[int, int] = {}
         self._code: dict[int, int] = {}  # client -> its own code, 0-253
         self._table = bytearray(255) + b"\xff"
@@ -504,34 +512,27 @@ class LFRUSPolicy(Policy):
 
     def bind(self, order, keys: list[int], clients: list[int]) -> None:
         super().bind(order, keys, clients)
+        self._clients = clients
         if not self._stamped:
             return
         self._keys = keys
-        self._clients = clients
-        ids, rank = np.unique(np.asarray(clients, dtype=np.int64), return_inverse=True)
-        self._code = dict(zip(ids[:254].tolist(), range(254)))
-        self._stamps = bytearray(np.minimum(rank, 254).astype(np.uint8).tobytes())
+        code = self._code = dict(zip(heapq.nsmallest(254, set(clients)), range(254)))
+        self._stamps = bytearray(map(code.get, clients, itertools.repeat(254)))
 
     def on_request(self, i: int, client: int, key: int, hit: bool) -> None:
         if self.window == 0:
             return
+        self._now = i
         outcome = None
-        if self._stamped:
-            self._now = i
-            seen = self._seen
-            if hit:
-                p = seen[key]
+        seen = self._seen
+        if hit:
+            p = seen[key]
+            if self._stamped:
                 self._stamps[p] = 255  # superseded by this request
-                prev = self._clients[p]
-                if prev != client:
-                    outcome = prev
-            seen[key] = i
-        else:
-            if hit:
-                prev = self.last_requester.get(key)
-                if prev is not None and prev != client:
-                    outcome = prev
-            self.last_requester[key] = client
+            prev = self._clients[p]
+            if prev != client:
+                outcome = prev
+        seen[key] = i
         dq = self.windows.get(client)
         if dq is None:
             dq = self.windows[client] = deque(maxlen=self.window + 1)
@@ -651,16 +652,17 @@ class LFRUSPolicy(Policy):
         order = self.order
         if not order:
             raise IndexError(f"{self.name} victim requested with nothing resident")
-        if self._stamped:
-            return self._stamp_victim(scores)
         if not scores:
             return next(iter(order))
-        last_req = self.last_requester
+        seen, clients = self._seen, self._clients
+        if self._stamped:
+            lo = seen[next(iter(order))]
+            if clients[lo] in scores and self._now - lo <= _STAMP_SPAN * len(order):
+                return self._stamp_victim(lo, scores)
         best_key = None
         best = None
         for key in order:  # least-recent first: first minimum wins ties
-            c = last_req.get(key)
-            s = scores.get(c, 0) if c is not None else 0
+            s = scores.get(clients[seen[key]], 0)
             if s == 0:
                 return key  # cannot be beaten, and earliest = LRU tie-break
             if best is None or s < best:
@@ -668,17 +670,12 @@ class LFRUSPolicy(Policy):
                 best_key = key
         return best_key
 
-    def _stamp_victim(self, scores: dict[int, int]) -> int:
-        """The gamma=1 victim: the least (score, latest position) among the
-        residents, from the stamps (see the class docstring)."""
+    def _stamp_victim(self, lo: int, scores: dict[int, int]) -> int:
+        """The gamma=1 victim from the stamps at and after ``lo``, the latest
+        request of the least-recent resident (see the class docstring)."""
         order, keys, clients, seen, stamps = (
             self.order, self._keys, self._clients, self._seen, self._stamps
         )
-        key = next(iter(order))
-        lo = seen[key]
-        if clients[lo] not in scores:
-            stamps[lo] = 255
-            return key
         # the request being admitted, at _now, is not resident yet
         marks = stamps[lo : self._now].translate(self._table)
         best = best_p = None  # score and position of the best resident so far
@@ -698,7 +695,7 @@ class LFRUSPolicy(Policy):
                     if s == c:
                         break  # the class is exact here: later requests lose
                 else:
-                    stamps[p] = 255  # a request that was never admitted
+                    stamps[p] = 255  # evicted or never admitted
                 j = marks.find(c, j + 1)
         stamps[best_p] = 255
         return keys[best_p]

@@ -333,12 +333,27 @@ class TraceStats:
     events_per_client: dict[int, int]
 
 
+def _presence(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
+    """A mask over the catalog's `size_arrays()` of the identities the
+    trace names, and a mask over its events of those that name an identity
+    the catalog lacks."""
+    ranks = trace.catalog._ranks(trace.objects, trace.versions)
+    unknown = ranks < 0
+    return np.bincount(ranks[~unknown], minlength=len(trace.catalog)) > 0, unknown
+
+
+def _distinct_identities(trace: Trace) -> int:
+    """How many distinct identities the trace names, catalogued or not."""
+    present, unknown = _presence(trace)
+    missing = (trace.objects[unknown] << _VERSION_BITS) | (trace.versions[unknown] + 1)
+    return int(np.count_nonzero(present)) + len(np.unique(missing))
+
+
 def trace_stats(trace: Trace) -> TraceStats:
     """Summary counts used by the harness and by sanity tests."""
     if len(trace) == 0:
         return TraceStats(0, 0, 0, 0, (0.0, 0.0), 0.0, trace.catalog.total_volume(), {})
-    ranks = trace.catalog._ranks(trace.objects, trace.versions)
-    unknown = ranks < 0
+    present, unknown = _presence(trace)
     if unknown.any():
         # the least unknown identity, as a lookup in ascending key order meets it
         objects, versions = trace.objects[unknown], trace.versions[unknown]
@@ -346,7 +361,6 @@ def trace_stats(trace: Trace) -> TraceStats:
         ver = int(versions[first])
         raise KeyError((int(objects[first]), None if ver == NO_VERSION else ver))
     cat_keys, cat_sizes = trace.catalog.size_arrays()
-    present = np.bincount(ranks, minlength=len(cat_keys)) > 0
     keys = cat_keys[present]
     objs = np.unique(keys >> _VERSION_BITS)
     clients, counts = np.unique(trace.clients, return_counts=True)

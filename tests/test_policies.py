@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from corrcache import policies
 from corrcache.engine import CacheConfig, ConfigurationError, simulate
 from corrcache.policies import (
     BeladyPolicy,
@@ -90,6 +91,10 @@ def test_build_policy_builds_replayed_kinds_only():
     for kind in ("static_opt", "mystery"):
         with pytest.raises(PolicyConfigError, match="unknown policy"):
             build_policy(PolicyParams(kind))
+    # lfrus at gamma 1 is lfru and takes its stamp search
+    assert build_policy(parse_policy_spec("lfrus:w=3:g=1"))._stamped
+    assert not build_policy(parse_policy_spec("lfrus:w=3:g=0.5"))._stamped
+    assert not build_policy(parse_policy_spec("lfru:w=0"))._stamped
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +648,12 @@ def test_lfru_with_saturated_scores_matches_naive_reference(seed, window, capaci
     st.sampled_from([1, 2, 3, 6]),
     st.sampled_from([0.0, 0.4]),
 )
+# client 2 follows client 1, so client 1's d2 is searched from; the search
+# meets client 3's request of d9 (size 11, never admitted) before d3
+@example(
+    [(1, 1), (2, 1), (1, 2), (3, 9), (3, 3), (3, 4), (3, 5)],
+    [1.0] * 8 + [11.0, 1.0], 3, 2, 0.0,
+)
 def test_lfru_with_oversized_objects_matches_from_scratch(requests, sizes, capacity, window, local):
     # size 11 never fits: its requests are stamped but never admitted;
     # fraction 0.4 gives each client a private tier of 1-4 bytes
@@ -660,26 +671,29 @@ def test_lfru_with_oversized_objects_matches_from_scratch(requests, sizes, capac
     assert fast.follow_counts() == slow.follow_counts()
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.lists(st.tuples(st.integers(1, 6), st.integers(1, 12)), min_size=1, max_size=200),
-    st.lists(st.sampled_from([1.0, 2.0, 11.0]), min_size=12, max_size=12),
-    st.integers(3, 10),
-    st.sampled_from([1, 3, 20]),
-    st.sampled_from([0.0, 0.4]),
-)
-def test_lfrus_at_gamma_one_equals_lfru(requests, sizes, capacity, window, local):
-    tr = make_trace(
-        [(t, c, o) for t, (c, o) in enumerate(requests, start=1)],
-        sizes={o: s for o, s in enumerate(sizes, start=1)},
-    )
-    config = CacheConfig(float(capacity), local_cache_fraction=local)
-    lfru = build_policy(parse_policy_spec(f"lfru:w={window}"))
-    lfrus = build_policy(parse_policy_spec(f"lfrus:w={window}:g=1"))
-    a = simulate(tr, lfru, config, record_evictions=True)
-    b = simulate(tr, lfrus, config, record_evictions=True)
-    assert a.eviction_log == b.eviction_log and a.hits == b.hits
-    assert lfru.follow_counts() == lfrus.follow_counts()
+def test_lfru_stamp_search_span_is_bounded_by_the_residents():
+    # client 2 follows client 1 on d1 and goes idle, so client 1 keeps
+    # score 1 and its d2 stays least recent, while client 3 streams new
+    # objects through 3 slots: the requests since d2's grow without bound
+    requests = [(1, 1), (2, 1), (1, 2)] + [(3, o) for o in range(3, 2003)]
+    tr = make_trace([(t, c, o) for t, (c, o) in enumerate(requests, start=1)])
+    pol = LFRUPolicy(20)
+    spans = []
+    search = pol._stamp_victim
+
+    def counted(lo, scores):
+        spans.append(pol._now - lo)
+        return search(lo, scores)
+
+    pol._stamp_victim = counted
+    m = simulate(tr, pol, CacheConfig(3.0), record_evictions=True)
+    _, victims = naive_follow(tr.objects.tolist(), tr.clients.tolist(), 3, 20, 1.0)
+    assert unpacked_eviction_objects(m) == victims
+    assert m.evictions == 1999 and pol._row_scores() == {1: 1}
+    # past _STAMP_SPAN requests per resident the resident scan takes over:
+    # each search is shorter, and there are fewer searches than evictions
+    assert max(spans) <= policies._STAMP_SPAN * 3
+    assert 0 < len(spans) <= policies._STAMP_SPAN * 3
 
 
 # ---------------------------------------------------------------------------
