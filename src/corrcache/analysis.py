@@ -16,6 +16,15 @@ I(t) has closed forms for deterministic delays, reduces to one-dimensional
 quadrature for independent delays, and is estimated by Monte Carlo for
 arbitrary joint delay distributions (with samples drawn once per group and
 reused across t, so solves stay monotone and deterministic).
+
+One evaluation of p(., t) is a few whole-catalog numpy ops: the groups'
+integrals I_g(t), repeated over each group's objects, times the rates of
+every group's objects concatenated in group order, summed per object by one
+``np.bincount``, then 1 - exp(-x) by in-place ``expm1``.  bincount adds an
+object's terms in input order onto 0.0, which is the order and the additions
+of a per-group ``exponent[idx] += rates * I_g(t)`` loop, so every bit equals
+that loop's (the test suite keeps the loop as its oracle).  ``hit_report``
+evaluates p once at t* and builds every role table from it.
 """
 
 from __future__ import annotations
@@ -247,6 +256,13 @@ class HitReport:
                     fh.write(f"{gi},follower,{fi},{oid},{p!r}\n")
 
 
+def _hit_probs(p: np.ndarray, factor: float, out: np.ndarray | None = None) -> np.ndarray:
+    """1 - (1 - p) * factor: hit probabilities when a miss survives w.p. factor."""
+    miss = np.subtract(1.0, p, out=out)
+    miss *= factor
+    return np.subtract(1.0, miss, out=miss)
+
+
 def normalized_model_hit_rate(
     groups: list[tuple[np.ndarray, int]],
     hit_probs: list[tuple[np.ndarray, list[np.ndarray]]],
@@ -266,9 +282,10 @@ def normalized_model_hit_rate(
         if len(follower_ps) != followers:
             raise ValueError("follower probability vectors do not match the follower count")
         den += float(rates.sum()) * (1 + followers)
-        num += float((rates * np.asarray(leader_p, dtype=float)).sum())
-        for fp in follower_ps:
-            num += float((rates * np.asarray(fp, dtype=float)).sum())
+        weighted = np.empty_like(rates)
+        for vec in (leader_p, *follower_ps):
+            np.multiply(rates, np.asarray(vec, dtype=float), out=weighted)
+            num += float(weighted.sum())
     if den == 0:
         raise ValueError("total request rate is zero")
     return num / den
@@ -297,6 +314,10 @@ class WorkingSetModel:
         self._scatter = [
             np.searchsorted(self.object_ids, g.object_ids) for g in self.groups
         ]
+        # every group's (object, rate) pairs in group order, for p_requested
+        self._lengths = np.array([len(s) for s in self._scatter])
+        self._all_scatter = np.concatenate(self._scatter)
+        self._all_rates = np.concatenate([g.rates for g in self.groups])
         if sizes is None:
             self.sizes = np.ones(len(self.object_ids))
         elif np.isscalar(sizes):
@@ -355,13 +376,22 @@ class WorkingSetModel:
         """P(object is inside the cache window of length t), per object."""
         if t < 0:
             raise ModelError("window length must be >= 0")
-        exponent = np.zeros(len(self.object_ids))
-        for gi, g in enumerate(self.groups):
-            exponent[self._scatter[gi]] += g.rates * self.group_integral(gi, t)
-        return -np.expm1(-exponent)
+        integrals = [self.group_integral(gi, t) for gi in range(len(self.groups))]
+        terms = np.array(integrals, dtype=float).repeat(self._lengths)
+        terms *= self._all_rates
+        # bincount adds each object's terms in group order onto 0.0, the
+        # additions the per-group loop made, so the bits are the same
+        exponent = np.bincount(
+            self._all_scatter, weights=terms, minlength=len(self.object_ids)
+        )
+        np.negative(exponent, out=exponent)
+        np.expm1(exponent, out=exponent)
+        return np.negative(exponent, out=exponent)
 
     def expected_cached_volume(self, t: float) -> float:
-        return float((self.p_requested(t) * self.sizes).sum())
+        p = self.p_requested(t)
+        p *= self.sizes
+        return float(p.sum())
 
     def solve_characteristic_time(
         self, capacity: float, rel_tol: float = 1e-6, max_iter: int = 500
@@ -472,33 +502,35 @@ class WorkingSetModel:
 
     def leader_hit_probs(self, t: float) -> list[np.ndarray]:
         """Per-group leader hit probability vectors at window length t."""
-        p = self.p_requested(t)
-        out = []
-        for gi, g in enumerate(self.groups):
-            pg = p[self._scatter[gi]]
-            factor = self._leader_factor(gi, t)
-            # factor 1 means the miss probability is untouched; return p
-            # itself so the closed-form identity holds bit-exactly
-            out.append(pg.copy() if factor == 1.0 else 1.0 - (1.0 - pg) * factor)
-        return out
+        return self._leader_tables(self.p_requested(t), t)
 
     def follower_hit_probs(self, t: float) -> list[list[np.ndarray]]:
         """Per-group, per-follower hit probability vectors at window length t."""
-        p = self.p_requested(t)
+        return self._follower_tables(self.p_requested(t), t)
+
+    def _leader_tables(self, p: np.ndarray, t: float) -> list[np.ndarray]:
+        out = []
+        for gi in range(len(self.groups)):
+            pg = p[self._scatter[gi]]  # fancy indexing copies, so pg is ours
+            factor = self._leader_factor(gi, t)
+            # factor 1 means the miss probability is untouched; keep p itself
+            # so the closed-form identity holds bit-exactly
+            out.append(pg if factor == 1.0 else _hit_probs(pg, factor, out=pg))
+        return out
+
+    def _follower_tables(self, p: np.ndarray, t: float) -> list[list[np.ndarray]]:
         out: list[list[np.ndarray]] = []
         for gi, g in enumerate(self.groups):
             pg = p[self._scatter[gi]]
-            vecs: list[np.ndarray] = []
             if isinstance(g.delays, StructuredDelays):
                 # every follower trails some request by exactly step
-                if g.delays.step < t:
-                    vecs = [np.ones_like(pg) for _ in range(g.followers)]
-                else:
-                    vecs = [pg.copy() for _ in range(g.followers)]
+                src = np.ones_like(pg) if g.delays.step < t else pg
+                vecs = [src.copy() for _ in range(g.followers)]
             else:
+                vecs = []
                 for i in range(g.followers):
                     factor = self._follower_factor(gi, i, t)
-                    vecs.append(pg.copy() if factor == 1.0 else 1.0 - (1.0 - pg) * factor)
+                    vecs.append(pg.copy() if factor == 1.0 else _hit_probs(pg, factor))
             out.append(vecs)
         return out
 
@@ -506,8 +538,9 @@ class WorkingSetModel:
         """Solve for t*, then tabulate hit probabilities for every role."""
         ct = self.solve_characteristic_time(capacity, rel_tol=rel_tol)
         t = ct.t_star
-        leaders = self.leader_hit_probs(t)
-        followers = self.follower_hit_probs(t)
+        p = self.p_requested(t)
+        leaders = self._leader_tables(p, t)
+        followers = self._follower_tables(p, t)
         groups = tuple(
             GroupHitProbs(
                 object_ids=g.object_ids,

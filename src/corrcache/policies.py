@@ -109,7 +109,9 @@ class Policy:
 
     def victim(self) -> int:
         # least recently used: the front of the recency order
-        return next(iter(self.order))
+        for key in self.order:
+            return key
+        raise IndexError(f"{self.name} victim requested with nothing resident")
 
 
 class LRUPolicy(Policy):
@@ -199,7 +201,7 @@ class LFUPolicy(Policy):
             if live.get(key) == p:
                 del live[key]
                 return key
-        raise RuntimeError("lfu victim requested with no resident candidates")
+        raise IndexError(f"{self.name} victim requested with nothing resident")
 
 
 class SievePolicy(Policy):

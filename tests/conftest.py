@@ -554,6 +554,24 @@ def naive_toroid_trace(spec, dynamics=None, seed=0):
     return trace
 
 
+# ---------------------------------------------------------------------------
+# Analytic model oracle
+# ---------------------------------------------------------------------------
+
+
+def naive_p_requested(model, t: float) -> np.ndarray:
+    """``WorkingSetModel.p_requested`` as one fancy-index add per group.
+
+    Each object's exponent starts at 0.0 and gains its groups' rate *
+    integral terms in group order; the fast path must give the same bits.
+    """
+    exponent = np.zeros(len(model.object_ids))
+    for gi, g in enumerate(model.groups):
+        idx = np.searchsorted(model.object_ids, g.object_ids)
+        exponent[idx] += g.rates * model.group_integral(gi, t)
+    return -np.expm1(-exponent)
+
+
 def trace_event_set(trace) -> set:
     return set(
         zip(

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrcache.analysis import (
     CharacteristicTime,
@@ -26,6 +28,9 @@ from corrcache.workloads import (
     StructuredDelays,
     UniformDelays,
 )
+from corrcache.presets import get_preset
+
+from conftest import naive_p_requested
 
 
 def iid_uniform_sampler(lo, hi, f):
@@ -165,6 +170,48 @@ def test_joint_sampler_model_is_deterministic_in_seed():
     a = WorkingSetModel([g1], mc_samples=10_000, mc_seed=7)
     b = WorkingSetModel([g2], mc_samples=10_000, mc_seed=7)
     assert a.p_requested(5.0)[0] == b.p_requested(5.0)[0]
+
+
+@st.composite
+def model_groups(draw):
+    """1-4 groups over a small shared id pool, one delay kind per group."""
+    groups = []
+    for _ in range(draw(st.integers(1, 4))):
+        ids = draw(st.lists(st.integers(0, 11), min_size=1, max_size=8, unique=True))
+        rates = draw(st.lists(st.floats(0.0, 5.0), min_size=len(ids), max_size=len(ids)))
+        followers = draw(st.integers(0, 3))
+        kind = draw(st.sampled_from(["structured", "fixed", "uniform", "joint"]))
+        if followers == 0:
+            delays = None
+        elif kind == "structured":
+            delays = StructuredDelays(draw(st.floats(0.1, 20.0)))
+        elif kind == "fixed":
+            delays = FixedDelays(
+                draw(st.lists(st.floats(-10.0, 30.0), min_size=followers, max_size=followers))
+            )
+        elif kind == "uniform":
+            los = draw(st.lists(st.floats(-10.0, 20.0), min_size=followers, max_size=followers))
+            delays = UniformDelays(tuple((lo, lo + draw(st.floats(0.5, 15.0))) for lo in los))
+        else:
+            lo = draw(st.floats(-10.0, 20.0))
+            delays = iid_uniform_sampler(lo, lo + draw(st.floats(0.5, 15.0)), followers)
+        groups.append(ModelGroup(np.array(ids), np.array(rates), followers, delays))
+    return groups
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    groups=model_groups(),
+    sizes=st.sampled_from(["none", "scalar", "mapping"]),
+    t=st.sampled_from([0.0, 5e-324, 1e-9, 0.7, 6.0, 45.0, 1e12, 1e300]),
+)
+def test_p_requested_bitwise_equals_the_per_group_loop(groups, sizes, t):
+    ids = np.unique(np.concatenate([g.object_ids for g in groups])).tolist()
+    size_arg = {"none": None, "scalar": 2.5, "mapping": {o: 1.0 + o % 4 for o in ids}}[sizes]
+    model = WorkingSetModel(groups, sizes=size_arg, mc_samples=64, mc_seed=3)
+    ref = naive_p_requested(model, t)
+    assert np.array_equal(model.p_requested(t), ref)
+    assert model.expected_cached_volume(t) == float((ref * model.sizes).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +403,41 @@ def test_hit_report_consistent_with_solver():
     grp = report.groups[0]
     assert np.array_equal(grp.leader, model.p_requested(ct.t_star))
     assert report.normalized_hit_rate == pytest.approx(float(grp.leader.mean()), rel=1e-12)
+
+
+def test_hit_report_bitwise_equals_the_per_group_loop(monkeypatch):
+    preset = get_preset("grouped-4.1")
+    fast, ref = preset.build_model(1.0), preset.build_model(1.0)
+    monkeypatch.setattr(ref, "p_requested", lambda t: naive_p_requested(ref, t))
+    volume = fast.total_volume()
+    for k in range(1, 65):
+        got, want = fast.hit_report(k / 400 * volume), ref.hit_report(k / 400 * volume)
+        for field in ("capacity", "t_star", "residual", "iterations", "normalized_hit_rate"):
+            assert getattr(got, field) == getattr(want, field), (k, field)
+        vectors = []
+        for g, w in zip(got.groups, want.groups, strict=True):
+            assert np.array_equal(g.leader, w.leader)
+            assert len(g.follower_list) == len(w.follower_list)
+            for gv, wv in zip(g.follower_list, w.follower_list):
+                assert np.array_equal(gv, wv)
+            vectors += [g.leader, *g.follower_list]
+        # every table is its own array, as the per-group tables were
+        assert not any(
+            np.shares_memory(a, b) for i, a in enumerate(vectors) for b in vectors[i + 1 :]
+        )
+
+
+def test_hit_report_evaluates_p_once_beyond_the_solve(monkeypatch):
+    model = get_preset("grouped-4.1").build_model(0.2)
+    calls = []
+    p_requested = model.p_requested
+    monkeypatch.setattr(model, "p_requested", lambda t: calls.append(t) or p_requested(t))
+    capacity = 0.01 * model.total_volume()
+    ct = model.solve_characteristic_time(capacity)
+    solve_calls = len(calls)
+    calls.clear()
+    model.hit_report(capacity)
+    assert len(calls) == solve_calls + 1 and calls[-1] == ct.t_star
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from corrcache.policies import (
     LFRUPolicy,
     LFRUSPolicy,
     LFUPolicy,
+    LRUPolicy,
     POLICY_KINDS,
     Policy,
     PolicyConfigError,
@@ -248,8 +249,15 @@ def test_belady_rejects_non_unit_sizes():
 
 @pytest.mark.parametrize(
     "build",
-    [BeladyPolicy, SievePolicy, LFRUPolicy, lambda: LFRUSPolicy(20, 0.5)],
-    ids=["belady", "sieve", "lfru", "lfrus"],
+    [
+        LRUPolicy,
+        LFUPolicy,
+        BeladyPolicy,
+        SievePolicy,
+        LFRUPolicy,
+        lambda: LFRUSPolicy(20, 0.5),
+    ],
+    ids=["lru", "lfu", "belady", "sieve", "lfru", "lfrus"],
 )
 def test_victim_with_nothing_resident_raises(build):
     policy = build()
