@@ -89,6 +89,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.policies:
             raise HarnessConfigError("no policies configured")
+        labels = [p.label() for p in self.policies]
+        repeated = sorted({label for label in labels if labels.count(label) > 1})
+        if repeated:
+            # rows, comparisons and capacity summaries are keyed by label
+            raise HarnessConfigError(f"policies repeat a label: {', '.join(repeated)}")
         if not self.seeds:
             raise HarnessConfigError("no seeds configured")
         if self.scale <= 0:

@@ -54,7 +54,10 @@ class PolicyParams:
         if self.kind == "lfru":
             return f"lfru(w={self.window})"
         if self.kind == "lfrus":
-            return f"lfrus(w={self.window},g={self.gamma:g})"
+            g = f"{self.gamma:g}"
+            if float(g) != self.gamma:
+                g = repr(self.gamma)  # :g would merge it with a nearby gamma
+            return f"lfrus(w={self.window},g={g})"
         return self.kind
 
 
@@ -417,6 +420,26 @@ def static_optimal_select(
     return StaticSelection(frozenset(chosen), float(value), False)
 
 
+def _newest_outcome_decides(gamma: float, window: int) -> bool:
+    """Whether every newest-first float sum of a window's weights
+    gamma**lag, lags 0..window, floors to 1 when the lag-0 outcome is the
+    summed client and to 0 otherwise (see LFRUSPolicy)."""
+    # T = sum of gamma**k, k = 1..window, summed exactly in units of 2**-1074
+    # (the least subnormal: every float is a whole number of them) and
+    # compared with 1 - (window+1) * 2**-51
+    limit = (1 << 1074) - ((window + 1) << 1023)
+    tail = 0
+    for k in range(1, window + 1):
+        g = gamma**k
+        if g == 0.0:
+            break  # every later power underflows too
+        n, d = g.as_integer_ratio()  # d = 2**(d.bit_length() - 1)
+        tail += n << (1075 - d.bit_length())
+        if tail >= limit:
+            return False
+    return True
+
+
 class LFRUSPolicy(Policy):
     """Follow-aware eviction with geometric recency weights.
 
@@ -467,14 +490,30 @@ class LFRUSPolicy(Policy):
 
     * ``rows[c1][c2]`` holds the floored entry F[c1][c2]; zero entries and
       empty rows are never stored.
-    * gamma=1 updates ``rows`` in O(1) per request: the new outcome is added
-      and the one sliding out of the window expires.  This is exact, since a
-      floored sum of 1.0s is the count.
-    * gamma<1 requests only append to the window and mark the client stale.
-      The next score read (``_row_scores``, ``follow_counts``, ``victim``)
-      recomputes each stale client's column in the from-scratch summation
-      order (newest first, adding gamma**lag), so the floats are bit-identical
-      to a full rebuild, and patches the row entries that changed.
+    * Where ``_span`` is set, F[c1][c2] is the count of c1 among c2's newest
+      ``_span`` outcomes, and ``rows`` is updated in O(1) per request: the
+      outcome at ``dq[-_span]`` leaves the span and the new one is added.
+      The windows keep all window+1 outcomes either way.
+    * gamma=1 has ``_span`` = window+1.  This is exact, since a floored sum
+      of 1.0s is the count.
+    * gamma<1 has ``_span`` = 1 when the newest outcome decides every floor
+      (``_newest_outcome_decides``).  Let T be the exact sum of the float
+      powers gamma**k, k = 1..window.  Each float addition of non-negative
+      terms rounds up by a factor of at most 1 + 2**-53, and there are at
+      most window+1 of them, so a sum is at most its exact value times
+      grow = (1 + 2**-52)**(window+1) <= 1 / (1 - (window+1) * 2**-52).  A
+      sum never falls below its first term.  So if T < 1 - (window+1) *
+      2**-51, then T * grow < 1 and (1 + T) * grow < 2: a sum whose first
+      term is gamma**0 = 1.0 floors to 1, any other to 0.  This holds at
+      gamma = 1/2 for windows up to 45, below 1/2 at any practical window,
+      and above 1/2 only at small windows (0.6 at window 2, not 3).
+    * Otherwise (``_span`` None) requests only append to the window and mark
+      the client stale.  The next score read (``_row_scores``,
+      ``follow_counts``, ``victim``) recomputes each stale client's column
+      in the from-scratch summation order (newest first, adding
+      gamma**lag), so the floats are bit-identical to a full rebuild, and
+      patches the row entries that changed.  The summation stops at the
+      first power that underflows to 0.0: adding 0.0 changes no bit.
       Appending None to a client whose column is empty and up to date does
       not mark it stale: every remaining weight only shrinks (gamma**k falls
       with k), so its floored sums stay zero.
@@ -492,11 +531,22 @@ class LFRUSPolicy(Policy):
             raise PolicyConfigError("gamma must be in (0, 1]")
         self.window = window
         self.gamma = float(gamma)
-        self._gamma_pow = [self.gamma**k for k in range(window + 1)]
+        # rows count over each client's newest _span outcomes; None: floored
+        # float sums, patched (see the class docstring)
+        if self.gamma == 1:
+            self._span = window + 1
+        elif _newest_outcome_decides(self.gamma, window):
+            self._span = 1
+        else:
+            self._span = None
+        # float path only: gamma**k for k < len, filled as longer windows are
+        # summed; _pow_end is lowered to the first lag whose power underflows
+        self._gamma_pow: list[float] = []
+        self._pow_end = window + 1
         self._stamped = window > 0 and self.gamma == 1
         self.windows: dict[int, deque] = {}
         self.rows: dict[int, dict[int, int]] = {}
-        # gamma<1 only: each client's column as last patched into rows (so
+        # float path only: each client's column as last patched into rows (so
         # cols[c2][c1] == rows[c1][c2]), and the clients whose window changed
         # since
         self._cols: dict[int, dict[int, int]] = {}
@@ -538,24 +588,27 @@ class LFRUSPolicy(Policy):
         dq = self.windows.get(client)
         if dq is None:
             dq = self.windows[client] = deque(maxlen=self.window + 1)
-        if self.gamma < 1:
+        span = self._span
+        if span is None:
             dq.append(outcome)
             if outcome is not None or client in self._cols:
                 self._stale.add(client)
             return
-        if len(dq) == dq.maxlen:
-            expired = dq[0]
-            if expired is not None:
-                row = self.rows[expired]
-                n = row[client] - 1
-                if n:
-                    row[client] = n
-                else:
-                    del row[client]
-                    if not row:
-                        del self.rows[expired]
-                self._touched.add(expired)
+        # the outcome that leaves the newest span outcomes
+        expired = dq[-span] if len(dq) >= span else None
         dq.append(outcome)
+        if expired == outcome:
+            return  # no count changes
+        if expired is not None:
+            row = self.rows[expired]
+            n = row[client] - 1
+            if n:
+                row[client] = n
+            else:
+                del row[client]
+                if not row:
+                    del self.rows[expired]
+            self._touched.add(expired)
         if outcome is not None:
             row = self.rows.setdefault(outcome, {})
             row[client] = row.get(client, 0) + 1
@@ -567,11 +620,15 @@ class LFRUSPolicy(Policy):
         cols = self._cols
         touched = self._touched
         for c2 in self._stale:
+            dq = self.windows[c2]
+            if len(gp) < len(dq) and len(gp) < self._pow_end:
+                self._extend_powers(len(dq))
             sums: dict[int, float] = {}
-            # rightmost entry is the newest request -> lag 0
-            for lag, outcome in enumerate(reversed(self.windows[c2])):
+            # rightmost entry is the newest request -> lag 0; zip stops at
+            # _pow_end, past which every weight is 0.0 and changes no sum
+            for g, outcome in zip(gp, reversed(dq)):
                 if outcome is not None:
-                    sums[outcome] = sums.get(outcome, 0.0) + gp[lag]
+                    sums[outcome] = sums.get(outcome, 0.0) + g
             col = {}
             for c1, v in sums.items():
                 n = math.floor(v)
@@ -596,6 +653,17 @@ class LFRUSPolicy(Policy):
             else:
                 del cols[c2]
         self._stale.clear()
+
+    def _extend_powers(self, n: int) -> None:
+        """Hold gamma**k for every k < n, stopping at the first power that
+        underflows to 0.0 (every later one does too)."""
+        gp = self._gamma_pow
+        while len(gp) < n:
+            g = self.gamma ** len(gp)
+            if g == 0.0:
+                self._pow_end = len(gp)
+                return
+            gp.append(g)
 
     def _row_scores(self) -> dict[int, int]:
         """Best column per row (the cached dict itself; do not mutate)."""

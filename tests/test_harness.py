@@ -168,6 +168,11 @@ def test_parse_experiment_config_full():
         ("preset = x\npolicies = fifo\ncapacities = 1\n", "unknown policy"),
         ("preset = x\npolicies = lru\ncapacities = 1\nseeds = one\n", "integer"),
         ("preset = x\npolicies = lru\ncapacities = 1\nscale = big\n", "number"),
+        ("preset = x\npolicies = lru, lfu, lru\ncapacities = 1\n", "repeat a label: lru"),
+        (
+            "preset = x\npolicies = lfrus:w=20:g=0.5, lfrus:window=20:gamma=0.50\ncapacities = 1\n",
+            r"repeat a label: lfrus\(w=20,g=0.5\)",
+        ),
     ],
 )
 def test_parse_experiment_config_errors(text, match):
@@ -986,6 +991,27 @@ def test_cli_sweep_stdout_and_errors(tmp_path, capsys):
     assert cli.main(["sweep", str(bad)]) == 2
     assert cli.main(["sweep", str(tmp_path / "absent.cfg")]) == 2
     capsys.readouterr()
+
+
+def test_sweep_keeps_policies_with_nearby_gammas_apart(tmp_path, capsys):
+    # labels key the rows, comparisons and capacity summaries: two gammas
+    # that print alike under :g must not pool into one entry
+    text = (
+        "preset = grouped-4.1\npolicies = lfrus:w=20:g=0.5, lfrus:w=20:g=0.5000001\n"
+        "capacities = 1%\nseeds = 1\nscale = 0.02\nhorizon = 60\n"
+    )
+    cfg = parse_experiment_config(text)
+    labels = [p.label() for p in cfg.policies]
+    assert labels == ["lfrus(w=20,g=0.5)", "lfrus(w=20,g=0.5000001)"]
+    report = run_sweep(cfg)
+    assert [r.policy for r in report.rows] == labels
+    (summary,) = summarize_capacities(report)
+    assert [pol for pol, _gap in summary.gaps] == labels
+    # a config that does repeat a label exits 2
+    bad = tmp_path / "dup.cfg"
+    bad.write_text(text.replace("g=0.5000001", "gamma=0.50"))
+    assert cli.main(["sweep", str(bad)]) == 2
+    assert "repeat a label: lfrus(w=20,g=0.5)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("base", ["volume", "footprint"])

@@ -78,6 +78,20 @@ def test_policy_labels():
     assert PolicyParams("lfrus", window=2, gamma=0.5).label() == "lfrus(w=2,g=0.5)"
 
 
+def test_lfrus_labels_are_injective():
+    # :g is kept wherever it reads back as the same gamma ...
+    kept = [(1.0, "1"), (0.5, "0.5"), (0.7, "0.7"), (1e-05, "1e-05"), (0.123456, "0.123456")]
+    for gamma, text in kept:
+        assert PolicyParams("lfrus", window=20, gamma=gamma).label() == f"lfrus(w=20,g={text})"
+    # ... and repr takes over where :g would round two gammas together
+    near = [0.5, 0.5000001, 0.50000001, math.nextafter(0.5, 1), 0.1234567, 1 - 2**-53]
+    labels = [PolicyParams("lfrus", window=20, gamma=g).label() for g in near]
+    assert labels[1] == "lfrus(w=20,g=0.5000001)"
+    assert len(set(labels)) == len(near)
+    for gamma, label in zip(near, labels):
+        assert float(label[label.index("g=") + 2 : -1]) == gamma
+
+
 @pytest.mark.parametrize(
     "bad",
     ["", "fifo", "lfru:20", "lfru:size=3", "lfru:w=-1", "lfrus:gamma=0", "lfrus:gamma=1.5"],
@@ -96,6 +110,81 @@ def test_build_policy_builds_replayed_kinds_only():
     assert build_policy(parse_policy_spec("lfrus:w=3:g=1"))._stamped
     assert not build_policy(parse_policy_spec("lfrus:w=3:g=0.5"))._stamped
     assert not build_policy(parse_policy_spec("lfru:w=0"))._stamped
+
+
+@pytest.mark.parametrize(
+    "spec,span",
+    [
+        ("lfru", 21),
+        ("lfrus:w=20:g=1", 21),
+        ("lfrus:w=20:g=0.5", 1),
+        ("lfrus:w=45:g=0.5", 1),
+        ("lfrus:w=2:g=0.6", 1),
+        ("lfrus:w=20:g=0.7", None),
+        ("lfrus:w=60:g=0.5", None),
+        ("lfrus:w=46:g=0.5", None),
+        ("lfrus:w=5:g=0.55", None),
+    ],
+)
+def test_follow_policy_span_selection(spec, span):
+    # span: rows count over the newest `span` outcomes; None: the float
+    # sums are re-summed and patched
+    pol = build_policy(parse_policy_spec(spec))
+    assert pol._span == span
+    tr = random_unit_trace(3, 600, 20, 4)
+    simulate(tr, pol, CacheConfig(6.0))
+    # the windows keep all window+1 outcomes on either path
+    assert all(len(w) == pol.window + 1 for w in pol.window_snapshot().values())
+    if span is not None:
+        assert not pol._stale and not pol._cols and not pol._gamma_pow
+        assert max(pol.follow_counts().values()) <= span
+
+
+def _window_sums(gamma: float, window: int):
+    """For every set of lags (0..window) at which one client is the outcome,
+    its newest-first float sum of gamma**lag, as LFRUSPolicy adds it, and
+    whether lag 0 is in the set."""
+    powers = [gamma**k for k in range(window + 1)]
+    sums = [(0.0, False, True)]  # (sum, has lag 0, empty)
+    for lag, g in enumerate(powers):
+        # adding the highest lag last keeps each sum in newest-first order
+        sums += [(g if empty else v + g, newest or lag == 0, False) for v, newest, empty in sums]
+    return [(v, newest) for v, newest, empty in sums if not empty]
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.45, 0.5, 0.55, 0.6, 0.7, 0.9])
+def test_counted_span_is_chosen_exactly_where_the_newest_outcome_decides_every_floor(gamma):
+    # exhaustive over every outcome pattern of windows 1-12: where the class
+    # counts, each floored sum is "the newest outcome is c1"; where it keeps
+    # the patch, some pattern floors otherwise
+    for window in range(1, 13):
+        decided = all(
+            math.floor(v) == newest for v, newest in _window_sums(gamma, window)
+        )
+        assert (LFRUSPolicy(window, gamma)._span == 1) == decided, window
+
+
+def test_follow_policy_builds_no_powers_ahead_of_a_summed_window():
+    # gamma=1 and the counted gammas build no powers at all, even at a
+    # window of a million
+    for pol in (LFRUPolicy(1_000_000), LFRUSPolicy(1_000_000, 0.3)):
+        assert pol._gamma_pow == []
+    pol = LFRUSPolicy(1_000_000, 0.7)
+    assert pol._span is None and pol._gamma_pow == []
+    tr = random_unit_trace(4, 400, 20, 4)
+    simulate(tr, pol, CacheConfig(6.0))
+    longest = max(map(len, pol.window_snapshot().values()))
+    assert 0 < len(pol._gamma_pow) <= longest < 400
+    assert pol._gamma_pow == [0.7**k for k in range(len(pol._gamma_pow))]
+    # powers stop before the first that underflows to 0.0: 0.5**1075
+    pol = LFRUSPolicy(1100, 0.5)
+    assert pol._span is None
+    tr = random_unit_trace(5, 2600, 30, 2)
+    simulate(tr, pol, CacheConfig(8.0))
+    windows = pol.window_snapshot()
+    assert max(map(len, windows.values())) == 1101
+    assert pol._pow_end == len(pol._gamma_pow) == 1075 and pol._gamma_pow[-1] > 0.0
+    assert pol.follow_counts() == naive_follow_counts(windows, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +585,8 @@ def test_lfu_heap_stays_bounded_by_the_cache():
     assert unpacked_eviction_objects(m) == victims and m.hits == sum(hits)
 
 
-@pytest.mark.parametrize("window", [0, 1, 3, 8, 20])
-@pytest.mark.parametrize("gamma", [0.5, 0.7, 1.0])
+@pytest.mark.parametrize("window", [0, 1, 2, 3, 5, 8, 20, 46, 47])
+@pytest.mark.parametrize("gamma", [0.5, 0.55, 0.6, 0.7, 1.0])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_follow_victims_match_naive_reference(window, gamma, seed):
     # no follow_counts() call during the run: it would refresh the cached
@@ -539,27 +628,34 @@ class _FromScratchFollow(Policy):
         return min(ranked, key=lambda ik: (scores.get(last_req[ik[1]], 0), ik[0]))[1]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(1, 4), st.integers(1, 10)), min_size=1, max_size=120),
     st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=10, max_size=10),
     st.integers(3, 10),
-    st.sampled_from([0, 1, 2, 3, 6]),
-    st.sampled_from([0.5, 0.7, 1.0]),
+    st.sampled_from([0, 1, 2, 3, 5, 6, 46, 47]),
+    st.sampled_from([0.5, 0.55, 0.6, 0.7, 1.0]),
+    st.sampled_from([0.0, 0.4]),
 )
-def test_follow_policy_matches_from_scratch_with_sizes(requests, sizes, capacity, window, gamma):
-    # sizes 1-3 make one admission evict several residents at once
+def test_follow_policy_matches_from_scratch_with_sizes(
+    requests, sizes, capacity, window, gamma, local
+):
+    # sizes 1-3 make one admission evict several residents at once;
+    # fraction 0.4 gives each client a private tier of 1-4 bytes.  gammas
+    # 0.5-0.6 count at some of these windows and patch at others
     tr = make_trace(
         [(t, c, o) for t, (c, o) in enumerate(requests, start=1)],
         sizes={o: s for o, s in enumerate(sizes, start=1)},
     )
+    config = CacheConfig(float(capacity), local_cache_fraction=local)
     fast = LFRUSPolicy(window, gamma)
     slow = _FromScratchFollow(window, gamma)
-    a = simulate(tr, fast, CacheConfig(float(capacity)), record_evictions=True)
-    b = simulate(tr, slow, CacheConfig(float(capacity)), record_evictions=True)
+    a = simulate(tr, fast, config, record_evictions=True)
+    b = simulate(tr, slow, config, record_evictions=True)
     assert a.eviction_log == b.eviction_log
-    assert a.hits == b.hits
+    assert (a.hits, a.local_hits) == (b.hits, b.local_hits)
     assert fast.follow_counts() == slow.follow_counts()
+    assert fast.window_snapshot() == {c: tuple(w) for c, w in slow.windows.items()}
 
 
 # ---------------------------------------------------------------------------
