@@ -21,7 +21,6 @@ from typing import IO
 import numpy as np
 
 from .policies import (
-    LRUPolicy,
     Policy,
     PolicyConfigError,
     PolicyParams,
@@ -211,7 +210,8 @@ def _replay(
 
     Hooks get the request's position in ``keys``.  ``on_request`` runs on
     hits, and on misses only for a policy that ``reads_misses``; hooks a
-    class does not override are not called.
+    class does not override are not called.  ``victim()`` evicts from
+    ``order``; its ``KeyError`` means it chose a key that is not resident.
     """
     n = len(keys)
     # resident identities in recency order, least-recent first; the value is
@@ -221,13 +221,11 @@ def _replay(
     hit_at: list[int] = []
     record_hit = hit_at.append
     oversized = 0
-    evictions = 0
     ev_log: list[int] | None = [] if record_evictions else None
 
     on_hit = None if type(pol).on_request is Policy.on_request else pol.on_request
     on_miss = on_hit if pol.reads_misses else None
     on_admit = None if type(pol).on_admit is Policy.on_admit else pol.on_admit
-    on_evict = None if type(pol).on_evict is Policy.on_evict else pol.on_evict
     victim = pol.victim
     used = 0.0
     for i, k in enumerate(keys):
@@ -244,14 +242,11 @@ def _replay(
             oversized += 1
             continue
         while used + s > capacity:
-            v = victim()
-            vs = order.pop(v, None)
-            if vs is None:
-                raise ConsistencyError(f"policy returned non-resident victim {v}")
+            try:
+                v, vs = victim()
+            except KeyError as e:
+                raise ConsistencyError(f"policy returned non-resident victim {e}") from e
             used -= vs
-            evictions += 1
-            if on_evict is not None:
-                on_evict(v)
             if ev_log is not None:
                 ev_log.append(v)
         order[k] = s
@@ -261,6 +256,8 @@ def _replay(
 
     hit_flags = np.zeros(n, dtype=bool)
     hit_flags[np.array(hit_at, dtype=np.intp)] = True
+    # every admitted key is resident or was evicted once
+    evictions = n - len(hit_at) - oversized - len(order)
     return hit_flags, oversized, evictions, ev_log
 
 
@@ -273,7 +270,7 @@ def _local_filter(
     and the private-tier hit count.  Each client's requests, in order, replay
     through the shared cache's LRU code at ``local_capacity``:
     `_unit_lru_replay` when every size is 1.0, else `_replay` with a fresh
-    `LRUPolicy`.  Objects larger than the private capacity always miss it
+    `Policy` (LRU).  Objects larger than the private capacity always miss it
     and are forwarded.
     """
     n = len(keys_arr)
@@ -297,9 +294,7 @@ def _local_filter(
         if unit:
             hits = _unit_lru_replay(keys[a:b], local_capacity)[0]
         else:
-            hits = _replay(
-                LRUPolicy(), keys[a:b], clients[a:b], sizes[a:b], local_capacity, False
-            )[0]
+            hits = _replay(Policy(), keys[a:b], clients[a:b], sizes[a:b], local_capacity, False)[0]
         run_hits.append(hits)
     hit_flags = np.empty(n, dtype=bool)
     hit_flags[by_client] = np.concatenate(run_hits)

@@ -10,10 +10,11 @@ gets ``i``, the request's position in the key stream the engine replays:
 * ``on_request(i, client, key, hit)`` fires on every hit, before the
   recency order changes.  It fires on misses too, before admission, only
   for a class whose ``reads_misses`` is true (the follow-aware policies).
-* ``on_admit(i, key)`` / ``on_evict(key)`` fire when residency changes.  An
-  object larger than the whole cache is never admitted and gets no
-  ``on_admit``.
-* ``victim()`` names the resident to evict next; the engine removes it.
+* ``on_admit(i, key)`` fires when a key is admitted.  An object larger than
+  the whole cache is never admitted and gets no ``on_admit``.
+* ``victim()`` is the eviction: it removes the resident to evict from the
+  recency order and from the policy's own state, and returns ``(key,
+  size)``.  The engine only releases the size.
 
 The engine's recency order (``self.order``, an OrderedDict of resident key
 to size, least-recent first) doubles as the LRU bookkeeping every policy may
@@ -78,16 +79,17 @@ def parse_policy_spec(text: str) -> PolicyParams:
         if "=" not in opt:
             raise PolicyConfigError(f"malformed policy option {opt!r}")
         k, v = (s.strip() for s in opt.split("=", 1))
-        if k in ("w", "window"):
+        # an option the kind ignores is refused, not silently dropped
+        if k in ("w", "window") and kind in ("lfru", "lfrus"):
             window = int(v)
             if window < 0:
                 raise PolicyConfigError("window must be >= 0")
-        elif k in ("g", "gamma"):
+        elif k in ("g", "gamma") and kind == "lfrus":
             gamma = float(v)
             if not 0 < gamma <= 1:
                 raise PolicyConfigError("gamma must be in (0, 1]")
         else:
-            raise PolicyConfigError(f"unknown policy option {k!r}")
+            raise PolicyConfigError(f"policy {kind!r} takes no option {k!r}")
     return PolicyParams(kind=kind, window=window, gamma=gamma)
 
 
@@ -108,17 +110,14 @@ class Policy:
         pass
 
     def on_evict(self, key: int) -> None:  # pragma: no cover
-        pass
+        """Never called: ``victim`` evicts.  Kept only for the benchmark's
+        tracer, which reads it (ROADMAP item 5)."""
 
-    def victim(self) -> int:
+    def victim(self) -> tuple[int, float]:
         # least recently used: the front of the recency order
-        for key in self.order:
-            return key
-        raise IndexError(f"{self.name} victim requested with nothing resident")
-
-
-class LRUPolicy(Policy):
-    name = "lru"
+        if not self.order:
+            raise IndexError(f"{self.name} victim requested with nothing resident")
+        return self.order.popitem(last=False)
 
 
 def _key_runs(keys: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -193,7 +192,7 @@ class LFUPolicy(Policy):
         heap[:] = self._live.values()
         heapq.heapify(heap)
 
-    def victim(self) -> int:
+    def victim(self) -> tuple[int, float]:
         live = self._live
         keys = self._keys
         n = len(keys)
@@ -203,7 +202,7 @@ class LFUPolicy(Policy):
             key = keys[p % n]
             if live.get(key) == p:
                 del live[key]
-                return key
+                return key, self.order.pop(key)
         raise IndexError(f"{self.name} victim requested with nothing resident")
 
 
@@ -221,13 +220,12 @@ class SievePolicy(Policy):
     the one just newer than the hand.  An admission is the newest entry, so
     it joins the front of ``_behind``; a visited entry the hand passes is
     cleared and becomes the entry just newer than the hand, the end of
-    ``_behind``.  Only the hand removes entries, so ``victim`` takes its
-    victim out itself and there is no ``on_evict``.  The hand wraps to the
-    newest entry (the deques swap) as soon as ``_ahead`` runs out, during a
-    scan or right after an eviction, so that later admissions are scanned
-    last.  An eviction that empties the queue sends the hand back to the
-    oldest entry: ``_ahead`` stays empty until the next ``victim`` moves the
-    oldest entry, the end of ``_behind``, into it.
+    ``_behind``.  Only the hand, in ``victim``, removes entries.  The hand
+    wraps to the newest entry (the deques swap) as soon as ``_ahead`` runs
+    out, during a scan or right after an eviction, so that later admissions
+    are scanned last.  An eviction that empties the queue sends the hand
+    back to the oldest entry: ``_ahead`` stays empty until the next
+    ``victim`` moves the oldest entry, the end of ``_behind``, into it.
     """
 
     name = "sieve"
@@ -243,7 +241,7 @@ class SievePolicy(Policy):
     def on_admit(self, i: int, key: int) -> None:
         self._behind.appendleft(key)
 
-    def victim(self) -> int:
+    def victim(self) -> tuple[int, float]:
         ahead, behind, visited = self._ahead, self._behind, self._visited
         if not ahead:  # nothing scanned since the queue was empty: start at the oldest
             ahead.append(behind.pop())
@@ -257,7 +255,7 @@ class SievePolicy(Policy):
         if not ahead:
             ahead, behind = behind, ahead
         self._ahead, self._behind = ahead, behind
-        return key
+        return key, self.order.pop(key)
 
 
 class BeladyPolicy(Policy):
@@ -277,10 +275,10 @@ class BeladyPolicy(Policy):
     admission in ``on_admit``.  An entry whose next use is at most the
     current position is stale.  Each resident has one entry further out,
     its latest, and an evicted key's latest entry left the heap as its
-    victim, so the heap top is always a live resident and no ``on_evict``
-    is needed.  Once stale entries make the heap longer than twice the
-    residents, ``victim`` keeps only as many entries as there are
-    residents, the smallest, which are the live ones.
+    victim, so the heap top is always a live resident.  Once stale entries
+    make the heap longer than twice the residents, ``victim`` keeps only as
+    many entries as there are residents, the smallest, which are the live
+    ones.
     """
 
     name = "belady"
@@ -305,7 +303,7 @@ class BeladyPolicy(Policy):
     def on_admit(self, i: int, key: int) -> None:
         heapq.heappush(self._heap, self._neg_next_use[i])
 
-    def victim(self) -> int:
+    def victim(self) -> tuple[int, float]:
         heap = self._heap
         residents = len(self.order)
         if len(heap) > 2 * residents:
@@ -315,7 +313,8 @@ class BeladyPolicy(Policy):
         keys = self._keys
         next_use = -heapq.heappop(heap)
         n = len(keys)
-        return keys[next_use if next_use < n else 2 * n - next_use]
+        key = keys[next_use if next_use < n else 2 * n - next_use]
+        return key, self.order.pop(key)
 
 
 @dataclass(frozen=True)
@@ -717,28 +716,29 @@ class LFRUSPolicy(Policy):
             lines.append(f"{c1},{c2},{n}")
         return "\n".join(lines) + "\n"
 
-    def victim(self) -> int:
+    def victim(self) -> tuple[int, float]:
         scores = self._row_scores()
         order = self.order
         if not order:
             raise IndexError(f"{self.name} victim requested with nothing resident")
         if not scores:
-            return next(iter(order))
+            return order.popitem(last=False)
         seen, clients = self._seen, self._clients
         if self._stamped:
             lo = seen[next(iter(order))]
             if clients[lo] in scores and self._now - lo <= _STAMP_SPAN * len(order):
-                return self._stamp_victim(lo, scores)
+                key = self._stamp_victim(lo, scores)
+                return key, order.pop(key)
         best_key = None
         best = None
         for key in order:  # least-recent first: first minimum wins ties
             s = scores.get(clients[seen[key]], 0)
-            if s == 0:
-                return key  # cannot be beaten, and earliest = LRU tie-break
+            if s == 0:  # cannot be beaten, and earliest = LRU tie-break
+                return key, order.pop(key)
             if best is None or s < best:
                 best = s
                 best_key = key
-        return best_key
+        return best_key, order.pop(best_key)
 
     def _stamp_victim(self, lo: int, scores: dict[int, int]) -> int:
         """The gamma=1 victim from the stamps at and after ``lo``, the latest
@@ -788,7 +788,7 @@ def build_policy(params: PolicyParams) -> Policy:
     """
     kind = params.kind
     if kind == "lru":
-        return LRUPolicy()
+        return Policy()
     if kind == "lfu":
         return LFUPolicy()
     if kind == "sieve":

@@ -82,7 +82,7 @@ def random_unit_trace(seed: int, n_events: int, n_objects: int, n_clients: int) 
 # ---------------------------------------------------------------------------
 
 
-def naive_run(keys, capacity: int, victim_fn, on_request=None, on_evict=None):
+def naive_run(keys, capacity: int, victim_fn, on_request=None):
     """Drive a victim function over a unit-size request stream.
 
     ``resident`` is a plain list in recency order (least recent first).
@@ -105,14 +105,43 @@ def naive_run(keys, capacity: int, victim_fn, on_request=None, on_evict=None):
             v = victim_fn(resident, pos)
             resident.remove(v)
             victims.append(v)
-            if on_evict is not None:
-                on_evict(v)
         resident.append(key)
     return hits, victims
 
 
 def naive_lru(keys, capacity: int):
     return naive_run(keys, capacity, lambda resident, pos: resident[0])
+
+
+def naive_sized_lru(keys, sizes, capacity):
+    """LRU over a byte budget, one size per request.
+
+    A miss that fits evicts the least-recent residents until it does; an
+    object larger than the whole cache is never admitted.  Returns (hit
+    flags, victims in eviction order).
+    """
+    resident: list = []  # recency order, least recent first
+    size_of: dict = {}
+    used = 0
+    hits = []
+    victims = []
+    for key, size in zip(keys, sizes):
+        if key in resident:
+            resident.remove(key)
+            resident.append(key)
+            hits.append(True)
+            continue
+        hits.append(False)
+        if size > capacity:
+            continue
+        while used + size > capacity:
+            v = resident.pop(0)
+            used -= size_of.pop(v)
+            victims.append(v)
+        resident.append(key)
+        size_of[key] = size
+        used += size
+    return hits, victims
 
 
 def naive_lfu(keys, capacity: int):

@@ -21,7 +21,7 @@ from corrcache.engine import (
     config_digest,
     simulate,
 )
-from corrcache.policies import LRUPolicy, PolicyConfigError, PolicyParams, static_optimal_select
+from corrcache.policies import Policy, PolicyConfigError, PolicyParams, static_optimal_select
 from corrcache.trace import (
     NO_VERSION,
     ObjectCatalog,
@@ -256,7 +256,7 @@ def key(object_id: int) -> int:
 
 
 def test_admit_with_free_space_evicts_nothing():
-    pol = LRUPolicy()
+    pol = Policy()
     tr = make_trace([(1, 1, 1), (2, 1, 2)], sizes={1: 4.0, 2: 6.0})
     m = simulate(tr, pol, CacheConfig(10.0), record_evictions=True)
     assert m.eviction_log == []
@@ -273,7 +273,7 @@ def test_admit_large_object_evicts_until_it_fits():
     events = [(t, 1, t) for t in range(1, 6)]
     # used 9 of 9 after d1..d3; an incoming size-5 object needs d1 (5) gone,
     # and evicting d1 alone frees exactly 5
-    pol = LRUPolicy()
+    pol = Policy()
     m = simulate(
         make_trace(events[:4], sizes=sizes), pol, CacheConfig(9.0), record_evictions=True
     )
@@ -287,7 +287,7 @@ def test_admit_large_object_evicts_until_it_fits():
 def test_admit_rejects_resident_and_oversized():
     # a resident is never admitted twice (the repeat is a hit), and an object
     # larger than the cache passes through as an oversized miss
-    pol = LRUPolicy()
+    pol = Policy()
     tr = make_trace([(1, 1, 1), (2, 1, 1), (3, 1, 2)], sizes={2: 5.0})
     m = simulate(tr, pol, CacheConfig(4.0), record_evictions=True)
     assert m.hits == 1
@@ -297,9 +297,9 @@ def test_admit_rejects_resident_and_oversized():
 
 
 def test_admit_detects_non_resident_victim():
-    class BadPolicy(LRUPolicy):
+    class BadPolicy(Policy):
         def victim(self):
-            return 777
+            return 777, self.order.pop(777)
 
     tr = make_trace([(1, 1, 1), (2, 1, 2)])
     with pytest.raises(ConsistencyError, match="non-resident victim"):
@@ -447,7 +447,7 @@ def test_unit_size_lru_takes_the_lru_cache_path_only_for_fresh_lru_params(monkey
     assert (calls.n, built.n) == (1 + 4, 1)
     for run in (
         lambda: simulate(tr, PolicyParams("lru"), config, record_evictions=True),
-        lambda: simulate(tr, LRUPolicy(), config),
+        lambda: simulate(tr, Policy(), config),
     ):
         calls.n = 0
         assert outcome(run()) == want
@@ -458,7 +458,7 @@ def test_unit_size_lru_takes_the_lru_cache_path_only_for_fresh_lru_params(monkey
 
 
 def test_prebuilt_lru_keeps_its_readable_state():
-    pol = LRUPolicy()
+    pol = Policy()
     simulate(make_trace([(1, 1, 1), (2, 1, 2), (3, 1, 3), (4, 1, 2)]), pol, CacheConfig(2.0))
     assert list(pol.order) == [key(3), key(2)]
 

@@ -932,6 +932,12 @@ def test_cli_simulate_bad_inputs(trace_file, tmp_path, capsys):
     assert cli.main([
         "simulate", "--trace", trace_file, "--policy", "fifo", "--capacity", "5",
     ]) == 2
+    capsys.readouterr()
+    # lfru has no gamma: the option is refused, not dropped
+    assert cli.main([
+        "simulate", "--trace", trace_file, "--policy", "lfru:g=0.3", "--capacity", "5",
+    ]) == 2
+    assert "policy 'lfru' takes no option 'g'" in capsys.readouterr().err
     assert cli.main([
         "simulate", "--trace", trace_file, "--capacity", "-3",
     ]) == 2

@@ -17,7 +17,6 @@ from corrcache.policies import (
     LFRUPolicy,
     LFRUSPolicy,
     LFUPolicy,
-    LRUPolicy,
     POLICY_KINDS,
     Policy,
     PolicyConfigError,
@@ -37,6 +36,7 @@ from conftest import (
     naive_follow_scores,
     naive_local_filter,
     naive_sized_lfu,
+    naive_sized_lru,
     naive_sized_sieve,
     random_unit_trace,
     unpacked_eviction_objects,
@@ -94,7 +94,24 @@ def test_lfrus_labels_are_injective():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "fifo", "lfru:20", "lfru:size=3", "lfru:w=-1", "lfrus:gamma=0", "lfrus:gamma=1.5"],
+    [
+        "",
+        "fifo",
+        "lfru:20",
+        "lfru:size=3",
+        "lfru:w=-1",
+        "lfrus:gamma=0",
+        "lfrus:gamma=1.5",
+        # only lfru and lfrus have a window, and only lfrus a gamma
+        "lru:w=5",
+        "lru:w=5:g=0.3",
+        "lfu:window=3",
+        "sieve:g=1",
+        "belady:w=3",
+        "static_opt:gamma=0.5",
+        "lfru:g=0.3",
+        "lfru:w=20:gamma=1",
+    ],
 )
 def test_parse_policy_spec_errors(bad):
     with pytest.raises(PolicyConfigError):
@@ -336,10 +353,10 @@ def test_belady_rejects_non_unit_sizes():
         simulate(tr, PolicyParams("belady"), CacheConfig(4.0))
 
 
-@pytest.mark.parametrize(
+REPLAYED = pytest.mark.parametrize(
     "build",
     [
-        LRUPolicy,
+        Policy,
         LFUPolicy,
         BeladyPolicy,
         SievePolicy,
@@ -348,11 +365,40 @@ def test_belady_rejects_non_unit_sizes():
     ],
     ids=["lru", "lfu", "belady", "sieve", "lfru", "lfrus"],
 )
+
+
+@REPLAYED
 def test_victim_with_nothing_resident_raises(build):
     policy = build()
     policy.bind(OrderedDict(), [], [])
     with pytest.raises(IndexError):
         policy.victim()
+
+
+@REPLAYED
+def test_victim_removes_exactly_the_key_it_returns(build):
+    # requests 0-3 admit d1-d4 (client 1, then client 2 for d3 and d4), and
+    # request 4 is client 2's hit on d1, a follow of client 1 for lfru/lfrus;
+    # sizes are distinct so the returned size names its key
+    keys, clients = [1, 2, 3, 4, 1], [1, 1, 2, 2, 2]
+    sizes = {1: 1.0, 2: 2.0, 3: 3.0, 4: 4.0}
+    order = OrderedDict()
+    policy = build()
+    policy.bind(order, keys, clients)
+    for i, (k, c) in enumerate(zip(keys, clients)):
+        if k in order:
+            policy.on_request(i, c, k, True)
+            order.move_to_end(k)
+            continue
+        if policy.reads_misses:
+            policy.on_request(i, c, k, False)
+        order[k] = sizes[k]
+        policy.on_admit(i, k)
+    before = dict(order)
+    while order:
+        key, size = policy.victim()
+        assert before.pop(key) == size
+        assert dict(order) == before
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.5], ids=["lfru", "lfrus"])
@@ -537,6 +583,14 @@ def test_lfu_matches_sized_naive_reference(requests, sizes, capacity):
 _SIZES = [1, 2, 3, 11, 1, 2, 3, 11, 1, 1]
 
 
+@settings(max_examples=60, deadline=None)
+@given(sized_requests, sized_catalog, st.integers(3, 10))
+# d3 (size 3) empties a 3-byte cache; d4 (size 11) passes it by
+@example([(1, 1), (1, 2), (1, 3), (2, 4), (1, 1), (2, 2)], _SIZES, 3)
+def test_lru_matches_sized_naive_reference(requests, sizes, capacity):
+    check_sized_naive_reference("lru", naive_sized_lru, requests, sizes, capacity)
+
+
 @settings(max_examples=100, deadline=None)
 @given(sized_requests, sized_catalog, st.integers(3, 10))
 # d3 (size 3) empties a 3-byte cache, then d1 empties it again
@@ -625,7 +679,8 @@ class _FromScratchFollow(Policy):
         scores = naive_follow_scores(self.windows, self.gamma)
         last_req = self.last_requester
         ranked = enumerate(self.order)
-        return min(ranked, key=lambda ik: (scores.get(last_req[ik[1]], 0), ik[0]))[1]
+        key = min(ranked, key=lambda ik: (scores.get(last_req[ik[1]], 0), ik[0]))[1]
+        return key, self.order.pop(key)
 
 
 @settings(max_examples=150, deadline=None)
