@@ -34,6 +34,7 @@ from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
 
+from .trace import _sequential_sum
 from .workloads import (
     DelaySpec,
     FixedDelays,
@@ -46,6 +47,9 @@ from .workloads import (
 
 DEFAULT_MC_SAMPLES = 1_000_000
 _MC_CHUNK = 200_000
+# the characteristic-time solve stops once the cached volume is within this
+# fraction of the capacity
+_SOLVE_REL_TOL = 1e-6
 
 
 class ModelError(ValueError):
@@ -330,25 +334,18 @@ class WorkingSetModel:
             raise ModelError("sizes must be None, a scalar, a mapping, or a callable")
         if (self.sizes <= 0).any():
             raise ModelError("object sizes must be positive")
+        # summed once: every solve reads it, and a sequential sum costs more
+        # than numpy's pairwise one
+        self._volume = _sequential_sum(self.sizes)
         self._mc_cache: dict[int, np.ndarray] = {}
 
     @classmethod
-    def from_group_specs(
-        cls,
-        groups: Sequence[GroupSpec],
-        sizes=None,
-        mc_samples: int = DEFAULT_MC_SAMPLES,
-        mc_seed: int = 0,
-    ) -> "WorkingSetModel":
-        return cls(
-            [ModelGroup.from_group_spec(g) for g in groups],
-            sizes=sizes,
-            mc_samples=mc_samples,
-            mc_seed=mc_seed,
-        )
+    def from_group_specs(cls, groups: Sequence[GroupSpec], sizes=None) -> "WorkingSetModel":
+        return cls([ModelGroup.from_group_spec(g) for g in groups], sizes=sizes)
 
     def total_volume(self) -> float:
-        return float(self.sizes.sum())
+        """Sum of sizes added in ascending object order, the catalog's rule."""
+        return self._volume
 
     def _mc_samples_for(self, gi: int) -> np.ndarray:
         mat = self._mc_cache.get(gi)
@@ -393,10 +390,9 @@ class WorkingSetModel:
         p *= self.sizes
         return float(p.sum())
 
-    def solve_characteristic_time(
-        self, capacity: float, rel_tol: float = 1e-6, max_iter: int = 500
-    ) -> CharacteristicTime:
-        """Solve expected_cached_volume(t*) = capacity by bracketed bisection."""
+    def solve_characteristic_time(self, capacity: float, max_iter: int = 500) -> CharacteristicTime:
+        """Solve expected_cached_volume(t*) = capacity by bracketed bisection,
+        to within 1e-6 of the capacity (`_SOLVE_REL_TOL`)."""
         if not capacity > 0:  # NaN too
             raise ModelError("capacity must be positive")
         if capacity >= self.total_volume():
@@ -404,7 +400,7 @@ class WorkingSetModel:
                 "capacity holds the whole catalog; the characteristic time is unbounded"
             )
         target = float(capacity)
-        tol = rel_tol * target
+        tol = _SOLVE_REL_TOL * target
         lo, hi = 0.0, 1.0
         iters = 0
         while (val := self.expected_cached_volume(hi)) < target:
@@ -534,9 +530,9 @@ class WorkingSetModel:
             out.append(vecs)
         return out
 
-    def hit_report(self, capacity: float, rel_tol: float = 1e-6) -> HitReport:
+    def hit_report(self, capacity: float) -> HitReport:
         """Solve for t*, then tabulate hit probabilities for every role."""
-        ct = self.solve_characteristic_time(capacity, rel_tol=rel_tol)
+        ct = self.solve_characteristic_time(capacity)
         t = ct.t_star
         p = self.p_requested(t)
         leaders = self._leader_tables(p, t)

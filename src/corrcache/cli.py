@@ -9,7 +9,6 @@ consistency check fails after a run.
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 
@@ -26,14 +25,13 @@ from .harness import (
     CapacityGrid,
     HarnessConfigError,
     _field_float,
-    capacity_summary_csv,
+    _sweep_tables,
+    _write_files,
     compare_policies,
-    comparison_csv,
     parse_experiment_config,
     parse_kv_lines,
     reproduce,
     run_sweep,
-    summarize_capacities,
 )
 from .policies import PolicyConfigError, parse_policy_spec
 from .presets import PresetError, get_preset, preset_names
@@ -118,8 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="output directory: writes metrics.csv and summary.json inside",
     )
-    sim.add_argument("--out-metrics", default=None, help="per-(client,object) CSV path")
-    sim.add_argument("--out-summary", default=None, help="summary JSON path")
     sim.add_argument(
         "--dump-follow-matrix",
         default=None,
@@ -262,17 +258,11 @@ def _cmd_simulate(args) -> int:
         metrics = simulate(trace, params, config, seed=args.seed)
     metrics.meta["config_digest"] = config_digest(params.label(), config, trace)
     metrics.meta["trace_file"] = args.trace
-    out_metrics = args.out_metrics
-    out_summary = args.out_summary
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
-        out_metrics = out_metrics or os.path.join(args.out, "metrics.csv")
-        out_summary = out_summary or os.path.join(args.out, "summary.json")
-    if out_metrics:
-        with open(out_metrics, "w", newline="\n") as fh:
+        with open(os.path.join(args.out, "metrics.csv"), "w", newline="\n") as fh:
             metrics.to_csv(fh)
-    if out_summary:
-        with open(out_summary, "w", newline="\n") as fh:
+        with open(os.path.join(args.out, "summary.json"), "w", newline="\n") as fh:
             metrics.write_summary(fh)
     ratio = metrics.hit_ratio
     print(
@@ -287,24 +277,12 @@ def _cmd_sweep(args) -> int:
         cfg = parse_experiment_config(fh.read())
     out_dir = args.out if args.out is not None else cfg.out_dir
     report = run_sweep(cfg)
-    comparisons = compare_policies(report, baseline=cfg.policies[0].label())
-    summaries = summarize_capacities(report)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        sweep_path = os.path.join(out_dir, "sweep.csv")
-        with open(sweep_path, "w", newline="\n") as fh:
-            report.to_csv(fh)
-        cmp_path = os.path.join(out_dir, "comparison.csv")
-        with open(cmp_path, "w", newline="\n") as fh:
-            comparison_csv(comparisons, fh)
-        sum_path = os.path.join(out_dir, "capacity-summary.csv")
-        with open(sum_path, "w", newline="\n") as fh:
-            capacity_summary_csv(summaries, fh)
-        print(f"wrote {sweep_path}, {cmp_path}, {sum_path} ({len(report.rows)} rows)")
+    tables = _sweep_tables(report, compare_policies(report, baseline=cfg.policies[0].label()))
+    if out_dir is None:
+        sys.stdout.write(tables["sweep.csv"])
     else:
-        buf = io.StringIO()
-        report.to_csv(buf)
-        sys.stdout.write(buf.getvalue())
+        paths = _write_files(out_dir, tables)
+        print(f"wrote {', '.join(paths)} ({len(report.rows)} rows)")
     return 0
 
 

@@ -537,9 +537,9 @@ class CapacitySummary:
     multipliers: tuple[tuple[str, str, float | None], ...]  # (policy, baseline, x)
 
 
-def summarize_capacities(
-    report: SweepReport, baselines: tuple[str, ...] = ("lru", "lfu")
-) -> tuple[CapacitySummary, ...]:
+def summarize_capacities(report: SweepReport) -> tuple[CapacitySummary, ...]:
+    """Per capacity: the best policy by mean hit ratio, every policy's gap to
+    it, and each follow-aware policy's ratio of means over lru and lfu."""
     by_cell, order = _cells_by_policy_capacity(report)
     caps: list[float] = []
     for _pol, cap in order:
@@ -563,7 +563,7 @@ def summarize_capacities(
         for pol in policies:
             if not pol.startswith(("lfru", "lfrus")) or pol not in means:
                 continue
-            for base in baselines:
+            for base in ("lru", "lfu"):
                 if base in means:
                     mults.append((pol, base, _ratio_of_means(means[pol], means[base])))
         out.append(CapacitySummary(cap, best_policy, best_mean, gaps, tuple(mults)))
@@ -594,6 +594,36 @@ class ReproduceResult:
     written: list[str]
 
 
+def _csv_text(write, *args) -> str:
+    """What ``write(*args, fh)`` writes, as a string."""
+    buf = io.StringIO()
+    write(*args, buf)
+    return buf.getvalue()
+
+
+def _sweep_tables(report: SweepReport, comparisons: Sequence[PolicyComparison]) -> dict[str, str]:
+    """A sweep's rows, policy comparisons and capacity summaries as CSV text,
+    by file name."""
+    return {
+        "sweep.csv": _csv_text(report.to_csv),
+        "comparison.csv": _csv_text(comparison_csv, comparisons),
+        "capacity-summary.csv": _csv_text(capacity_summary_csv, summarize_capacities(report)),
+    }
+
+
+def _write_files(out_dir: str, files: dict[str, str]) -> list[str]:
+    """Write each text to its file name under ``out_dir``, made if missing;
+    returns the paths in order."""
+    os.makedirs(out_dir, exist_ok=True)
+    written = []
+    for name, text in files.items():
+        path = os.path.join(out_dir, name)
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+        written.append(path)
+    return written
+
+
 def _role_of_client(groups, client: int) -> tuple[int, str, int]:
     """(group index, role, follower index 1-based or 0 for the leader)."""
     for gi, (leader, followers) in enumerate(group_clients(groups)):
@@ -604,9 +634,14 @@ def _role_of_client(groups, client: int) -> tuple[int, str, int]:
     raise KeyError(f"client {client} not in any group")
 
 
-def _overlay_table(
-    groups, metrics: SimulationMetrics, hit_report, min_requests: int
-) -> tuple[str, dict]:
+# An overlay's max_abs_diff covers the (client, object) pairs requested at
+# least this often; a variant grid tabulates this many objects, those with the
+# highest leader rates.
+_OVERLAY_MIN_REQUESTS = 20
+_GRID_TOP_OBJECTS = 10
+
+
+def _overlay_table(groups, metrics: SimulationMetrics, hit_report) -> tuple[str, dict]:
     """Aligned per-(client, object) simulated vs predicted hit probability."""
     model_prob: dict[tuple[int, int], float] = {}
     for gi, g in enumerate(hit_report.groups):
@@ -639,7 +674,7 @@ def _overlay_table(
         sim = hits / req
         model = model_prob[key]
         diff = abs(sim - model)
-        if req >= min_requests:
+        if req >= _OVERLAY_MIN_REQUESTS:
             max_diff = max(max_diff, diff)
             compared += 1
         buf.write(
@@ -648,7 +683,7 @@ def _overlay_table(
     summary = {
         "max_abs_diff": max_diff,
         "compared_pairs": compared,
-        "min_requests": min_requests,
+        "min_requests": _OVERLAY_MIN_REQUESTS,
         "t_star": hit_report.t_star,
         "capacity": hit_report.capacity,
         "normalized_model_hit_rate": hit_report.normalized_hit_rate,
@@ -656,7 +691,7 @@ def _overlay_table(
     return buf.getvalue(), summary
 
 
-def _reproduce_overlay(preset: Preset, scale: float, seed: int, horizon, min_requests: int):
+def _reproduce_overlay(preset: Preset, scale: float, seed: int, horizon):
     trace = preset.build_trace(scale=scale, seed=seed, horizon=horizon)
     volume = trace.catalog.total_volume()
     frac = preset.capacity_fractions[len(preset.capacity_fractions) // 2]
@@ -668,13 +703,13 @@ def _reproduce_overlay(preset: Preset, scale: float, seed: int, horizon, min_req
         PolicyParams("lru"),
         CacheConfig(capacity=capacity, local_cache_fraction=preset.local_fraction),
     )
-    table, summary = _overlay_table(preset.groups(scale), metrics, report, min_requests)
+    table, summary = _overlay_table(preset.groups(scale), metrics, report)
     summary["capacity_fraction_of_volume"] = frac
     summary["seed"] = seed
     return {"overlay.csv": table}, summary
 
 
-def _reproduce_variant_grid(preset: Preset, scale: float, seed: int, horizon, top_objects=10):
+def _reproduce_variant_grid(preset: Preset, scale: float, seed: int, horizon):
     """Model and simulated follower hit probabilities across preset variants."""
     frac = preset.capacity_fractions[0]
     model_cols: dict[str, dict[int, float]] = {}
@@ -688,7 +723,7 @@ def _reproduce_variant_grid(preset: Preset, scale: float, seed: int, horizon, to
         g = report.groups[0]
         if objects is None:
             rate_order = np.argsort(-g.rates, kind="stable")
-            objects = g.object_ids[rate_order[:top_objects]].tolist()
+            objects = g.object_ids[rate_order[:_GRID_TOP_OBJECTS]].tolist()
         follower_mean = np.mean(np.stack(g.follower_list), axis=0)
         prob_of = dict(zip(g.object_ids.tolist(), follower_mean.tolist()))
         model_cols[variant] = {o: prob_of[o] for o in objects}
@@ -759,12 +794,6 @@ def _reproduce_sweep(preset: Preset, scale: float, seed: int, horizon):
     # the probe is the trace run_sweep would build for this seed
     report = _run_sweep(cfg, preset, lambda _seed: probe)
     comparisons = compare_policies(report)
-    sweep_buf = io.StringIO()
-    report.to_csv(sweep_buf)
-    cmp_buf = io.StringIO()
-    comparison_csv(comparisons, cmp_buf)
-    sum_buf = io.StringIO()
-    capacity_summary_csv(summarize_capacities(report), sum_buf)
     ranked = [c for c in comparisons if c.multiplier is not None and math.isfinite(c.multiplier)]
     best = max(ranked, key=lambda c: (c.multiplier, c.capacity)) if ranked else None
     summary = {
@@ -774,12 +803,7 @@ def _reproduce_sweep(preset: Preset, scale: float, seed: int, horizon):
         "best_multiplier_policy": best.policy if best else None,
         "best_multiplier_capacity": best.capacity if best else None,
     }
-    tables = {
-        "sweep.csv": sweep_buf.getvalue(),
-        "comparison.csv": cmp_buf.getvalue(),
-        "capacity-summary.csv": sum_buf.getvalue(),
-    }
-    return tables, summary
+    return _sweep_tables(report, comparisons), summary
 
 
 def reproduce(
@@ -788,34 +812,28 @@ def reproduce(
     seed: int = 0,
     out_dir: str | None = None,
     horizon: float | None = None,
-    min_requests: int = 20,
 ) -> ReproduceResult:
     """Re-run a named experiment at the given scale and collect its tables.
 
-    Overlay presets (model-vs-simulation) emit an aligned per-client CSV;
-    variant-grid presets emit one column set per variant; plain presets run
-    the default policy sweep.
+    A preset with variants emits one column set per variant
+    (``variant_grid.csv``); an overlay preset emits its simulated and model
+    hit probabilities aligned per (client, object) (``overlay.csv``); the
+    rest run the default policy sweep (``sweep.csv``, ``comparison.csv``,
+    ``capacity-summary.csv``).  With ``out_dir`` set, each table and the
+    summary are written there as ``<preset>-<file>``.
     """
     preset = get_preset(preset_name)
-    if preset.repro == "grid":
+    if preset.variants:
         tables, summary = _reproduce_variant_grid(preset, scale, seed, horizon)
-    elif preset.repro == "overlay":
-        tables, summary = _reproduce_overlay(preset, scale, seed, horizon, min_requests)
+    elif preset.overlay:
+        tables, summary = _reproduce_overlay(preset, scale, seed, horizon)
     else:
         tables, summary = _reproduce_sweep(preset, scale, seed, horizon)
     written: list[str] = []
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        for fname, text in tables.items():
-            path = os.path.join(out_dir, f"{preset.name}-{fname}")
-            with open(path, "w", newline="\n") as fh:
-                fh.write(text)
-            written.append(path)
-        spath = os.path.join(out_dir, f"{preset.name}-summary.json")
-        with open(spath, "w", newline="\n") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written.append(spath)
+        files = {f"{preset.name}-{name}": text for name, text in tables.items()}
+        files[f"{preset.name}-summary.json"] = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        written = _write_files(out_dir, files)
     return ReproduceResult(
         preset=preset.name, tables=tables, summary=summary, written=written
     )

@@ -376,28 +376,19 @@ def static_optimal_select(
         b_sz_sorted = b_sz[b_order]
         b_val_sorted = b_val[b_order]
         b_best_val = np.maximum.accumulate(b_val_sorted)
-        # argmax index of the running best, for reconstruction
-        b_best_idx = np.zeros(len(b_order), dtype=np.int64)
-        cur_best = -1.0
-        cur_idx = 0
-        for i, v in enumerate(b_val_sorted.tolist()):
-            if v > cur_best:
-                cur_best = v
-                cur_idx = i
-            b_best_idx[i] = cur_idx
-        best_value = -1.0
-        best_masks = (0, 0)
+        # the index of the first subset reaching each running best, for
+        # reconstruction: the latest position where the running best rose
+        rises = np.ones(len(b_order), dtype=bool)
+        rises[1:] = b_val_sorted[1:] > b_best_val[:-1]
+        b_best_idx = np.maximum.accumulate(np.where(rises, np.arange(len(b_order)), 0))
+        # the empty subset fits beside every feasible one, so no j is < 0
         feasible = np.flatnonzero(a_sz <= budget)
         pos = np.searchsorted(b_sz_sorted, budget - a_sz[feasible], side="right") - 1
-        for a_mask, j in zip(feasible.tolist(), pos.tolist()):
-            if j < 0:
-                continue
-            total = a_val[a_mask] + b_best_val[j]
-            if total > best_value:
-                best_value = total
-                best_masks = (a_mask, int(b_order[b_best_idx[j]]))
+        totals = a_val[feasible] + b_best_val[pos]
+        best = int(np.argmax(totals))  # the first best, as a strict > scan keeps
+        best_value = totals[best]
+        a_mask, b_mask = int(feasible[best]), int(b_order[b_best_idx[pos[best]]])
         chosen: set[int] = set()
-        a_mask, b_mask = best_masks
         for i in range(half):
             if a_mask >> i & 1:
                 chosen.add(keys[i])

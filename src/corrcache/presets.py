@@ -40,7 +40,6 @@ class Preset:
 
     name: str
     description: str
-    kind: str  # "grouped" | "toroid"
     local_fraction: float = 0.0
     capacity_fractions: tuple[float, ...] = (0.01, 0.02, 0.05)
     variants: tuple[str, ...] = ()
@@ -48,7 +47,15 @@ class Preset:
     groups_fn: Callable[[float, str | None], tuple[GroupSpec, ...]] | None = None
     sizes: object = None  # passed through to the generator / model
     toroid_fn: Callable[[float], tuple[ToroidSpec, object]] | None = None
-    repro: str = "sweep"  # reproduction flow: "sweep" | "overlay" | "grid"
+    # reproduced as a model-vs-simulation overlay; otherwise a preset with
+    # variants reproduces as a per-variant grid, the rest as a policy sweep
+    overlay: bool = False
+
+    @property
+    def kind(self) -> str:
+        """The generator family: grouped exactly when the preset has an
+        analytic group structure, else toroid."""
+        return "grouped" if self.groups_fn is not None else "toroid"
 
     def _check_variant(self, variant: str | None) -> str | None:
         if self.variants:
@@ -69,12 +76,8 @@ class Preset:
             raise PresetError(f"preset {self.name!r} has no analytic group structure")
         return self.groups_fn(scale, self._check_variant(variant))
 
-    def build_model(
-        self, scale: float = 1.0, variant: str | None = None, **model_kwargs
-    ) -> WorkingSetModel:
-        return WorkingSetModel.from_group_specs(
-            self.groups(scale, variant), sizes=self.sizes, **model_kwargs
-        )
+    def build_model(self, scale: float = 1.0, variant: str | None = None) -> WorkingSetModel:
+        return WorkingSetModel.from_group_specs(self.groups(scale, variant), sizes=self.sizes)
 
     def build_trace(
         self,
@@ -270,7 +273,6 @@ GROUPED_MAIN = _register(
             "three structured-delay groups over 3x1000 unit-size objects; "
             "the main grouped-stream comparison workload"
         ),
-        kind="grouped",
         capacity_fractions=(0.001, 0.003, 0.005, 0.01, 0.02),
         default_horizon=2000.0,
         groups_fn=_grouped_main_groups,
@@ -284,12 +286,11 @@ FIG2_SETUP = _register(
             "three uniform-delay groups over 3x1000 objects with alternating "
             "sizes 2/5; model-vs-simulation overlay workload"
         ),
-        kind="grouped",
         capacity_fractions=(0.02, 0.05, 0.1),
         default_horizon=500.0,
         groups_fn=_uniform_overlay_groups,
         sizes=even_odd_sizes(2.0, 5.0),
-        repro="overlay",
+        overlay=True,
     )
 )
 
@@ -300,12 +301,10 @@ FIG3A_SETUP = _register(
             "one group, 4 followers, uniform delays with mean 30 and std "
             "in {5,15,25}; delay-spread trend study"
         ),
-        kind="grouped",
         capacity_fractions=(0.01, 0.02, 0.05),
         variants=("std5", "std15", "std25"),
         default_horizon=200.0,
         groups_fn=_spread_grid_groups,
-        repro="grid",
     )
 )
 
@@ -316,28 +315,15 @@ FIG3B_SETUP = _register(
             "one group, uniform delays on [0,60], follower count in "
             "{2,4,8}; follower-count trend study"
         ),
-        kind="grouped",
         capacity_fractions=(0.01, 0.02, 0.05),
         variants=("f2", "f4", "f8"),
         default_horizon=200.0,
         groups_fn=_follower_grid_groups,
-        repro="grid",
     )
 )
 
 # the spread-grid study under its generic name
-_register(
-    Preset(
-        name="fig3-setup",
-        description=FIG3A_SETUP.description,
-        kind="grouped",
-        capacity_fractions=FIG3A_SETUP.capacity_fractions,
-        variants=FIG3A_SETUP.variants,
-        default_horizon=FIG3A_SETUP.default_horizon,
-        groups_fn=_spread_grid_groups,
-        repro="grid",
-    )
-)
+_register(dataclasses.replace(FIG3A_SETUP, name="fig3-setup"))
 
 TOROID_TRACE1 = _register(
     Preset(
@@ -346,7 +332,6 @@ TOROID_TRACE1 = _register(
             "17 clients moving on a 3-D torus (groups of 8/4/2 followers, "
             "delay steps 4/8/20 slots), static group structure"
         ),
-        kind="toroid",
         local_fraction=0.05,
         capacity_fractions=(0.01, 0.02, 0.05),
         toroid_fn=_toroid_plain,
@@ -357,7 +342,6 @@ TOROID_SHUFFLE = _register(
     Preset(
         name="toroid-shuffle",
         description="toroid workload with follower delays pair-swapped every 50 slots",
-        kind="toroid",
         local_fraction=0.05,
         capacity_fractions=(0.01, 0.02, 0.05),
         toroid_fn=_toroid_shuffled,
@@ -371,7 +355,6 @@ TOROID_SWITCH = _register(
             "toroid workload where followers re-pick their leader every 50 "
             "slots with probabilities 0.5/0.3/0.2"
         ),
-        kind="toroid",
         local_fraction=0.05,
         capacity_fractions=(0.01, 0.02, 0.05),
         toroid_fn=_toroid_switching,
@@ -385,7 +368,6 @@ TOROID_VERSIONED = _register(
             "toroid workload with distance-tier versions (sizes 1.0/0.5/0.1) "
             "and newly-visible-only requests"
         ),
-        kind="toroid",
         local_fraction=0.05,
         capacity_fractions=(0.01, 0.02, 0.05),
         toroid_fn=_toroid_tiered,

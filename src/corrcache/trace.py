@@ -55,6 +55,12 @@ def pack_key(object_id: int, version: int | None) -> int:
     return (int(object_id) << _VERSION_BITS) | (v + 1)
 
 
+def _sequential_sum(values: np.ndarray) -> float:
+    """The sum of ``values`` added left to right, as a Python loop adds them
+    under every interpreter (``sum()`` compensates from Python 3.12)."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
 def unpack_key(key: int) -> tuple[int, int | None]:
     v = (key & (_VERSION_SPAN - 1)) - 1
     return key >> _VERSION_BITS, (None if v == NO_VERSION else v)
@@ -89,10 +95,11 @@ class ObjectCatalog:
         self._sorted = self._arrays = self._table = None
 
     def size(self, object_id: int, version: int | None = None) -> float:
-        return self._sizes[(object_id, version)]
+        return self._sizes[(object_id, None if version == NO_VERSION else version)]
 
     def __contains__(self, identity: tuple[int, int | None]) -> bool:
-        return identity in self._sizes
+        object_id, version = identity
+        return (object_id, None if version == NO_VERSION else version) in self._sizes
 
     def __len__(self) -> int:
         return len(self._sizes)
@@ -108,8 +115,9 @@ class ObjectCatalog:
         return list(self._sorted)
 
     def total_volume(self) -> float:
-        """Sum of sizes over all catalogued identities."""
-        return float(sum(self._sizes.values()))
+        """Sum of sizes over all catalogued identities, added in ascending
+        key order, so equal catalogs give equal volumes."""
+        return _sequential_sum(self.size_arrays()[1])
 
     def unit_sized(self) -> bool:
         """True when every identity has the same size."""
@@ -364,15 +372,13 @@ def trace_stats(trace: Trace) -> TraceStats:
     keys = cat_keys[present]
     objs = np.unique(keys >> _VERSION_BITS)
     clients, counts = np.unique(trace.clients, return_counts=True)
-    # a sequential sum in ascending key order, as a Python loop adds
-    fp_volume = float(np.cumsum(cat_sizes[present])[-1])
     return TraceStats(
         num_events=len(trace),
         num_clients=len(clients),
         distinct_objects=len(objs),
         distinct_identities=len(keys),
         time_span=(float(trace.times[0]), float(trace.times.max())),
-        footprint_volume=fp_volume,
+        footprint_volume=_sequential_sum(cat_sizes[present]),
         catalog_volume=trace.catalog.total_volume(),
         events_per_client={int(c): int(n) for c, n in zip(clients, counts)},
     )

@@ -21,6 +21,7 @@ from corrcache.analysis import (
     structured_window_integral,
     uniform_window_integral,
 )
+from corrcache.trace import ObjectCatalog
 from corrcache.workloads import (
     FixedDelays,
     GroupSpec,
@@ -113,6 +114,16 @@ def test_sizes_accept_scalar_mapping_and_callable():
     assert WorkingSetModel([g], sizes=3.0).total_volume() == 6.0
     assert WorkingSetModel([g], sizes={1: 2.0, 2: 5.0}).total_volume() == 7.0
     assert WorkingSetModel([g], sizes=lambda o: float(o)).total_volume() == 3.0
+
+
+
+def test_model_volume_adds_sizes_in_object_order_as_the_catalog_does():
+    # np.sum's pairwise order gives 400.30000000000007 here
+    objects = np.arange(1, 1001)
+    sizes = {o: 0.1 * (o % 7 + 1) for o in objects.tolist()}
+    model = WorkingSetModel([ModelGroup(objects, np.full(1000, 0.1), 0)], sizes=sizes)
+    catalog = ObjectCatalog({(o, None): s for o, s in sizes.items()})
+    assert repr(model.total_volume()) == repr(catalog.total_volume()) == "400.29999999999984"
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """The package keeps to the oldest Python and numpy that pyproject.toml
 declares, 3.10 and 1.23.
 
-Without those versions installed these checks are static: every module must
-parse under the 3.10 grammar, name no standard-library feature added in 3.11
-and no numpy name or keyword added in 2.x.
+Without those versions installed these checks are static: every module of
+the package, the tests and the demos must parse under the 3.10 grammar, name
+no standard-library feature added in 3.11 and no numpy name or keyword added
+in 2.x.  The benchmark under perfbench/ is not held to them.
 """
 
 from __future__ import annotations
@@ -13,8 +14,15 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "corrcache"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "corrcache"
 MODULES = sorted(SRC.rglob("*.py"))
+CHECKED = MODULES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+
+
+def _module_id(path: pathlib.Path) -> str:
+    """A package module by its name, a test or demo by its path."""
+    return str(path.relative_to(SRC if SRC in path.parents else ROOT))
 
 # standard-library names added in Python 3.11, by module
 NEW_IN_311 = {
@@ -107,12 +115,18 @@ def test_the_package_has_modules():
     assert SRC / "__init__.py" in MODULES and len(MODULES) > 5
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_the_tests_and_demos_are_checked_too():
+    checked = {_module_id(p) for p in CHECKED}
+    assert {"tests/conftest.py", "tests/test_compat.py", "demos/demo_policy_sweep.py"} <= checked
+    assert not any(name.startswith("perfbench") for name in checked)
+
+
+@pytest.mark.parametrize("path", CHECKED, ids=_module_id)
 def test_module_keeps_to_python_3_10(path):
     assert names_new_in_311(path.read_text()) == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", CHECKED, ids=_module_id)
 def test_module_keeps_to_numpy_1_23(path):
     assert names_new_in_numpy_2(path.read_text()) == []
 

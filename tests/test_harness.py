@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrcache import cli, harness
+from corrcache import cli, harness, presets
 from corrcache.engine import (
     CacheConfig,
     ConfigurationError,
@@ -42,7 +42,7 @@ from corrcache.harness import (
     summarize_capacities,
 )
 from corrcache.policies import PolicyParams, parse_policy_spec
-from corrcache.presets import PresetError
+from corrcache.presets import PresetError, get_preset, preset_names
 from corrcache.trace import ObjectCatalog, Trace, read_trace, validate_trace, write_trace
 
 from conftest import make_trace
@@ -814,6 +814,39 @@ def test_reproduce_sweep_tables():
     assert len(sweep_lines) == 3 + 6 * n_caps
 
 
+SWEEP_FILES = {"sweep.csv", "comparison.csv", "capacity-summary.csv"}
+GRID_FILES = {"variant_grid.csv"}
+REPRODUCED_FILES = {
+    "fig2-setup": {"overlay.csv"},
+    "fig3-setup": GRID_FILES,
+    "fig3a-setup": GRID_FILES,
+    "fig3b-setup": GRID_FILES,
+}
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_each_preset_reproduces_its_tables(name):
+    result = reproduce(name, scale=0.02, seed=1, horizon=50.0)
+    assert set(result.tables) == REPRODUCED_FILES.get(name, SWEEP_FILES)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_preset_kind_matches_its_generator(name, monkeypatch):
+    monkeypatch.setattr(presets, "gen_grouped_trace", lambda *a, **k: "grouped")
+    monkeypatch.setattr(presets, "gen_toroid_trace", lambda *a, **k: "toroid")
+    preset = get_preset(name)
+    assert preset.build_trace(scale=0.02) == preset.kind
+    assert preset.kind == ("toroid" if name.startswith("toroid-") else "grouped")
+
+
+def test_fig3_setup_is_fig3a_setup_under_another_name():
+    alias, study = get_preset("fig3-setup"), get_preset("fig3a-setup")
+    differ = [
+        f.name for f in dataclasses.fields(study) if getattr(alias, f.name) != getattr(study, f.name)
+    ]
+    assert differ == ["name"]
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -883,12 +916,23 @@ def test_cli_simulate_writes_outputs(trace_file, tmp_path, capsys):
     ])
     assert rc == 0
     assert "hit_ratio=" in capsys.readouterr().out
+    assert sorted(os.listdir(out)) == ["metrics.csv", "summary.json"]
     metrics = (out / "metrics.csv").read_text()
     assert metrics.startswith("client,object,version,requests,hits\n")
     summary = json.loads((out / "summary.json").read_text())
     assert summary["policy"] == "lfru(w=4)"
     assert summary["trace_file"] == trace_file
     assert len(summary["config_digest"]) == 16
+
+
+@pytest.mark.parametrize("flag", ["--out-metrics", "--out-summary"])
+def test_cli_simulate_writes_files_only_through_out(trace_file, tmp_path, capsys, flag):
+    target = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--trace", trace_file, "--capacity", "5", flag, str(target)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not target.exists()
 
 
 def test_cli_simulate_capacity_base_footprint(trace_file, tmp_path):

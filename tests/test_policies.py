@@ -921,6 +921,50 @@ def test_static_optimal_matches_bruteforce_on_random_instances():
         assert sum(weights[k] for k in sel.keys) == best
 
 
+
+def _meet_in_the_middle_scan(weights, sizes, budget):
+    """The masks a plain scan of the meet-in-the-middle search keeps: over
+    the feasible first-half subsets in mask order, the first strictly best
+    total, each paired with the first second-half subset, in stable size
+    order, to reach the best value that fits."""
+    half = len(weights) // 2
+    a_sz, a_val = policies._enumerate_subsets(weights[:half], sizes[:half])
+    b_sz, b_val = policies._enumerate_subsets(weights[half:], sizes[half:])
+    b_order = np.argsort(b_sz, kind="stable").tolist()
+    best, masks = -1.0, None
+    for a_mask in range(len(a_sz)):
+        if a_sz[a_mask] > budget:
+            continue
+        pick = None
+        for b_mask in b_order:
+            fits = b_sz[b_mask] <= budget - a_sz[a_mask]
+            if fits and (pick is None or b_val[b_mask] > b_val[pick]):
+                pick = b_mask
+        if a_val[a_mask] + b_val[pick] > best:
+            best, masks = a_val[a_mask] + b_val[pick], (a_mask, pick)
+    return masks, best
+
+
+def test_static_optimal_keeps_the_first_best_subset_of_a_plain_scan():
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        n = int(rng.integers(2, 13))
+        keys = list(range(1, n + 1))
+        # few distinct weights and sizes, so that many subsets tie
+        weights = rng.choice([0.1, 0.2, 0.3, 1.0, 2.0], n) if trial % 2 else rng.integers(1, 4, n)
+        sizes = rng.choice([0.1, 0.5, 1.0, 1.7, 3.0], n)
+        budget = float(rng.uniform(0.1, sizes.sum()))
+        w, s = np.asarray(weights, dtype=float), np.asarray(sizes, dtype=float)
+        sel = static_optimal_select(dict(zip(keys, w.tolist())), dict(zip(keys, s.tolist())), budget)
+        if len(set(s.tolist())) == 1 or s.sum() <= budget or (s > budget).any():
+            continue  # another branch, or candidates the search drops first
+        (a_mask, b_mask), best = _meet_in_the_middle_scan(w, s, budget)
+        half = n // 2
+        want = {keys[i] for i in range(half) if a_mask >> i & 1}
+        want |= {keys[half + i] for i in range(n - half) if b_mask >> i & 1}
+        assert (sel.keys, repr(sel.value), sel.exact) == (want, repr(float(best)), True)
+
+
 # ---------------------------------------------------------------------------
 # follow bookkeeping (shared by the follow-aware policies)
 # ---------------------------------------------------------------------------

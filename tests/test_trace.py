@@ -471,6 +471,29 @@ def test_catalog_volume_and_unit_checks():
     assert cat.identities() == [(1, None), (2, None), (2, 1)]
 
 
+def test_equal_catalogs_report_equal_volumes():
+    # a builtin sum in insertion order gives 0.6000000000000001 and 0.6
+    forward = ObjectCatalog({(1, None): 0.1, (2, None): 0.2, (3, None): 0.3})
+    backward = ObjectCatalog({(3, None): 0.3, (2, None): 0.2, (1, None): 0.1})
+    assert forward == backward
+    assert repr(forward.total_volume()) == repr(backward.total_volume()) == "0.6000000000000001"
+    assert ObjectCatalog().total_volume() == 0.0
+
+
+def test_volume_survives_a_write_read_round_trip():
+    cat = ObjectCatalog({(3, None): 0.3, (2, None): 0.2, (1, None): 0.1})
+    tr = Trace(np.array([0.0]), np.array([1]), np.array([1]), None, cat)
+    back = read_trace(io.StringIO(trace_to_string(tr)))
+    assert repr(back.catalog.total_volume()) == repr(cat.total_volume())
+
+
+def test_catalog_lookups_read_version_minus_one_as_none():
+    cat = ObjectCatalog()
+    cat.add(4, 2.5, NO_VERSION)
+    assert (4, NO_VERSION) in cat and (4, None) in cat and (4, 0) not in cat
+    assert cat.size(4, NO_VERSION) == cat.size(4) == 2.5
+
+
 def test_catalog_arrays_include_identities_added_later():
     cat = ObjectCatalog()
     cat.add(2, 5.0)
