@@ -4,7 +4,7 @@ Replays a request trace against a byte-budgeted cache under a pluggable
 eviction policy.  Optionally each client first consults a small private LRU
 cache, replayed by the same LRU code as the shared cache; only its misses are
 forwarded to the shared cache, and all policy state and reported hit ratios
-concern the forwarded stream.
+concern the forwarded stream, a `_Stream` derived once per trace and private tier.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .policies import (
     build_policy,
     static_optimal_select,
 )
-from .trace import _VERSION_BITS, _VERSION_SPAN, Trace, _checked_sizes
+from .trace import _VERSION_BITS, _VERSION_SPAN, ObjectCatalog, Trace, _checked_sizes
 
 # Per-pair counts go through dense tables while a table holds at most this
 # many slots per forwarded request (see `_pair_rows`).
@@ -158,15 +158,6 @@ def config_digest(policy_label: str, config: CacheConfig, trace: Trace) -> str:
     h.update(np.ascontiguousarray(trace.objects).tobytes())
     h.update(np.ascontiguousarray(trace.versions).tobytes())
     return h.hexdigest()[:16]
-
-
-def _event_sizes(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
-    """Per-event sizes and catalog ranks of a trace that `validate_trace`
-    accepts."""
-    problems, sizes, ranks = _checked_sizes(trace, 3)
-    if problems:
-        raise ConfigurationError("trace failed validation: " + "; ".join(problems[:3]))
-    return sizes, ranks
 
 
 def _unit_lru_replay(keys: list[int], capacity: float):
@@ -302,27 +293,35 @@ def _local_filter(
     return (~hit_flags if local_hits else None), local_hits
 
 
-def _forwarded(trace: Trace, config: CacheConfig) -> tuple[Trace, int]:
-    """The events the private tier forwards to the shared cache, and its hits.
+@dataclass(frozen=True, eq=False)
+class _Stream:
+    """The forwarded events' packed keys, clients, sizes and catalog ranks, in
+    trace order; the private tier absorbed the other ``local_hits`` events."""
 
-    The forwarded trace shares the catalog and meta of ``trace``; it is
-    ``trace`` itself when the private tier is off or absorbs nothing.  A
-    sweep filters once per capacity and replays the result under every
-    policy with ``CacheConfig(config.capacity)``.  Raises
-    ConfigurationError for a trace that `validate_trace` rejects.
-    """
-    sizes_arr = _event_sizes(trace)[0]
-    local_cap = config.local_capacity()
-    if local_cap <= 0:
-        return trace, 0
-    mask, local_hits = _local_filter(trace.identity_keys(), trace.clients, sizes_arr, local_cap)
-    if mask is None:
-        return trace, 0
-    fwd = Trace(
-        trace.times[mask], trace.clients[mask], trace.objects[mask], trace.versions[mask],
-        trace.catalog, trace.meta,
-    )
-    return fwd, local_hits
+    keys: np.ndarray
+    clients: np.ndarray
+    sizes: np.ndarray
+    ranks: np.ndarray
+    catalog: ObjectCatalog
+    total_events: int
+    local_hits: int
+
+
+def _streams(trace: Trace, configs: list[CacheConfig]) -> list[_Stream]:
+    """For each of ``configs``, the stream its private tier forwards from
+    ``trace``.  Raises ConfigurationError for a trace that `validate_trace`
+    rejects."""
+    problems, sizes, ranks = _checked_sizes(trace, 3)
+    if problems:
+        raise ConfigurationError("trace failed validation: " + "; ".join(problems[:3]))
+    arrays = (trace.identity_keys(), trace.clients, sizes, ranks)
+    streams = []
+    for config in configs:
+        mask, local_hits = _local_filter(*arrays[:3], config.local_capacity())
+        # no copies where the private tier forwards every event
+        kept = arrays if mask is None else [a[mask] for a in arrays]
+        streams.append(_Stream(*kept, trace.catalog, len(trace), local_hits))
+    return streams
 
 
 def simulate(
@@ -340,6 +339,7 @@ def simulate(
     the (trace, policy, config, seed) -> metrics purity contract.  A trace
     that `validate_trace` rejects raises ConfigurationError.
 
+    The run replays the `_Stream` that ``config``'s private tier forwards.
     ``PolicyParams("lru")`` without an eviction log, over forwarded requests
     that all have size 1.0, replays through the C-level ``lru_cache`` of
     `_unit_lru_replay`; every other run (other sizes, an eviction log, a
@@ -348,32 +348,32 @@ def simulate(
     `static_optimal_select` picks from its rates stays resident throughout,
     so a forwarded request hits exactly when its identity is in that set.
     """
-    sizes_arr, ranks_arr = _event_sizes(trace)
-    keys_arr = trace.identity_keys()
-    clients_arr = trace.clients
-    fwd_mask, local_hits = _local_filter(
-        keys_arr, clients_arr, sizes_arr, config.local_capacity()
-    )
-    if fwd_mask is not None:
-        keys_arr = keys_arr[fwd_mask]
-        clients_arr = clients_arr[fwd_mask]
-        sizes_arr = sizes_arr[fwd_mask]
-        ranks_arr = ranks_arr[fwd_mask]
-    keys = keys_arr.tolist()
-    n = len(keys)
+    (stream,) = _streams(trace, [config])
+    return _replay_stream(stream, policy, config, record_evictions, seed)
+
+
+def _replay_stream(
+    stream: _Stream,
+    policy: PolicyParams | Policy,
+    config: CacheConfig,
+    record_evictions: bool,
+    seed: int,
+) -> SimulationMetrics:
+    """`simulate` of a stream that ``config``'s private tier has filtered."""
+    keys = stream.keys.tolist()
     static_exact = None
     if isinstance(policy, PolicyParams) and policy.kind == "static_opt":
         if policy.rates is None:
             raise PolicyConfigError(
                 "static_opt needs per-object request rates (available for generator presets)"
             )
-        cat_keys, cat_sizes = trace.catalog.size_arrays()
+        cat_keys, cat_sizes = stream.catalog.size_arrays()
         selection = static_optimal_select(
             policy.rates, dict(zip(cat_keys.tolist(), cat_sizes.tolist())), config.capacity
         )
         static_exact = selection.exact
         resident = np.fromiter(selection.keys, dtype=np.int64, count=len(selection.keys))
-        hit_flags = np.isin(keys_arr, resident)
+        hit_flags = np.isin(stream.keys, resident)
         oversized = evictions = 0
         ev_log = [] if record_evictions else None
     else:
@@ -381,29 +381,29 @@ def simulate(
         # built on the lru_cache path too, which does not use it: the
         # instance tags the run's policy for tracers
         pol = build_policy(policy) if fresh else policy
-        if pol.requires_unit_sizes and not trace.catalog.unit_sized():
+        if pol.requires_unit_sizes and not stream.catalog.unit_sized():
             raise ConfigurationError(f"policy {pol.name!r} supports unit-size catalogs only")
-        if fresh and policy.kind == "lru" and not record_evictions and (sizes_arr == 1.0).all():
+        if fresh and policy.kind == "lru" and not record_evictions and (stream.sizes == 1.0).all():
             hit_flags, oversized, evictions = _unit_lru_replay(keys, config.capacity)
             ev_log = None
         else:
             hit_flags, oversized, evictions, ev_log = _replay(
-                pol, keys, clients_arr.tolist(), sizes_arr.tolist(),
+                pol, keys, stream.clients.tolist(), stream.sizes.tolist(),
                 config.capacity, record_evictions,
             )
 
     pc, po, pv, req_counts, hit_counts = _pair_rows(
-        clients_arr, ranks_arr, hit_flags, trace.catalog.size_arrays()[0]
+        stream.clients, stream.ranks, hit_flags, stream.catalog.size_arrays()[0]
     )
 
     metrics = SimulationMetrics(
         policy=policy.label() if isinstance(policy, PolicyParams) else policy.name,
         capacity=config.capacity,
         local_cache_fraction=config.local_cache_fraction,
-        total_events=len(trace),
-        forwarded=n,
+        total_events=stream.total_events,
+        forwarded=len(keys),
         hits=int(hit_flags.sum()),
-        local_hits=int(local_hits),
+        local_hits=stream.local_hits,
         oversized_misses=oversized,
         evictions=evictions,
         pair_clients=pc,

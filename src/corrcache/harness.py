@@ -19,7 +19,9 @@ from .engine import (
     CacheConfig,
     ConfigurationError,
     SimulationMetrics,
-    _forwarded,
+    _replay_stream,
+    _Stream,
+    _streams,
     config_digest,
     simulate,
 )
@@ -303,8 +305,7 @@ class _Cell:
 
     key: tuple[int, int, int]  # (policy, capacity, seed) indices: the row's place
     trace: Trace
-    forwarded: Trace  # what the private tier of ``config`` forwards from ``trace``
-    local_hits: int
+    stream: _Stream  # what the private tier of ``config`` forwards from ``trace``
     params: PolicyParams
     config: CacheConfig
     seed: int
@@ -312,28 +313,28 @@ class _Cell:
 
 def _sweep_cells(cfg: ExperimentConfig, preset: Preset | None, build) -> Iterator[_Cell]:
     """The cells of a sweep in the order a serial sweep runs them: by seed,
-    then capacity, then policy.  The private tier filters each (seed,
-    capacity) pair once, since its output does not depend on the policy."""
+    then capacity, then policy.  Each seed's trace is checked once, and its
+    private tier filters it once per capacity, for every policy."""
     local = cfg.local_fraction
     if local is None:
         local = preset.local_fraction if preset is not None else 0.0
     policies = [_fill_policy_params(p, preset, cfg) for p in cfg.policies]
     for si, seed in enumerate(cfg.seeds):
         trace = build(seed)
-        for ci, capacity in enumerate(cfg.capacities.resolve(trace)):
-            config = CacheConfig(capacity=capacity, local_cache_fraction=local)
-            try:
-                forwarded, local_hits = _forwarded(trace, config)
-            except ConfigurationError as e:
-                raise ConfigurationError(f"capacity={capacity!r} seed={seed}: {e}") from e
+        configs = [CacheConfig(c, local) for c in cfg.capacities.resolve(trace)]
+        try:
+            streams = _streams(trace, configs)
+        except ConfigurationError as e:
+            raise ConfigurationError(f"capacity={configs[0].capacity!r} seed={seed}: {e}") from e
+        for ci, (config, stream) in enumerate(zip(configs, streams)):
             for pi, params in enumerate(policies):
-                yield _Cell((pi, ci, si), trace, forwarded, local_hits, params, config, seed)
+                yield _Cell((pi, ci, si), trace, stream, params, config, seed)
 
 
 def _run_cell(cell: _Cell) -> SweepRow:
     capacity = cell.config.capacity
     try:
-        metrics = simulate(cell.forwarded, cell.params, CacheConfig(capacity), seed=cell.seed)
+        metrics = _replay_stream(cell.stream, cell.params, cell.config, False, cell.seed)
     except ConfigurationError as e:
         raise ConfigurationError(
             f"policy={cell.params.label()} capacity={capacity!r} seed={cell.seed}: {e}"
@@ -345,8 +346,8 @@ def _run_cell(cell: _Cell) -> SweepRow:
         hit_ratio=metrics.hit_ratio,
         hits=metrics.hits,
         forwarded=metrics.forwarded,
-        local_hits=cell.local_hits,
-        total_events=len(cell.trace),
+        local_hits=metrics.local_hits,
+        total_events=metrics.total_events,
         evictions=metrics.evictions,
         oversized_misses=metrics.oversized_misses,
         per_client=_per_client_cell(metrics),
@@ -378,7 +379,7 @@ _POOL_MIN_EVENTS = 32_000
 def _sweep_workers(cells: list[_Cell]) -> int:
     """One worker per CPU this process may run on, at most one per cell, and
     one in all when the cells replay too few events to pay for a pool."""
-    if sum(len(cell.forwarded) for cell in cells) < _POOL_MIN_EVENTS:
+    if sum(len(cell.stream.keys) for cell in cells) < _POOL_MIN_EVENTS:
         return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -391,7 +392,7 @@ def _run_cells(cells: list[_Cell]) -> list[SweepRow]:
     """The rows of ``cells``, in their order.
 
     Cells run in a pool of forked workers, handed out one at a time as
-    workers free up; the workers inherit the traces, so only rows are
+    workers free up; the workers inherit the streams, so only rows are
     pickled.  Results are read in cell order, so a failing cell raises the
     error a serial run would raise first.  The cells run in a plain loop when
     there is one worker (one CPU, one cell, or too few events in all), when
@@ -431,7 +432,7 @@ def _run_sweep(cfg: ExperimentConfig, preset: Preset | None, build) -> SweepRepo
         for cell in _sweep_cells(cfg, preset, build):
             cells.append(cell)
     except ConfigurationError as e:
-        # a serial sweep runs the cells before the failing prefilter first
+        # a serial sweep runs the cells before the failing check first
         failure = e
     rows = _run_cells(cells)
     if failure is not None:

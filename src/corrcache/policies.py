@@ -81,16 +81,25 @@ def parse_policy_spec(text: str) -> PolicyParams:
         k, v = (s.strip() for s in opt.split("=", 1))
         # an option the kind ignores is refused, not silently dropped
         if k in ("w", "window") and kind in ("lfru", "lfrus"):
-            window = int(v)
+            window = _option_value(k, v, int)
             if window < 0:
                 raise PolicyConfigError("window must be >= 0")
         elif k in ("g", "gamma") and kind == "lfrus":
-            gamma = float(v)
+            gamma = _option_value(k, v, float)
             if not 0 < gamma <= 1:
                 raise PolicyConfigError("gamma must be in (0, 1]")
         else:
             raise PolicyConfigError(f"policy {kind!r} takes no option {k!r}")
     return PolicyParams(kind=kind, window=window, gamma=gamma)
+
+
+def _option_value(name: str, text: str, parse):
+    """``parse(text)``, or an error naming the option it cannot read."""
+    try:
+        return parse(text)
+    except ValueError:
+        hint = "; options are separated by ':'" if "," in text else ""
+        raise PolicyConfigError(f"bad value {text!r} for policy option {name!r}{hint}") from None
 
 
 class Policy:

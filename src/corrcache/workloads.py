@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .trace import NO_VERSION, ObjectCatalog, Trace
+from .trace import ObjectCatalog, Trace
 
 # ---------------------------------------------------------------------------
 # Follower delay specifications

@@ -606,11 +606,10 @@ def test_private_tier_with_mixed_sizes_matches_the_naive_oracle(events, sizes, c
     m = simulate(tr, PolicyParams("lru"), config)
     assert (m.local_hits, m.forwarded, m.hits) == (local_hits, len(keys), hits)
     assert sorted_pairs(m) == want_pairs
-    forwarded, fwd_local_hits = engine._forwarded(tr, config)
-    assert fwd_local_hits == local_hits
-    assert forwarded.identity_keys().tolist() == keys
-    assert forwarded.clients.tolist() == clients
-    assert forwarded.times.tolist() == [tr.times[i] for i in fwd_at]
+    (stream,) = engine._streams(tr, [config])
+    assert (stream.local_hits, stream.total_events) == (local_hits, len(tr))
+    assert stream.keys.tolist() == keys
+    assert stream.clients.tolist() == clients
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrcache import cli, harness, presets
+from corrcache import cli, engine, harness, presets
 from corrcache.engine import (
     CacheConfig,
     ConfigurationError,
@@ -370,15 +370,16 @@ SWEEP_POLICIES = tuple(parse_policy_spec(p) for p in ("lru", "lfu", "sieve", "lf
 VERSIONED, BIG = 2, 11.0
 
 
-def sweep_rows(trace, capacities, local, seed=5):
+def sweep_rows(traces, capacities, local):
+    """The sweep of ``traces[seed]`` under each seed of ``traces``."""
     cfg = ExperimentConfig(
         trace="in-memory",
         policies=SWEEP_POLICIES,
         capacities=CapacityGrid(tuple(capacities), "absolute"),
-        seeds=(seed,),
+        seeds=tuple(traces),
         local_fraction=local,
     )
-    return _run_sweep(cfg, None, lambda _seed: trace)
+    return _run_sweep(cfg, None, traces.__getitem__)
 
 
 def simulated_row(trace, params, capacity, local, seed):
@@ -399,20 +400,33 @@ def simulated_row(trace, params, capacity, local, seed):
     )
 
 
-def independent_rows(trace, capacities, local, seed=5):
+def independent_rows(traces, capacities, local):
     """The rows a sweep must produce, each from its own simulate() call."""
     return [
-        simulated_row(trace, params, cap, local, seed)
+        simulated_row(traces[seed], params, cap, local, seed)
         for params in SWEEP_POLICIES
         for cap in capacities
+        for seed in traces
     ]
 
 
+def mirrored(trace):
+    """``trace`` with its client ids reversed and shifted up by one, so that
+    no client keeps its id."""
+    clients = 2 + trace.clients.max(initial=0) - trace.clients
+    tr = Trace(trace.times, clients, trace.objects, trace.versions, trace.catalog)
+    tr.sort_events()
+    return tr
+
+
 def assert_sweep_matches_simulate(trace, capacities, local):
-    report = sweep_rows(trace, capacities, local)
+    # the second seed's trace differs from the first's: rows replayed from
+    # a stream built for one seed and reused for the other fail
+    traces = {5: trace, 6: mirrored(trace)}
+    report = sweep_rows(traces, capacities, local)
     # repr() compares a NaN hit ratio (nothing forwarded) as equal to itself
     assert [repr(r) for r in report.rows] == [
-        repr(r) for r in independent_rows(trace, capacities, local)
+        repr(r) for r in independent_rows(traces, capacities, local)
     ]
     config = CacheConfig(capacities[0], local)
     assert report.digest == config_digest(SWEEP_POLICIES[0].label(), config, trace)
@@ -449,7 +463,7 @@ def test_sweep_matches_simulate_when_the_private_tier_absorbs_every_repeat():
     # forwarded trace holds only the cold misses
     events = [(t, 1 + t % 2, 1 + (t // 2) % 2) for t in range(40)]
     trace = make_trace(events)
-    report = sweep_rows(trace, [10.0, 20.0], 0.4)
+    report = sweep_rows({5: trace}, [10.0, 20.0], 0.4)
     assert {(r.local_hits, r.forwarded, r.total_events) for r in report.rows} == {(36, 4, 40)}
     assert_sweep_matches_simulate(trace, [10.0, 20.0], 0.4)
 
@@ -457,7 +471,7 @@ def test_sweep_matches_simulate_when_the_private_tier_absorbs_every_repeat():
 def test_sweep_matches_simulate_on_an_empty_trace():
     trace = make_trace([(1.0, 1, 1)])
     empty = Trace(trace.times[:0], trace.clients[:0], trace.objects[:0], None, trace.catalog)
-    report = sweep_rows(empty, [2.0, 4.0], 0.5)
+    report = sweep_rows({5: empty}, [2.0, 4.0], 0.5)
     assert all(r.forwarded == r.total_events == 0 for r in report.rows)
     assert all(math.isnan(r.hit_ratio) for r in report.rows)
     assert_sweep_matches_simulate(empty, [2.0, 4.0], 0.5)
@@ -618,6 +632,31 @@ def test_sweep_on_workers_raises_the_first_serial_error_and_leaves_no_process(
     report = _run_sweep(ok, None, {1: unit_trace(), 2: sized_trace()}.__getitem__)
     assert multiprocessing.active_children() == []
     assert pools.started == [3, 3] and len(report.rows) == 8
+
+
+@pytest.mark.parametrize("local", [0.0, 0.2])
+def test_a_sweep_checks_each_seed_trace_once(local, pools, monkeypatch):
+    checked = []
+    checked_sizes = engine._checked_sizes
+
+    def counted(trace, max_violations):
+        checked.append(trace)
+        return checked_sizes(trace, max_violations)
+
+    monkeypatch.setattr(engine, "_checked_sizes", counted)
+    pools.force(1)
+    traces = {1: unit_trace(), 2: sized_trace()}
+    cfg = ExperimentConfig(
+        trace="in-memory",
+        policies=(PolicyParams("lru"), PolicyParams("lfu")),
+        capacities=CapacityGrid((10.0, 20.0, 30.0), "absolute"),
+        seeds=(1, 2),
+        local_fraction=local,
+    )
+    report = _run_sweep(cfg, None, traces.__getitem__)
+    assert pools.started == [] and len(report.rows) == 12
+    assert any(r.local_hits for r in report.rows) == (local > 0)
+    assert [id(t) for t in checked] == [id(traces[1]), id(traces[2])]
 
 
 @pytest.mark.parametrize("fallback", ["no fork", "daemonic"])

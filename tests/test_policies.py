@@ -92,6 +92,14 @@ def test_lfrus_labels_are_injective():
         assert float(label[label.index("g=") + 2 : -1]) == gamma
 
 
+# values int() or float() cannot read: the error names the option
+UNREADABLE_OPTIONS = {
+    "lfru:w=x": "option 'w'",
+    "lfrus:g=abc": "option 'g'",
+    "lfrus:w=20,g=0.5": "option 'w'; options are separated by ':'",
+}
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -111,10 +119,11 @@ def test_lfrus_labels_are_injective():
         "static_opt:gamma=0.5",
         "lfru:g=0.3",
         "lfru:w=20:gamma=1",
+        *UNREADABLE_OPTIONS,
     ],
 )
 def test_parse_policy_spec_errors(bad):
-    with pytest.raises(PolicyConfigError):
+    with pytest.raises(PolicyConfigError, match=UNREADABLE_OPTIONS.get(bad)):
         parse_policy_spec(bad)
 
 
