@@ -5,11 +5,17 @@ eviction policy.  Optionally each client first consults a small private LRU
 cache, replayed by the same LRU code as the shared cache; only its misses are
 forwarded to the shared cache, and all policy state and reported hit ratios
 concern the forwarded stream, a `_Stream` derived once per trace and private tier.
+
+Fresh policy params over forwarded requests that all have size 1.0 replay
+without Python hooks: lru (without an eviction log) through
+`_unit_lru_replay`, lfu and belady through `_unit_heap_replay`.  Every other
+run takes the hook loop `_replay`, which gives the same metrics.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import itertools
 import json
 import math
@@ -21,9 +27,12 @@ from typing import IO
 import numpy as np
 
 from .policies import (
+    LFUPolicy,
     Policy,
     PolicyConfigError,
     PolicyParams,
+    _key_runs,
+    _stable_argsort,
     build_policy,
     static_optimal_select,
 )
@@ -188,6 +197,65 @@ def _unit_lru_replay(keys: list[int], capacity: float):
     return hits, 0, n - int(hits.sum()) - cache.cache_info().currsize
 
 
+def _unit_heap_replay(
+    priorities, keys: np.ndarray, ranks: np.ndarray, capacity: float, record_evictions: bool
+):
+    """LFU or Belady replay of unit-size requests: (hit flags, oversized
+    misses, evictions, eviction log or None).
+
+    ``priorities`` is the policy class's ``_priorities``: from the requests
+    grouped by key (their catalog ``ranks``), one unique priority per request
+    whose value names it (``p % n``); the least live one is the victim.  A
+    resident's live heap entry is that of its latest request, and stays live
+    until the key's next request.  So a request hits exactly when the entry
+    of its key's previous request was not popped as a victim: ``will_hit``
+    is set at every repeat request and cleared at each victim's next
+    request.  Before a victim is taken, stale tops (entries whose key was
+    requested since; never the top under Belady) are popped.  Once stale
+    entries make the heap longer than LFUPolicy's bound, it keeps only the
+    live ones.
+    """
+    n = len(ranks)
+    slots = min(math.floor(capacity), n)
+    if slots == 0:
+        return np.zeros(n, dtype=bool), n, 0, [] if record_evictions else None
+    by_key, same = _key_runs(ranks)
+    earlier, later = by_key[:-1][same], by_key[1:][same]
+    # each request's next request of its key, or n
+    nxt_arr = np.full(n, n, dtype=np.int64)
+    nxt_arr[earlier] = later
+    nxt = nxt_arr.tolist()
+    repeats = np.zeros(n + 1, dtype=np.uint8)
+    repeats[later] = 1
+    will_hit = bytearray(repeats)
+    slack, limit = LFUPolicy.HEAP_SLACK, LFUPolicy.HEAP_EXTRA
+    push, pop, replace = heapq.heappush, heapq.heappop, heapq.heapreplace
+    heap: list[int] = []
+    victims: list[int] | None = [] if record_evictions else None
+    free = slots
+    for i, p in enumerate(priorities(by_key, same).tolist()):
+        if will_hit[i]:
+            push(heap, p)
+            if len(heap) > limit:
+                heap[:] = [q for q in heap if nxt[q % n] > i]
+                heapq.heapify(heap)
+        elif free:
+            push(heap, p)
+            free -= 1
+            limit += slack
+        else:
+            while nxt[heap[0] % n] <= i:
+                pop(heap)
+            j = replace(heap, p) % n
+            will_hit[nxt[j]] = 0
+            if victims is not None:
+                victims.append(j)
+    hit_flags = np.frombuffer(will_hit, dtype=bool, count=n)
+    evictions = n - int(hit_flags.sum()) - (slots - free)
+    ev_log = None if victims is None else keys[np.array(victims, dtype=np.intp)].tolist()
+    return hit_flags, 0, evictions, ev_log
+
+
 def _replay(
     pol: Policy,
     keys: list[int],
@@ -267,12 +335,8 @@ def _local_filter(
     n = len(keys_arr)
     if local_capacity <= 0 or n == 0:
         return None, 0
-    # one stable sort puts each client's requests in one run, in request
-    # order; offsets from the least client in the narrowest dtype that holds
-    # them let numpy radix-sort 8- and 16-bit spans
-    first = clients_arr.min()
-    offsets = (clients_arr - first).astype(np.min_scalar_type(clients_arr.max() - first))
-    by_client = np.argsort(offsets, kind="stable")
+    # one stable sort puts each client's requests in one run, in request order
+    by_client = _stable_argsort(clients_arr)
     sorted_clients = clients_arr[by_client]
     cuts = (np.flatnonzero(sorted_clients[1:] != sorted_clients[:-1]) + 1).tolist()
     keys = keys_arr[by_client].tolist()
@@ -340,9 +404,11 @@ def simulate(
     that `validate_trace` rejects raises ConfigurationError.
 
     The run replays the `_Stream` that ``config``'s private tier forwards.
-    ``PolicyParams("lru")`` without an eviction log, over forwarded requests
-    that all have size 1.0, replays through the C-level ``lru_cache`` of
-    `_unit_lru_replay`; every other run (other sizes, an eviction log, a
+    Over forwarded requests that all have size 1.0, ``PolicyParams("lru")``
+    without an eviction log replays through the C-level ``lru_cache`` of
+    `_unit_lru_replay`, and ``PolicyParams("lfu")`` and
+    ``PolicyParams("belady")``, with or without one, through the heap loop of
+    `_unit_heap_replay`; every other run (other sizes, an lru eviction log, a
     prebuilt policy, other policies) takes the engine loop, which gives the
     same metrics.  ``PolicyParams("static_opt")`` is not replayed: the set
     `static_optimal_select` picks from its rates stays resident throughout,
@@ -360,7 +426,6 @@ def _replay_stream(
     seed: int,
 ) -> SimulationMetrics:
     """`simulate` of a stream that ``config``'s private tier has filtered."""
-    keys = stream.keys.tolist()
     static_exact = None
     if isinstance(policy, PolicyParams) and policy.kind == "static_opt":
         if policy.rates is None:
@@ -383,12 +448,18 @@ def _replay_stream(
         pol = build_policy(policy) if fresh else policy
         if pol.requires_unit_sizes and not stream.catalog.unit_sized():
             raise ConfigurationError(f"policy {pol.name!r} supports unit-size catalogs only")
-        if fresh and policy.kind == "lru" and not record_evictions and (stream.sizes == 1.0).all():
-            hit_flags, oversized, evictions = _unit_lru_replay(keys, config.capacity)
+        # the kinds with a hook-free unit-size replay
+        unit = fresh and policy.kind in ("lru", "lfu", "belady") and (stream.sizes == 1.0).all()
+        if unit and policy.kind == "lru" and not record_evictions:
+            hit_flags, oversized, evictions = _unit_lru_replay(stream.keys.tolist(), config.capacity)
             ev_log = None
+        elif unit and policy.kind != "lru":
+            hit_flags, oversized, evictions, ev_log = _unit_heap_replay(
+                pol._priorities, stream.keys, stream.ranks, config.capacity, record_evictions
+            )
         else:
             hit_flags, oversized, evictions, ev_log = _replay(
-                pol, keys, stream.clients.tolist(), stream.sizes.tolist(),
+                pol, stream.keys.tolist(), stream.clients.tolist(), stream.sizes.tolist(),
                 config.capacity, record_evictions,
             )
 
@@ -401,7 +472,7 @@ def _replay_stream(
         capacity=config.capacity,
         local_cache_fraction=config.local_cache_fraction,
         total_events=stream.total_events,
-        forwarded=len(keys),
+        forwarded=len(stream.keys),
         hits=int(hit_flags.sum()),
         local_hits=stream.local_hits,
         oversized_misses=oversized,

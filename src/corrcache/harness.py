@@ -185,10 +185,14 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
     if "capacities" not in fields:
         raise HarnessConfigError("config needs capacities")
 
+    tokens = [tok.strip() for tok in fields["policies"].split(",") if tok.strip()]
+    for tok in tokens:
+        if "=" in tok.split(":")[0]:
+            raise HarnessConfigError(
+                f"policy {tok!r} is an option, not a policy; options are separated by ':'"
+            )
     try:
-        policies = tuple(
-            parse_policy_spec(tok) for tok in fields["policies"].split(",") if tok.strip()
-        )
+        policies = tuple(map(parse_policy_spec, tokens))
     except ValueError as e:
         raise HarnessConfigError(str(e)) from None
     cap_tokens = [t.strip() for t in fields["capacities"].split(",") if t.strip()]

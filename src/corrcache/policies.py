@@ -5,8 +5,8 @@ gets ``i``, the request's position in the key stream the engine replays:
 
 * ``bind(order, keys, clients)`` is called once, before the replay, with
   the live recency order, that key stream and each request's client.
-  Policies that need a table per request (LFU's priorities, Belady's next
-  uses, lfru's stamps) build it here.
+  Policies that need a table per request (LFU's and Belady's priorities,
+  lfru's stamps) build it here.
 * ``on_request(i, client, key, hit)`` fires on every hit, before the
   recency order changes.  It fires on misses too, before admission, only
   for a class whose ``reads_misses`` is true (the follow-aware policies).
@@ -129,13 +129,23 @@ class Policy:
         return self.order.popitem(last=False)
 
 
-def _key_runs(keys: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _stable_argsort(values: np.ndarray) -> np.ndarray:
+    """Stable argsort of integers, taken over their offsets from the least
+    in the narrowest unsigned dtype that holds them: numpy radix-sorts 8- and
+    16-bit spans."""
+    if not len(values):
+        return np.zeros(0, dtype=np.intp)
+    first = values.min()
+    offsets = (values - first).astype(np.min_scalar_type(values.max() - first))
+    return np.argsort(offsets, kind="stable")
+
+
+def _key_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One stable argsort of ``keys``, and for each pair of neighbours in
     that order whether they share a key: each key's requests form one run,
     in request order."""
-    arr = np.asarray(keys, dtype=np.int64)
-    order = np.argsort(arr, kind="stable")
-    return order, arr[order[1:]] == arr[order[:-1]]
+    order = _stable_argsort(keys)
+    return order, keys[order[1:]] == keys[order[:-1]]
 
 
 class LFUPolicy(Policy):
@@ -146,7 +156,8 @@ class LFUPolicy(Policy):
 
     ``bind`` gives request i of n the priority ``count * n + i``, where
     ``count`` numbers the requests of its key up to i (from one stable
-    argsort of the keys, so oversized misses count too).  A resident's live
+    argsort of the keys, so oversized misses count too; `_priorities`, which
+    the engine's unit-size heap loop shares).  A resident's live
     priority, in ``_live``, is that of its latest request; among residents
     the latest requests order keys exactly as the recency order does, so the
     smallest live priority is the smallest count with the LRU tie-break.
@@ -167,10 +178,9 @@ class LFUPolicy(Policy):
         self._live: dict[int, int] = {}
         self._heap: list[int] = []
 
-    def bind(self, order, keys: list[int], clients: list[int]) -> None:
-        super().bind(order, keys, clients)
-        self._keys = keys
-        by_key, same = _key_runs(keys)
+    @staticmethod
+    def _priorities(by_key: np.ndarray, same: np.ndarray) -> np.ndarray:
+        """``count * n + i`` for request i of n, from `_key_runs`."""
         n = len(by_key)
         rank = np.arange(n)
         # each sorted slot's offset from the first slot of its run
@@ -179,7 +189,12 @@ class LFUPolicy(Policy):
         count = rank + 1 - np.maximum.accumulate(np.where(first, rank, 0))
         priority = np.empty(n, dtype=np.int64)
         priority[by_key] = count * n + by_key
-        self._priority = priority.tolist()
+        return priority
+
+    def bind(self, order, keys: list[int], clients: list[int]) -> None:
+        super().bind(order, keys, clients)
+        self._keys = keys
+        self._priority = self._priorities(*_key_runs(np.asarray(keys, dtype=np.int64))).tolist()
 
     def on_request(self, i: int, client: int, key: int, hit: bool) -> None:
         p = self._live[key] = self._priority[i]
@@ -275,19 +290,19 @@ class BeladyPolicy(Policy):
     request of its key, or 2n - i if there is none.  That is beyond every
     position, so never-again residents come first, and larger for earlier
     requests, so they leave in the order of their last requests.  Nothing
-    touches them again, so that order is their LRU order.  A next use
-    names its key: the key of request j for j < n, of request 2n - j
-    beyond.
+    touches them again, so that order is their LRU order.  Its priority is
+    ``i - next_use * n`` (`_priorities`, which the engine's unit-size heap
+    loop shares): the smallest is the farthest next use, and priority p
+    names the key of request ``p % n``.
 
-    Victims come from one heap of negated next uses, so its top is the
-    largest.  A hit pushes its request's next use in ``on_request``, an
-    admission in ``on_admit``.  An entry whose next use is at most the
-    current position is stale.  Each resident has one entry further out,
-    its latest, and an evicted key's latest entry left the heap as its
-    victim, so the heap top is always a live resident.  Once stale entries
-    make the heap longer than twice the residents, ``victim`` keeps only as
-    many entries as there are residents, the smallest, which are the live
-    ones.
+    Victims come from one min-heap of priorities.  A hit pushes its
+    request's priority in ``on_request``, an admission in ``on_admit``.  An
+    entry whose next use is at most the current position is stale.  Each
+    resident has one entry further out, its latest, and an evicted key's
+    latest entry left the heap as its victim, so the heap top is always a
+    live resident.  Once stale entries make the heap longer than twice the
+    residents, ``victim`` keeps only as many entries as there are residents,
+    the smallest, which are the live ones.
     """
 
     name = "belady"
@@ -296,33 +311,36 @@ class BeladyPolicy(Policy):
     def __init__(self):
         self._heap: list[int] = []
 
+    @staticmethod
+    def _priorities(by_key: np.ndarray, same: np.ndarray) -> np.ndarray:
+        """``i - next_use * n`` for request i of n, from `_key_runs`."""
+        n = len(by_key)
+        position = np.arange(n)
+        # the next request in its run, else 2n - i
+        next_use = 2 * n - position
+        next_use[by_key[:-1][same]] = by_key[1:][same]
+        return position - next_use * n
+
     def bind(self, order, keys: list[int], clients: list[int]) -> None:
         super().bind(order, keys, clients)
         self._keys = keys
-        # negated next use of every request: the next request in its run
-        by_key, same = _key_runs(keys)
-        n = len(by_key)
-        neg_next = np.arange(n) - 2 * n
-        neg_next[by_key[:-1][same]] = -by_key[1:][same]
-        self._neg_next_use = neg_next.tolist()
+        self._priority = self._priorities(*_key_runs(np.asarray(keys, dtype=np.int64))).tolist()
 
     def on_request(self, i: int, client: int, key: int, hit: bool) -> None:
-        heapq.heappush(self._heap, self._neg_next_use[i])
+        heapq.heappush(self._heap, self._priority[i])
 
     def on_admit(self, i: int, key: int) -> None:
-        heapq.heappush(self._heap, self._neg_next_use[i])
+        heapq.heappush(self._heap, self._priority[i])
 
     def victim(self) -> tuple[int, float]:
         heap = self._heap
         residents = len(self.order)
         if len(heap) > 2 * residents:
-            # drop the stale entries, whose next uses are all smaller
+            # drop the stale entries, whose priorities are all larger
             heap.sort()
             del heap[residents:]
         keys = self._keys
-        next_use = -heapq.heappop(heap)
-        n = len(keys)
-        key = keys[next_use if next_use < n else 2 * n - next_use]
+        key = keys[heapq.heappop(heap) % len(keys)]
         return key, self.order.pop(key)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import io
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrcache import engine
+from corrcache import engine, harness
 from corrcache.engine import (
     CacheConfig,
     ConfigurationError,
@@ -21,7 +22,15 @@ from corrcache.engine import (
     config_digest,
     simulate,
 )
-from corrcache.policies import Policy, PolicyConfigError, PolicyParams, static_optimal_select
+from corrcache.harness import CapacityGrid, ExperimentConfig, run_sweep
+from corrcache.policies import (
+    BeladyPolicy,
+    LFUPolicy,
+    Policy,
+    PolicyConfigError,
+    PolicyParams,
+    static_optimal_select,
+)
 from corrcache.trace import (
     NO_VERSION,
     ObjectCatalog,
@@ -33,6 +42,7 @@ from corrcache.trace import (
 )
 
 from conftest import (
+    NAIVE,
     make_trace,
     naive_local_filter,
     naive_lru,
@@ -367,9 +377,10 @@ def outcome(m):
     return tuple(getattr(m, f) for f in COUNTERS), tuple(getattr(m, f).tolist() for f in PAIR_FIELDS)
 
 
-def naive_outcome(trace, capacity, local_fraction, size=1):
-    """Counters and pair rows of an LRU over ``size``-byte objects, from the
-    conftest oracles: the private tiers first, then the shared cache."""
+def naive_outcome(trace, capacity, local_fraction, size=1, kind="lru"):
+    """Counters and pair rows of ``kind`` over ``size``-byte objects, from
+    the conftest oracles: the private tiers first, then the shared cache;
+    also the shared cache's hit flags and victims."""
     keys = trace.identity_keys().tolist()
     clients = trace.clients.tolist()
     fwd, local_hits = naive_local_filter(keys, clients, math.floor(local_fraction * capacity) // size)
@@ -379,7 +390,7 @@ def naive_outcome(trace, capacity, local_fraction, size=1):
     if slots == 0:
         hits, victims, oversized = [False] * len(keys), [], len(keys)
     else:
-        (hits, victims), oversized = naive_lru(keys, slots), 0
+        (hits, victims), oversized = NAIVE[kind](keys, slots), 0
     pairs: dict = {}
     for c, k, h in zip(clients, keys, hits):
         row = pairs.setdefault((c, k >> 8, (k & 255) - 1), [0, 0])
@@ -387,7 +398,8 @@ def naive_outcome(trace, capacity, local_fraction, size=1):
         row[1] += h
     rows = sorted((c, o, v, r, h) for (c, o, v), (r, h) in pairs.items())
     counters = (sum(hits), len(victims), oversized, local_hits, len(keys))
-    return counters, tuple(list(col) for col in zip(*rows)) if rows else ((),) * 5
+    pair_cols = tuple(list(col) for col in zip(*rows)) if rows else ((),) * 5
+    return counters, pair_cols, hits, victims
 
 
 def sorted_pairs(m):
@@ -429,7 +441,7 @@ def test_unit_size_lru_equals_the_loop_and_the_naive_oracles(events, capacity, l
     loop = simulate(tr, PolicyParams("lru"), config, record_evictions=True)
     assert outcome(fast) == outcome(loop)
     assert len(loop.eviction_log) == fast.evictions
-    counters, pairs = naive_outcome(tr, capacity, local)
+    counters, pairs, *_ = naive_outcome(tr, capacity, local)
     assert tuple(getattr(fast, f) for f in COUNTERS) == counters
     assert sorted_pairs(fast) == pairs
 
@@ -476,7 +488,7 @@ def test_equal_non_unit_sizes_keep_the_loop(monkeypatch, local):
     m = simulate(tr, PolicyParams("lru"), CacheConfig(7.0, local))
     assert calls.n == 0
     assert built.n == 1  # the shared cache's; the private tier builds its own
-    counters, pairs = naive_outcome(tr, 7.0, local, size=2)
+    counters, pairs, *_ = naive_outcome(tr, 7.0, local, size=2)
     assert tuple(getattr(m, f) for f in COUNTERS) == counters
     assert sorted_pairs(m) == pairs
     assert m.hits > 0
@@ -610,6 +622,118 @@ def test_private_tier_with_mixed_sizes_matches_the_naive_oracle(events, sizes, c
     assert (stream.local_hits, stream.total_events) == (local_hits, len(tr))
     assert stream.keys.tolist() == keys
     assert stream.clients.tolist() == clients
+
+
+# ---------------------------------------------------------------------------
+# unit-size LFU and Belady through one heap loop
+# ---------------------------------------------------------------------------
+
+HOOKED = {"lfu": LFUPolicy, "belady": BeladyPolicy}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 20), st.integers(1, 6), st.integers(1, 12), st.sampled_from([None, 0, 1])
+        ),
+        min_size=1,
+        max_size=80,
+    ),
+    st.sampled_from(["lfu", "belady"]),
+    st.sampled_from([0.5, 1.0, 2.9999999999999996, 3.0, 7.0, 1e300]),
+    st.sampled_from([0.0, 0.25]),
+    st.booleans(),
+)
+def test_unit_size_heap_kernel_equals_the_hooks_and_the_naive_oracles(
+    events, kind, capacity, local, record
+):
+    tr = make_trace(events, versions=True)
+    config = CacheConfig(capacity, local)
+    fast = simulate(tr, PolicyParams(kind), config, record_evictions=record)
+    hooked = simulate(tr, HOOKED[kind](), config, record_evictions=record)
+    assert outcome(fast) == outcome(hooked)
+    assert fast.eviction_log == hooked.eviction_log
+    counters, pairs, hits, victims = naive_outcome(tr, capacity, local, kind=kind)
+    assert tuple(getattr(fast, f) for f in COUNTERS) == counters
+    assert sorted_pairs(fast) == pairs
+    assert fast.eviction_log == (victims if record else None)
+    # hit flags of the kernel and of the hook loop on the forwarded stream
+    (stream,) = engine._streams(tr, [config])
+    kernel = engine._unit_heap_replay(
+        HOOKED[kind]._priorities, stream.keys, stream.ranks, capacity, record
+    )
+    loop = engine._replay(
+        HOOKED[kind](), stream.keys.tolist(), stream.clients.tolist(), stream.sizes.tolist(),
+        capacity, record,
+    )
+    assert kernel[0].tolist() == loop[0].tolist() == hits
+    assert kernel[1:] == loop[1:]
+
+
+def test_unit_size_lfu_and_belady_params_take_the_heap_kernel(monkeypatch):
+    monkeypatch.setattr(harness, "_sweep_workers", lambda cells: 1)  # count in this process
+    kernel = Calls(monkeypatch, "_unit_heap_replay")
+    loop = Calls(monkeypatch, "_replay")
+    built = Calls(monkeypatch, "build_policy")
+    tr = random_unit_trace(5, 400, 30, 4)
+    for kind in ("lfu", "belady"):
+        for record in (False, True):
+            simulate(tr, PolicyParams(kind), CacheConfig(6.0), record_evictions=record)
+    # criterion 07's runs
+    simulate(random_unit_trace(0, 500, 40, 6), PolicyParams("lfu"), CacheConfig(12.0), True)
+    # a sweep's cells: one per (policy, capacity)
+    run_sweep(ExperimentConfig(
+        trace="preset:grouped-4.1",
+        policies=(PolicyParams("lfu"), PolicyParams("belady")),
+        capacities=CapacityGrid((0.01, 0.02), "volume"),
+        seeds=(1,),
+        scale=0.02,
+        horizon=100.0,
+    ))
+    # the tracer's policy tag: every kernel run still builds its policy
+    assert (kernel.n, loop.n, built.n) == (5 + 4, 0, 5 + 4)
+    kernel.n = 0
+    # prebuilt instances, equal non-unit sizes and mixed-size lfu keep the loop
+    simulate(tr, LFUPolicy(), CacheConfig(6.0))
+    simulate(tr, BeladyPolicy(), CacheConfig(6.0))
+    events = [(t, 1 + t % 3, 1 + t * 7 % 11) for t in range(60)]
+    doubled = make_trace(events, sizes={o: 2.0 for o in range(1, 12)})
+    simulate(doubled, PolicyParams("lfu"), CacheConfig(7.0))
+    simulate(doubled, PolicyParams("belady"), CacheConfig(7.0))
+    simulate(make_trace(events, sizes={1: 2.5}), PolicyParams("lfu"), CacheConfig(7.0))
+    assert (kernel.n, loop.n) == (0, 5)
+
+
+def test_heap_kernel_keeps_its_heap_within_the_lfu_bound(monkeypatch):
+    # a hit-heavy trace: 20 objects, 16 slots
+    tr = random_unit_trace(9, 20_000, 20, 3)
+    keys = tr.identity_keys().tolist()
+    n, slots = len(keys), 16
+    bound = {"worst": 0.0, "pushes": 0}
+    seen: set = set()
+    push = heapq.heappush
+
+    def watched(heap, p):
+        push(heap, p)
+        if heap is not bound.get("heap", heap):
+            return  # not the kernel's heap
+        bound["heap"] = heap
+        bound["pushes"] += 1
+        seen.add(keys[p % n])
+        residents = min(len(seen), slots)
+        limit = LFUPolicy.HEAP_SLACK * residents + LFUPolicy.HEAP_EXTRA + 1
+        bound["worst"] = max(bound["worst"], len(heap) / limit)
+
+    monkeypatch.setattr(heapq, "heappush", watched)
+    for kind in ("lfu", "belady"):
+        bound.clear()
+        bound.update(worst=0.0, pushes=0)
+        seen.clear()
+        m = simulate(tr, PolicyParams(kind), CacheConfig(float(slots)))
+        assert m.hits > 0.9 * n
+        assert bound["pushes"] > 10 * (LFUPolicy.HEAP_SLACK * slots + LFUPolicy.HEAP_EXTRA)
+        assert bound["worst"] <= 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,10 @@ def test_parse_experiment_config_full():
             "requires percent",
         ),
         ("preset = x\npolicies = fifo\ncapacities = 1\n", "unknown policy"),
+        (
+            "preset = x\npolicies = lfrus:w=20,g=0.5\ncapacities = 1\n",
+            "policy 'g=0.5' is an option, not a policy; options are separated by ':'",
+        ),
         ("preset = x\npolicies = lru\ncapacities = 1\nseeds = one\n", "integer"),
         ("preset = x\npolicies = lru\ncapacities = 1\nscale = big\n", "number"),
         ("preset = x\npolicies = lru, lfu, lru\ncapacities = 1\n", "repeat a label: lru"),
