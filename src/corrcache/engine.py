@@ -27,16 +27,17 @@ from typing import IO
 import numpy as np
 
 from .policies import (
-    LFUPolicy,
     Policy,
     PolicyConfigError,
     PolicyParams,
+    _HeapPolicy,
     _key_runs,
+    _next_requests,
     _stable_argsort,
     build_policy,
     static_optimal_select,
 )
-from .trace import _VERSION_BITS, _VERSION_SPAN, ObjectCatalog, Trace, _checked_sizes
+from .trace import ObjectCatalog, Trace, _checked_sizes, _unpack_keys
 
 # Per-pair counts go through dense tables while a table holds at most this
 # many slots per forwarded request (see `_pair_rows`).
@@ -204,36 +205,34 @@ def _unit_heap_replay(
     misses, evictions, eviction log or None).
 
     ``priorities`` is the policy class's ``_priorities``: from the requests
-    grouped by key (their catalog ``ranks``), one unique priority per request
-    whose value names it (``p % n``); the least live one is the victim.  A
-    resident's live heap entry is that of its latest request, and stays live
-    until the key's next request.  So a request hits exactly when the entry
-    of its key's previous request was not popped as a victim: ``will_hit``
-    is set at every repeat request and cleared at each victim's next
-    request.  Before a victim is taken, stale tops (entries whose key was
-    requested since; never the top under Belady) are popped.  Once stale
-    entries make the heap longer than LFUPolicy's bound, it keeps only the
-    live ones.
+    grouped by key (their catalog ``ranks``) and `_next_requests`, one unique
+    priority per request whose value names it (``p % n``); the least live
+    one is the victim.  A resident's live heap entry is that of its latest
+    request, and stays live until the key's next request.  So a request hits
+    exactly when the entry of its key's previous request was not popped as a
+    victim: ``will_hit`` is set at every repeat request and cleared at each
+    victim's next request.  Before a victim is taken, stale tops (entries
+    whose key was requested since; never the top under Belady) are popped.
+    Once stale entries make the heap longer than the hook classes' bound
+    (`_HeapPolicy`), it keeps only the live ones.
     """
     n = len(ranks)
     slots = min(math.floor(capacity), n)
     if slots == 0:
         return np.zeros(n, dtype=bool), n, 0, [] if record_evictions else None
     by_key, same = _key_runs(ranks)
-    earlier, later = by_key[:-1][same], by_key[1:][same]
-    # each request's next request of its key, or n
-    nxt_arr = np.full(n, n, dtype=np.int64)
-    nxt_arr[earlier] = later
+    nxt_arr = _next_requests(by_key, same)
     nxt = nxt_arr.tolist()
+    # a repeat is some request's next; slot n stands for a key's last request
     repeats = np.zeros(n + 1, dtype=np.uint8)
-    repeats[later] = 1
+    repeats[nxt_arr] = 1
     will_hit = bytearray(repeats)
-    slack, limit = LFUPolicy.HEAP_SLACK, LFUPolicy.HEAP_EXTRA
+    slack, limit = _HeapPolicy.HEAP_SLACK, _HeapPolicy.HEAP_EXTRA
     push, pop, replace = heapq.heappush, heapq.heappop, heapq.heapreplace
     heap: list[int] = []
     victims: list[int] | None = [] if record_evictions else None
     free = slots
-    for i, p in enumerate(priorities(by_key, same).tolist()):
+    for i, p in enumerate(priorities(by_key, same, nxt_arr).tolist()):
         if will_hit[i]:
             push(heap, p)
             if len(heap) > limit:
@@ -301,6 +300,11 @@ def _replay(
             oversized += 1
             continue
         while used + s > capacity:
+            if not order:
+                raise ConsistencyError(
+                    f"no resident left to evict for an object of size {s!r} in capacity "
+                    f"{capacity!r}, with {used!r} bytes still counted in use"
+                )
             try:
                 v, vs = victim()
             except KeyError as e:
@@ -514,11 +518,11 @@ def _pair_rows(
         rows, inverse = np.unique(codes, return_inverse=True)
         requests = np.bincount(inverse, minlength=len(rows))
         hits = np.bincount(inverse[hit_flags], minlength=len(rows))
-    keys = cat_keys[rows % m]
+    objects, versions = _unpack_keys(cat_keys[rows % m])
     return (
         rows // m + first,
-        keys >> _VERSION_BITS,
-        (keys & (_VERSION_SPAN - 1)) - 1,
+        objects,
+        versions,
         requests.astype(np.int64, copy=False),
         hits.astype(np.int64, copy=False),
     )

@@ -5,8 +5,9 @@ gets ``i``, the request's position in the key stream the engine replays:
 
 * ``bind(order, keys, clients)`` is called once, before the replay, with
   the live recency order, that key stream and each request's client.
-  Policies that need a table per request (LFU's and Belady's priorities,
-  lfru's stamps) build it here.
+  Policies that need a table per request build it here: lfru's stamps, and
+  the priorities and next requests of `_HeapPolicy`, the one lazy min-heap
+  that LFU and Belady share (each gives only its priority rule).
 * ``on_request(i, client, key, hit)`` fires on every hit, before the
   recency order changes.  It fires on misses too, before admission, only
   for a class whose ``reads_misses`` is true (the follow-aware policies).
@@ -29,6 +30,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Mapping
 
 import numpy as np
@@ -148,38 +150,92 @@ def _key_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, keys[order[1:]] == keys[order[:-1]]
 
 
-class LFUPolicy(Policy):
-    """Evict the resident with the smallest lifetime request count.
+def _next_requests(by_key: np.ndarray, same: np.ndarray) -> np.ndarray:
+    """Each request's next request of its key, or n, from `_key_runs`."""
+    n = len(by_key)
+    nxt = np.full(n, n, dtype=np.int64)
+    nxt[by_key[:-1][same]] = by_key[1:][same]
+    return nxt
 
-    Counts accumulate over the whole run and survive eviction; ties fall back
-    to least-recently-used.
 
-    ``bind`` gives request i of n the priority ``count * n + i``, where
-    ``count`` numbers the requests of its key up to i (from one stable
-    argsort of the keys, so oversized misses count too; `_priorities`, which
-    the engine's unit-size heap loop shares).  A resident's live
-    priority, in ``_live``, is that of its latest request; among residents
-    the latest requests order keys exactly as the recency order does, so the
-    smallest live priority is the smallest count with the LRU tie-break.
-    Victims come from a lazy min-heap of plain priorities, priority p naming
-    the key of request ``p % n``: a hit pushes in ``on_request``, an
-    admission in ``on_admit``, and an entry is live while it is its key's
-    entry in ``_live``.  ``victim`` drops its victim from ``_live``.  Once
-    stale entries make the heap longer than ``HEAP_SLACK`` times the
-    residents plus ``HEAP_EXTRA``, it is rebuilt from ``_live``, so its size
-    is bounded by the cache, not by the trace.
+class _HeapPolicy(Policy):
+    """Evict the resident with the least live priority, from a lazy min-heap.
+
+    ``bind`` gives request i of n one unique integer priority, from the
+    subclass's ``_priorities`` rule, whose value names it (``p % n``), and
+    its next request of its key (`_next_requests`).  A hit pushes its
+    request's priority in ``on_request``, an admission in ``on_admit``, and
+    each records its position.  An entry is live until its key's next
+    request: then a newer entry of the key supersedes it.  An oversized miss
+    gets no hook, but its key has no entries, and an evicted key's live
+    entry left the heap as its victim; so at an eviction the stale entries
+    are exactly those whose next request is at or before the recorded
+    position.  ``victim`` pops them off the top and evicts the first live
+    one.  Hits are the only source of stale entries; once they make the heap
+    longer than ``HEAP_SLACK`` times the residents plus ``HEAP_EXTRA``, the
+    push keeps only the live ones, so the heap's size is bounded by the
+    cache, not by the trace.  The engine's unit-size heap loop shares the
+    rule, the next-request table and the bound.
     """
 
-    name = "lfu"
     HEAP_SLACK = 4
     HEAP_EXTRA = 64
 
-    def __init__(self):
-        self._live: dict[int, int] = {}
+    def bind(self, order, keys: list[int], clients: list[int]) -> None:
+        super().bind(order, keys, clients)
+        self._keys = keys
         self._heap: list[int] = []
+        self._last = -1  # position of the latest hook
+        runs = _key_runs(np.asarray(keys, dtype=np.int64))
+        nxt = _next_requests(*runs)
+        self._priority = self._priorities(*runs, nxt).tolist()
+        self._next = nxt.tolist()
+
+    def on_request(self, i: int, _client=None, _key=None, _hit=None) -> None:
+        # on_admit too: (i, key) binds key to _client
+        self._last = i
+        heap = self._heap
+        heappush(heap, self._priority[i])
+        if len(heap) > self.HEAP_SLACK * len(self.order) + self.HEAP_EXTRA:
+            self._prune(i)
+
+    on_admit = on_request
+
+    def _prune(self, i: int) -> None:
+        """Keep the entries that are live at position i."""
+        heap, nxt = self._heap, self._next
+        n = len(nxt)
+        heap[:] = [p for p in heap if nxt[p % n] > i]
+        heapify(heap)
+
+    def victim(self) -> tuple[int, float]:
+        order = self.order
+        if not order:
+            raise IndexError(f"{self.name} victim requested with nothing resident")
+        heap, nxt, last = self._heap, self._next, self._last
+        n = len(nxt)
+        while nxt[heap[0] % n] <= last:
+            heappop(heap)
+        key = self._keys[heappop(heap) % n]
+        return key, order.pop(key)
+
+
+class LFUPolicy(_HeapPolicy):
+    """Evict the resident with the smallest lifetime request count.
+
+    Counts accumulate over the whole run and survive eviction; ties fall back
+    to least-recently-used.  Request i of n has the priority ``count * n +
+    i``, where ``count`` numbers the requests of its key up to i, oversized
+    misses included.  A resident's live priority is that of its latest
+    request, and among residents the latest requests order keys exactly as
+    the recency order does, so the least live priority is the smallest count
+    with the LRU tie-break.
+    """
+
+    name = "lfu"
 
     @staticmethod
-    def _priorities(by_key: np.ndarray, same: np.ndarray) -> np.ndarray:
+    def _priorities(by_key: np.ndarray, same: np.ndarray, nxt: np.ndarray) -> np.ndarray:
         """``count * n + i`` for request i of n, from `_key_runs`."""
         n = len(by_key)
         rank = np.arange(n)
@@ -190,44 +246,6 @@ class LFUPolicy(Policy):
         priority = np.empty(n, dtype=np.int64)
         priority[by_key] = count * n + by_key
         return priority
-
-    def bind(self, order, keys: list[int], clients: list[int]) -> None:
-        super().bind(order, keys, clients)
-        self._keys = keys
-        self._priority = self._priorities(*_key_runs(np.asarray(keys, dtype=np.int64))).tolist()
-
-    def on_request(self, i: int, client: int, key: int, hit: bool) -> None:
-        p = self._live[key] = self._priority[i]
-        heap = self._heap
-        heapq.heappush(heap, p)
-        if len(heap) > self.HEAP_SLACK * len(self._live) + self.HEAP_EXTRA:
-            self._rebuild()
-
-    def on_admit(self, i: int, key: int) -> None:
-        p = self._live[key] = self._priority[i]
-        heap = self._heap
-        heapq.heappush(heap, p)
-        if len(heap) > self.HEAP_SLACK * len(self._live) + self.HEAP_EXTRA:
-            self._rebuild()
-
-    def _rebuild(self) -> None:
-        """Replace the heap by one live entry per resident."""
-        heap = self._heap
-        heap[:] = self._live.values()
-        heapq.heapify(heap)
-
-    def victim(self) -> tuple[int, float]:
-        live = self._live
-        keys = self._keys
-        n = len(keys)
-        heap = self._heap
-        while heap:
-            p = heapq.heappop(heap)
-            key = keys[p % n]
-            if live.get(key) == p:
-                del live[key]
-                return key, self.order.pop(key)
-        raise IndexError(f"{self.name} victim requested with nothing resident")
 
 
 class SievePolicy(Policy):
@@ -282,66 +300,29 @@ class SievePolicy(Policy):
         return key, self.order.pop(key)
 
 
-class BeladyPolicy(Policy):
+class BeladyPolicy(_HeapPolicy):
     """Offline optimum for unit sizes: evict the resident used farthest in
     the future; never-again beats everything; ties (both never-again) are LRU.
 
-    ``bind`` gives request i of n its next use: the position of the next
-    request of its key, or 2n - i if there is none.  That is beyond every
-    position, so never-again residents come first, and larger for earlier
-    requests, so they leave in the order of their last requests.  Nothing
-    touches them again, so that order is their LRU order.  Its priority is
-    ``i - next_use * n`` (`_priorities`, which the engine's unit-size heap
-    loop shares): the smallest is the farthest next use, and priority p
-    names the key of request ``p % n``.
-
-    Victims come from one min-heap of priorities.  A hit pushes its
-    request's priority in ``on_request``, an admission in ``on_admit``.  An
-    entry whose next use is at most the current position is stale.  Each
-    resident has one entry further out, its latest, and an evicted key's
-    latest entry left the heap as its victim, so the heap top is always a
-    live resident.  Once stale entries make the heap longer than twice the
-    residents, ``victim`` keeps only as many entries as there are residents,
-    the smallest, which are the live ones.
+    Request i of n has the next use of its key's next request, or 2n - i if
+    there is none.  That is beyond every position, so never-again residents
+    come first, and larger for earlier requests, so they leave in the order
+    of their last requests.  Nothing touches them again, so that order is
+    their LRU order.  Its priority is ``i - next_use * n``: the least is the
+    farthest next use.  A stale entry's next use has passed, so its priority
+    is larger than every live one's and never reaches the heap top.
     """
 
     name = "belady"
     requires_unit_sizes = True
 
-    def __init__(self):
-        self._heap: list[int] = []
-
     @staticmethod
-    def _priorities(by_key: np.ndarray, same: np.ndarray) -> np.ndarray:
-        """``i - next_use * n`` for request i of n, from `_key_runs`."""
-        n = len(by_key)
+    def _priorities(by_key: np.ndarray, same: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+        """``i - next_use * n`` for request i of n, from `_key_runs` and
+        `_next_requests`."""
+        n = len(nxt)
         position = np.arange(n)
-        # the next request in its run, else 2n - i
-        next_use = 2 * n - position
-        next_use[by_key[:-1][same]] = by_key[1:][same]
-        return position - next_use * n
-
-    def bind(self, order, keys: list[int], clients: list[int]) -> None:
-        super().bind(order, keys, clients)
-        self._keys = keys
-        self._priority = self._priorities(*_key_runs(np.asarray(keys, dtype=np.int64))).tolist()
-
-    def on_request(self, i: int, client: int, key: int, hit: bool) -> None:
-        heapq.heappush(self._heap, self._priority[i])
-
-    def on_admit(self, i: int, key: int) -> None:
-        heapq.heappush(self._heap, self._priority[i])
-
-    def victim(self) -> tuple[int, float]:
-        heap = self._heap
-        residents = len(self.order)
-        if len(heap) > 2 * residents:
-            # drop the stale entries, whose priorities are all larger
-            heap.sort()
-            del heap[residents:]
-        keys = self._keys
-        key = keys[heapq.heappop(heap) % len(keys)]
-        return key, self.order.pop(key)
+        return position - np.where(nxt < n, nxt, 2 * n - position) * n
 
 
 @dataclass(frozen=True)

@@ -66,16 +66,27 @@ def unpack_key(key: int) -> tuple[int, int | None]:
     return key >> _VERSION_BITS, (None if v == NO_VERSION else v)
 
 
+def _pack_keys(objects: np.ndarray, versions: np.ndarray) -> np.ndarray:
+    """`pack_key` over arrays, with version -1 for None; ids outside the
+    packable ranges alias other identities' keys."""
+    return (objects << _VERSION_BITS) | (versions + 1)
+
+
+def _unpack_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (objects, versions) arrays of packed keys, version -1 for None."""
+    return keys >> _VERSION_BITS, (keys & (_VERSION_SPAN - 1)) - 1
+
+
 class ObjectCatalog:
     """Maps identities to positive sizes (abstract units).
 
-    The sorted identity list, the `size_arrays()` pair and the rank table
-    behind `_ranks` are built on first use and kept until the next `add`.
+    The `size_arrays()` pair, whose key order is the identity order, and
+    the rank table behind `_ranks` are built on first use and kept until the
+    next `add`.
     """
 
     def __init__(self, sizes: Mapping[tuple[int, int | None], float] | None = None):
         self._sizes: dict[tuple[int, int | None], float] = {}
-        self._sorted: list[tuple[int, int | None]] | None = None
         self._arrays: tuple[np.ndarray, np.ndarray] | None = None
         self._table: tuple[np.ndarray | None, int, int] | None = None
         if sizes:
@@ -92,7 +103,7 @@ class ObjectCatalog:
         if not size > 0:
             raise ValueError(f"object ({object_id}, {version}) size must be > 0, got {size}")
         self._sizes[(int(object_id), version)] = size
-        self._sorted = self._arrays = self._table = None
+        self._arrays = self._table = None
 
     def size(self, object_id: int, version: int | None = None) -> float:
         return self._sizes[(object_id, None if version == NO_VERSION else version)]
@@ -108,11 +119,13 @@ class ObjectCatalog:
         return isinstance(other, ObjectCatalog) and self._sizes == other._sizes
 
     def identities(self) -> list[tuple[int, int | None]]:
-        if self._sorted is None:
-            self._sorted = sorted(
-                self._sizes, key=lambda iv: (iv[0], -1 if iv[1] is None else iv[1])
-            )
-        return list(self._sorted)
+        """A new list of the identities in ascending key order: by object,
+        then by version with None first."""
+        objects, versions = _unpack_keys(self.size_arrays()[0])
+        return [
+            (o, None if v == NO_VERSION else v)
+            for o, v in zip(objects.tolist(), versions.tolist())
+        ]
 
     def total_volume(self) -> float:
         """Sum of sizes over all catalogued identities, added in ascending
@@ -134,7 +147,7 @@ class ObjectCatalog:
                 [NO_VERSION if v is None else v for _, v in self._sizes], dtype=np.int64
             )
             # `add` has checked the ranges, so the keys are distinct
-            keys = (objects << _VERSION_BITS) | (versions + 1)
+            keys = _pack_keys(objects, versions)
             order = np.argsort(keys)
             keys = keys[order]
             sizes = np.fromiter(self._sizes.values(), dtype=np.float64, count=n)[order]
@@ -154,7 +167,7 @@ class ObjectCatalog:
         table, first, span = self._rank_table()
         if table is None:
             cat_keys = self.size_arrays()[0]
-            keys = (objects << _VERSION_BITS) | (versions + 1)
+            keys = _pack_keys(objects, versions)
             ranks = np.searchsorted(cat_keys, keys)
             known = ranks < len(cat_keys)
             known[known] = cat_keys[ranks[known]] == keys[known]
@@ -181,8 +194,8 @@ class ObjectCatalog:
             keys = self.size_arrays()[0]
             table, first, span = None, 0, 0
             if len(keys):
-                objects = keys >> _VERSION_BITS
-                slots = keys & (_VERSION_SPAN - 1)
+                objects, versions = _unpack_keys(keys)
+                slots = versions + 1
                 first, span = int(objects[0]), int(slots.max()) + 1
                 size = (int(objects[-1]) - first + 1) * span
                 if size <= _RANK_TABLE_FILL * len(keys):
@@ -254,7 +267,7 @@ class Trace:
 
     def identity_keys(self) -> np.ndarray:
         """Packed int identity per event (see pack_key)."""
-        return (self.objects << _VERSION_BITS) | (self.versions + 1)
+        return _pack_keys(self.objects, self.versions)
 
 
 @dataclass
@@ -317,9 +330,7 @@ def _checked_sizes(
     ranks = trace.catalog._ranks(trace.objects, trace.versions)
     unknown = ranks < 0
     if unknown.any():
-        keys = np.unique(
-            (trace.objects[unknown] << _VERSION_BITS) | (trace.versions[unknown] + 1)
-        )
+        keys = np.unique(_pack_keys(trace.objects[unknown], trace.versions[unknown]))
         # at least one, so that a report is never ok when something is wrong
         for key in keys[: max(max_violations, 1)].tolist():
             oid, ver = unpack_key(key)
@@ -353,7 +364,7 @@ def _presence(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
 def _distinct_identities(trace: Trace) -> int:
     """How many distinct identities the trace names, catalogued or not."""
     present, unknown = _presence(trace)
-    missing = (trace.objects[unknown] << _VERSION_BITS) | (trace.versions[unknown] + 1)
+    missing = _pack_keys(trace.objects[unknown], trace.versions[unknown])
     return int(np.count_nonzero(present)) + len(np.unique(missing))
 
 
@@ -370,7 +381,7 @@ def trace_stats(trace: Trace) -> TraceStats:
         raise KeyError((int(objects[first]), None if ver == NO_VERSION else ver))
     cat_keys, cat_sizes = trace.catalog.size_arrays()
     keys = cat_keys[present]
-    objs = np.unique(keys >> _VERSION_BITS)
+    objs = np.unique(_unpack_keys(keys)[0])
     clients, counts = np.unique(trace.clients, return_counts=True)
     return TraceStats(
         num_events=len(trace),
@@ -402,9 +413,10 @@ def write_trace(trace: Trace, path_or_file) -> None:
             if any(ch in f"{k}{v}" for ch in "\r\n") or "=" in str(k):
                 raise TraceFormatError(f"meta key/value not representable: {k!r}={v!r}")
             f.write(f"#meta {k}={v}\n")
-        for oid, ver in trace.catalog.identities():
-            vtxt = "-" if ver is None else str(ver)
-            f.write(f"#obj {oid} {vtxt} {_fmt_float(trace.catalog.size(oid, ver))}\n")
+        cat_keys, cat_sizes = trace.catalog.size_arrays()
+        ids, vers = _unpack_keys(cat_keys)
+        for o, v, s in zip(ids.tolist(), vers.tolist(), cat_sizes.tolist()):
+            f.write(f"#obj {o} {_fmt_version(v)} {_fmt_float(s)}\n")
         times = trace.times.tolist()
         clients = trace.clients.tolist()
         objects = trace.objects.tolist()

@@ -316,6 +316,19 @@ def test_admit_detects_non_resident_victim():
         simulate(tr, BadPolicy(), CacheConfig(1.0), record_evictions=True)
 
 
+def test_eviction_with_nothing_resident_is_a_consistency_error():
+    # victims that free no bytes empty the cache before d3 fits
+    class FreesNothing(Policy):
+        def victim(self):
+            return super().victim()[0], 0.0
+
+    tr = make_trace([(1, 1, 1), (2, 1, 2), (3, 1, 3)])
+    with pytest.raises(
+        ConsistencyError, match=r"size 1\.0 in capacity 2\.0, with 2\.0 bytes still counted"
+    ):
+        simulate(tr, FreesNothing(), CacheConfig(2.0))
+
+
 def test_simulate_matches_manual_admission_replay():
     tr = random_unit_trace(4, 800, 20, 3)
     m = simulate(tr, PolicyParams("lru"), CacheConfig(6.0), record_evictions=True)

@@ -610,8 +610,9 @@ def test_sieve_matches_sized_naive_reference(requests, sizes, capacity):
     check_sized_naive_reference("sieve", naive_sized_sieve, requests, sizes, capacity)
 
 
-class _WatchedLFU(LFUPolicy):
-    """LFU that checks its heap length after every push and counts rebuilds."""
+class _WatchedHeap:
+    """A heap policy that checks its heap length after every push and counts
+    rebuilds."""
 
     def __init__(self):
         super().__init__()
@@ -635,6 +636,14 @@ class _WatchedLFU(LFUPolicy):
         self._watch(before)
 
 
+class _WatchedLFU(_WatchedHeap, LFUPolicy):
+    pass
+
+
+class _WatchedBelady(_WatchedHeap, BeladyPolicy):
+    pass
+
+
 def test_lfu_heap_stays_bounded_by_the_cache():
     # the heap never holds more than 4 entries per resident plus 64,
     # however long the trace
@@ -645,6 +654,20 @@ def test_lfu_heap_stays_bounded_by_the_cache():
     assert pol.rebuilds > 50
     assert pol.worst <= 1.0
     hits, victims = NAIVE["lfu"](tr.objects.tolist(), 40)
+    assert unpacked_eviction_objects(m) == victims and m.hits == sum(hits)
+
+
+@pytest.mark.parametrize("objects", [20, 16])
+def test_belady_heap_stays_bounded_by_the_cache(objects):
+    # a prebuilt instance replays through the hooks; 16 slots, so with 16
+    # objects nothing is ever evicted and only hits push
+    tr = random_unit_trace(9, 20_000, objects, 3)
+    pol = _WatchedBelady()
+    m = simulate(tr, pol, CacheConfig(16.0), record_evictions=True)
+    assert m.hits > 0.9 * len(tr)
+    assert pol.worst <= 1.0
+    assert pol.rebuilds > 50
+    hits, victims = NAIVE["belady"](tr.objects.tolist(), 16)
     assert unpacked_eviction_objects(m) == victims and m.hits == sum(hits)
 
 
