@@ -8,8 +8,9 @@ concern the forwarded stream, a `_Stream` derived once per trace and private tie
 
 Fresh policy params over forwarded requests that all have size 1.0 replay
 without Python hooks: lru (without an eviction log) through
-`_unit_lru_replay`, lfu and belady through `_unit_heap_replay`.  Every other
-run takes the hook loop `_replay`, which gives the same metrics.
+`_unit_lru_replay`, lfu and belady through `_unit_heap_replay`, sieve through
+`_unit_sieve_replay`.  Every other run takes the hook loop `_replay`, which
+gives the same metrics.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import heapq
 import itertools
 import json
 import math
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import IO
@@ -255,6 +256,58 @@ def _unit_heap_replay(
     return hit_flags, 0, evictions, ev_log
 
 
+def _unit_sieve_replay(
+    ranks: np.ndarray, cat_keys: np.ndarray, capacity: float, record_evictions: bool
+):
+    """SIEVE replay of unit-size requests: (hit flags, oversized misses,
+    evictions, eviction log or None).
+
+    `SievePolicy`'s algorithm on catalog ``ranks`` instead of keys, with no
+    hooks: ``state`` holds one byte per rank (0 absent, 1 resident, 2
+    resident and visited), the queue is the same two deques in scan order
+    from the hand, and the eviction is `SievePolicy.victim`'s scan inline.
+    Victims map to packed keys through ``cat_keys``.
+    """
+    n = len(ranks)
+    slots = min(math.floor(capacity), n)
+    if slots == 0:
+        return np.zeros(n, dtype=bool), n, 0, [] if record_evictions else None
+    state = bytearray(len(cat_keys))
+    hit = bytearray(n)
+    ahead: deque[int] = deque()
+    behind: deque[int] = deque()
+    victims: list[int] | None = [] if record_evictions else None
+    free = slots
+    for i, r in enumerate(ranks.tolist()):
+        if state[r]:
+            state[r] = 2
+            hit[i] = 1
+            continue
+        if free:
+            free -= 1
+        else:
+            if not ahead:  # nothing scanned since the queue was empty: start at the oldest
+                ahead.append(behind.pop())
+            v = ahead.popleft()
+            while state[v] == 2:
+                state[v] = 1
+                behind.append(v)
+                if not ahead:
+                    ahead, behind = behind, ahead
+                v = ahead.popleft()
+            if not ahead:
+                ahead, behind = behind, ahead
+            state[v] = 0
+            if victims is not None:
+                victims.append(v)
+        state[r] = 1
+        behind.appendleft(r)
+    hit_flags = np.frombuffer(hit, dtype=bool, count=n)
+    evictions = n - int(hit_flags.sum()) - (slots - free)
+    ev_log = None if victims is None else cat_keys[np.array(victims, dtype=np.intp)].tolist()
+    return hit_flags, 0, evictions, ev_log
+
+
 def _replay(
     pol: Policy,
     keys: list[int],
@@ -402,7 +455,9 @@ def simulate(
     """Run one simulation and return its metrics.
 
     The policy may be passed as params (a fresh instance is built per run) or
-    as a prebuilt instance, which must be unused.  Every shipped policy is
+    as a prebuilt instance.  Every shipped class makes its per-run state in
+    ``bind``, so an instance gives the same metrics each time it is run, and
+    keeps the state of its latest run readable.  Every shipped policy is
     deterministic, so ``seed`` only tags the output metadata; it completes
     the (trace, policy, config, seed) -> metrics purity contract.  A trace
     that `validate_trace` rejects raises ConfigurationError.
@@ -410,9 +465,10 @@ def simulate(
     The run replays the `_Stream` that ``config``'s private tier forwards.
     Over forwarded requests that all have size 1.0, ``PolicyParams("lru")``
     without an eviction log replays through the C-level ``lru_cache`` of
-    `_unit_lru_replay`, and ``PolicyParams("lfu")`` and
-    ``PolicyParams("belady")``, with or without one, through the heap loop of
-    `_unit_heap_replay`; every other run (other sizes, an lru eviction log, a
+    `_unit_lru_replay`, ``PolicyParams("lfu")`` and ``PolicyParams("belady")``,
+    with or without one, through the heap loop of `_unit_heap_replay`, and
+    ``PolicyParams("sieve")``, with or without one, through the rank loop of
+    `_unit_sieve_replay`; every other run (other sizes, an lru eviction log, a
     prebuilt policy, other policies) takes the engine loop, which gives the
     same metrics.  ``PolicyParams("static_opt")`` is not replayed: the set
     `static_optimal_select` picks from its rates stays resident throughout,
@@ -453,10 +509,18 @@ def _replay_stream(
         if pol.requires_unit_sizes and not stream.catalog.unit_sized():
             raise ConfigurationError(f"policy {pol.name!r} supports unit-size catalogs only")
         # the kinds with a hook-free unit-size replay
-        unit = fresh and policy.kind in ("lru", "lfu", "belady") and (stream.sizes == 1.0).all()
+        unit = (
+            fresh
+            and policy.kind in ("lru", "lfu", "belady", "sieve")
+            and (stream.sizes == 1.0).all()
+        )
         if unit and policy.kind == "lru" and not record_evictions:
             hit_flags, oversized, evictions = _unit_lru_replay(stream.keys.tolist(), config.capacity)
             ev_log = None
+        elif unit and policy.kind == "sieve":
+            hit_flags, oversized, evictions, ev_log = _unit_sieve_replay(
+                stream.ranks, stream.catalog.size_arrays()[0], config.capacity, record_evictions
+            )
         elif unit and policy.kind != "lru":
             hit_flags, oversized, evictions, ev_log = _unit_heap_replay(
                 pol._priorities, stream.keys, stream.ranks, config.capacity, record_evictions

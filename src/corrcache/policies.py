@@ -5,9 +5,11 @@ gets ``i``, the request's position in the key stream the engine replays:
 
 * ``bind(order, keys, clients)`` is called once, before the replay, with
   the live recency order, that key stream and each request's client.
-  Policies that need a table per request build it here: lfru's stamps, and
-  the priorities and next requests of `_HeapPolicy`, the one lazy min-heap
-  that LFU and Belady share (each gives only its priority rule).
+  Every field a run changes is made here, not in ``__init__``, so an
+  instance replays the same way each time it is run.  Policies that need a
+  table per request build it here too: lfru's stamps, and the priorities
+  and next requests of `_HeapPolicy`, the one lazy min-heap that LFU and
+  Belady share (each gives only its priority rule).
 * ``on_request(i, client, key, hit)`` fires on every hit, before the
   recency order changes.  It fires on misses too, before admission, only
   for a class whose ``reads_misses`` is true (the follow-aware policies).
@@ -268,11 +270,17 @@ class SievePolicy(Policy):
     are scanned last.  An eviction that empties the queue sends the hand
     back to the oldest entry: ``_ahead`` stays empty until the next
     ``victim`` moves the oldest entry, the end of ``_behind``, into it.
+
+    The engine replays fresh sieve params over unit sizes without hooks, in
+    `engine._unit_sieve_replay`: the same two deques over catalog ranks,
+    with a visited byte per rank in place of the set.  This class runs
+    sized sieve and prebuilt instances, and is that loop's test oracle.
     """
 
     name = "sieve"
 
-    def __init__(self):
+    def bind(self, order, keys: list[int], clients: list[int]) -> None:
+        super().bind(order, keys, clients)
         self._ahead: deque[int] = deque()
         self._behind: deque[int] = deque()
         self._visited: set[int] = set()
@@ -542,6 +550,10 @@ class LFRUSPolicy(Policy):
         self._gamma_pow: list[float] = []
         self._pow_end = window + 1
         self._stamped = window > 0 and self.gamma == 1
+
+    def bind(self, order, keys: list[int], clients: list[int]) -> None:
+        super().bind(order, keys, clients)
+        self._clients = clients
         self.windows: dict[int, deque] = {}
         self.rows: dict[int, dict[int, int]] = {}
         # float path only: each client's column as last patched into rows (so
@@ -552,17 +564,13 @@ class LFRUSPolicy(Policy):
         self._scores: dict[int, int] = {}
         self._touched: set[int] = set()  # rows whose cached score is out of date
         # see the class docstring; _code, _table and the class lists are
-        # gamma=1 only, _stamps too (filled by bind)
+        # gamma=1 only, _stamps too
         self._seen: dict[int, int] = {}
         self._code: dict[int, int] = {}  # client -> its own code, 0-253
         self._table = bytearray(255) + b"\xff"
         self._class_counts = [255] + [0] * 255  # codes per class; all 255 start at 0
         self._classes = [0]  # the classes with codes, ascending
         self._now = 0  # position of the latest request
-
-    def bind(self, order, keys: list[int], clients: list[int]) -> None:
-        super().bind(order, keys, clients)
-        self._clients = clients
         if not self._stamped:
             return
         self._keys = keys

@@ -29,6 +29,7 @@ from corrcache.policies import (
     Policy,
     PolicyConfigError,
     PolicyParams,
+    SievePolicy,
     static_optimal_select,
 )
 from corrcache.trace import (
@@ -638,7 +639,7 @@ def test_private_tier_with_mixed_sizes_matches_the_naive_oracle(events, sizes, c
 
 
 # ---------------------------------------------------------------------------
-# unit-size LFU and Belady through one heap loop
+# unit-size LFU and Belady through one heap loop, SIEVE through one rank loop
 # ---------------------------------------------------------------------------
 
 HOOKED = {"lfu": LFUPolicy, "belady": BeladyPolicy}
@@ -716,6 +717,74 @@ def test_unit_size_lfu_and_belady_params_take_the_heap_kernel(monkeypatch):
     simulate(doubled, PolicyParams("belady"), CacheConfig(7.0))
     simulate(make_trace(events, sizes={1: 2.5}), PolicyParams("lfu"), CacheConfig(7.0))
     assert (kernel.n, loop.n) == (0, 5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 20), st.integers(1, 6), st.integers(1, 12), st.sampled_from([None, 0, 1])
+        ),
+        min_size=1,
+        max_size=80,
+    ),
+    st.sampled_from([0.5, 1.0, 2.9999999999999996, 3.0, 7.0, 1e300]),
+    st.sampled_from([0.0, 0.25]),
+    st.booleans(),
+)
+def test_unit_size_sieve_kernel_equals_the_hooks_and_the_naive_oracle(
+    events, capacity, local, record
+):
+    tr = make_trace(events, versions=True)
+    config = CacheConfig(capacity, local)
+    fast = simulate(tr, PolicyParams("sieve"), config, record_evictions=record)
+    hooked = simulate(tr, SievePolicy(), config, record_evictions=record)
+    assert outcome(fast) == outcome(hooked)
+    assert fast.eviction_log == hooked.eviction_log
+    counters, pairs, hits, victims = naive_outcome(tr, capacity, local, kind="sieve")
+    assert tuple(getattr(fast, f) for f in COUNTERS) == counters
+    assert sorted_pairs(fast) == pairs
+    assert fast.eviction_log == (victims if record else None)
+    # hit flags of the kernel and of the hook loop on the forwarded stream
+    (stream,) = engine._streams(tr, [config])
+    kernel = engine._unit_sieve_replay(
+        stream.ranks, stream.catalog.size_arrays()[0], capacity, record
+    )
+    loop = engine._replay(
+        SievePolicy(), stream.keys.tolist(), stream.clients.tolist(), stream.sizes.tolist(),
+        capacity, record,
+    )
+    assert kernel[0].tolist() == loop[0].tolist() == hits
+    assert kernel[1:] == loop[1:]
+
+
+def test_unit_size_sieve_params_take_the_sieve_kernel(monkeypatch):
+    monkeypatch.setattr(harness, "_sweep_workers", lambda cells: 1)  # count in this process
+    kernel = Calls(monkeypatch, "_unit_sieve_replay")
+    loop = Calls(monkeypatch, "_replay")
+    built = Calls(monkeypatch, "build_policy")
+    tr = random_unit_trace(5, 400, 30, 4)
+    for record in (False, True):
+        simulate(tr, PolicyParams("sieve"), CacheConfig(6.0), record_evictions=record)
+    # a sweep's cells: one per capacity
+    run_sweep(ExperimentConfig(
+        trace="preset:grouped-4.1",
+        policies=(PolicyParams("sieve"),),
+        capacities=CapacityGrid((0.01, 0.02), "volume"),
+        seeds=(1,),
+        scale=0.02,
+        horizon=100.0,
+    ))
+    # the tracer's policy tag: every kernel run still builds its policy
+    assert (kernel.n, loop.n, built.n) == (2 + 2, 0, 2 + 2)
+    kernel.n = 0
+    # a prebuilt instance, equal non-unit sizes and mixed sizes keep the loop
+    simulate(tr, SievePolicy(), CacheConfig(6.0))
+    events = [(t, 1 + t % 3, 1 + t * 7 % 11) for t in range(60)]
+    simulate(make_trace(events, sizes={o: 2.0 for o in range(1, 12)}), PolicyParams("sieve"),
+             CacheConfig(7.0))
+    simulate(make_trace(events, sizes={1: 2.5}), PolicyParams("sieve"), CacheConfig(7.0))
+    assert (kernel.n, loop.n) == (0, 3)
 
 
 def test_heap_kernel_keeps_its_heap_within_the_lfu_bound(monkeypatch):

@@ -26,6 +26,7 @@ from corrcache.policies import (
     parse_policy_spec,
     static_optimal_select,
 )
+from corrcache.presets import get_preset
 
 from conftest import (
     NAIVE,
@@ -48,6 +49,17 @@ def evictions(events, kind, capacity, sizes=None):
     """Object-id eviction sequence for a small hand-built trace."""
     m = victim_sequence(make_trace(events, sizes=sizes), kind, capacity)
     return unpacked_eviction_objects(m)
+
+
+def sieve_evictions(events, capacity, sizes=None):
+    """``evictions`` of sieve params, after checking that a prebuilt
+    `SievePolicy` evicts the same: at unit sizes the params replay through
+    the engine's hook-free loop, the instance through its hooks."""
+    tr = make_trace(events, sizes=sizes)
+    hooked = simulate(tr, SievePolicy(), CacheConfig(capacity), record_evictions=True)
+    ev = evictions(events, "sieve", capacity, sizes)
+    assert unpacked_eviction_objects(hooked) == ev
+    return ev
 
 
 def run_policy(events, policy, capacity=10.0):
@@ -248,18 +260,18 @@ def test_lfu_counts_survive_eviction():
 
 
 def test_sieve_no_hits_evicts_oldest():
-    assert evictions([(1, 1, 1), (2, 1, 2), (3, 1, 3)], "sieve", 2) == [1]
+    assert sieve_evictions([(1, 1, 1), (2, 1, 2), (3, 1, 3)], 2) == [1]
 
 
 def test_sieve_visited_bit_spares_and_clears():
     # hit on d1 sets its bit; the scan clears it and removes d2; the next
     # eviction takes d1 because its bit was consumed
-    ev = evictions([(1, 1, 1), (2, 1, 2), (3, 1, 1), (4, 1, 3), (5, 1, 4)], "sieve", 2)
+    ev = sieve_evictions([(1, 1, 1), (2, 1, 2), (3, 1, 1), (4, 1, 3), (5, 1, 4)], 2)
     assert ev == [2, 1]
 
 
 def test_sieve_all_visited_full_pass_then_oldest():
-    ev = evictions([(1, 1, 1), (2, 1, 2), (3, 1, 1), (4, 1, 2), (5, 1, 3)], "sieve", 2)
+    ev = sieve_evictions([(1, 1, 1), (2, 1, 2), (3, 1, 1), (4, 1, 2), (5, 1, 3)], 2)
     assert ev == [1]
 
 
@@ -267,7 +279,7 @@ def test_sieve_scan_direction_wraps_to_newest():
     # queue oldest->newest is [d1,d2,d3] with only d1 visited: the hand
     # clears d1, wraps to the newest end, and evicts d3 (a newer-moving
     # scan would have taken d2 instead)
-    ev = evictions([(1, 1, 1), (2, 1, 2), (3, 1, 3), (4, 1, 1), (5, 1, 4)], "sieve", 3)
+    ev = sieve_evictions([(1, 1, 1), (2, 1, 2), (3, 1, 3), (4, 1, 1), (5, 1, 4)], 3)
     assert ev == [3]
 
 
@@ -275,7 +287,7 @@ def test_sieve_hand_wraps_when_the_oldest_is_evicted():
     # evicting d1, the oldest, sends the hand to the newest entry, d3, before
     # d4 is admitted, so d4 is scanned last: the next victims are d3 and d2.
     # A hand that wrapped only at the next scan would start at d4 instead
-    ev = evictions([(t, 1, o) for t, o in enumerate([1, 2, 3, 4, 5, 6], start=1)], "sieve", 3)
+    ev = sieve_evictions([(t, 1, o) for t, o in enumerate([1, 2, 3, 4, 5, 6], start=1)], 3)
     assert ev == [1, 3, 2]
 
 
@@ -283,9 +295,7 @@ def test_sieve_hand_restarts_at_the_oldest_after_the_cache_empties():
     # d9 (size 3) evicts all three residents, and d4 then evicts d9: the
     # queue is empty twice, so the victim for d2 is the oldest of d4, d5, d1
     objects = [1, 2, 3, 9, 4, 5, 1, 2]
-    ev = evictions(
-        [(t, 1, o) for t, o in enumerate(objects, start=1)], "sieve", 3, sizes={9: 3.0}
-    )
+    ev = sieve_evictions([(t, 1, o) for t, o in enumerate(objects, start=1)], 3, sizes={9: 3.0})
     assert ev == [1, 3, 2, 9, 4]
 
 
@@ -408,6 +418,37 @@ def test_victim_removes_exactly_the_key_it_returns(build):
         key, size = policy.victim()
         assert before.pop(key) == size
         assert dict(order) == before
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        Policy,
+        LFUPolicy,
+        BeladyPolicy,
+        SievePolicy,
+        lambda: LFRUPolicy(20),
+        lambda: LFRUSPolicy(20, 0.5),
+        lambda: LFRUSPolicy(20, 0.7),
+    ],
+    ids=["lru", "lfu", "belady", "sieve", "lfru", "lfrus-g0.5", "lfrus-g0.7"],
+)
+def test_a_prebuilt_policy_replays_the_same_when_run_again(build):
+    # every field a run changes is made at bind, so a second run on one
+    # instance starts from nothing, as a fresh instance does
+    tr = get_preset("grouped-4.1").build_trace(0.3, 1, 2000.0)
+    config = CacheConfig(0.02 * tr.catalog.total_volume())
+
+    def fingerprint(policy):
+        m = simulate(tr, policy, config, record_evictions=True)
+        pairs = (m.pair_clients, m.pair_objects, m.pair_versions, m.pair_requests, m.pair_hits)
+        return m.hits, m.evictions, m.eviction_log, [a.tolist() for a in pairs]
+
+    fresh = fingerprint(build())
+    assert fresh[0] > 0 and fresh[1] > 0
+    policy = build()
+    assert fingerprint(policy) == fresh
+    assert fingerprint(policy) == fresh
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.5], ids=["lfru", "lfrus"])
