@@ -9,7 +9,10 @@ concern the forwarded stream, a `_Stream` derived once per trace and private tie
 Fresh policy params over forwarded requests that all have size 1.0 replay
 without Python hooks: lru (without an eviction log) through
 `_unit_lru_replay`, lfu and belady through `_unit_heap_replay`, sieve through
-`_unit_sieve_replay`.  Every other run takes the hook loop `_replay`, which
+`_unit_sieve_replay`, and lfru and lfrus with a window through
+`_unit_follow_replay` wherever their follow counts run over a span of
+outcomes (`LFRUSPolicy._span`: gamma = 1, or a gamma whose newest outcome
+decides every floor).  Every other run takes the hook loop `_replay`, which
 gives the same metrics.
 """
 
@@ -20,7 +23,9 @@ import heapq
 import itertools
 import json
 import math
-from collections import OrderedDict, deque
+import re
+from array import array
+from collections import OrderedDict, defaultdict, deque
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import IO
@@ -28,9 +33,11 @@ from typing import IO
 import numpy as np
 
 from .policies import (
+    _STAMP_SPAN,
     Policy,
     PolicyConfigError,
     PolicyParams,
+    _class_moved,
     _HeapPolicy,
     _key_runs,
     _next_requests,
@@ -40,8 +47,8 @@ from .policies import (
 )
 from .trace import ObjectCatalog, Trace, _checked_sizes, _unpack_keys
 
-# Per-pair counts go through dense tables while a table holds at most this
-# many slots per forwarded request (see `_pair_rows`).
+# Per-pair and follow counts go through dense tables while a table holds at
+# most this many slots per forwarded request (see `_pair_rows`, `_counts`).
 _PAIR_TABLE_FILL = 4
 
 
@@ -308,6 +315,225 @@ def _unit_sieve_replay(
     return hit_flags, 0, evictions, ev_log
 
 
+def _counts(size: int, n: int):
+    """``size`` zero counts for a replay of ``n`` requests: a list while it
+    holds at most `_PAIR_TABLE_FILL` slots per request, else a dict."""
+    return [0] * size if size <= _PAIR_TABLE_FILL * n else defaultdict(int)
+
+
+def _unit_follow_replay(
+    ranks: np.ndarray,
+    clients: np.ndarray,
+    cat_keys: np.ndarray,
+    capacity: float,
+    span: int,
+    record_evictions: bool,
+):
+    """lfru or lfrus replay of unit-size requests whose follow counts run
+    over each client's newest ``span`` outcomes (`LFRUSPolicy._span`): (hit
+    flags, oversized misses, evictions, eviction log or None).
+
+    `LFRUSPolicy`'s algorithm on request positions, with no hooks and no
+    recency dict:
+
+    * Clients get dense ids in ascending order, so ids below 254 are the
+      hook's stamp codes.  ``cand[i]`` is the client request i follows if it
+      hits (its key's previous requester, unless that is its own client),
+      else -1; a miss overwrites it with -1, so ``cand`` ends up holding
+      each request's outcome.  ``back[i]`` is the request ``span`` back in
+      its client's sequence (n, whose slot holds -1, where there is none):
+      its outcome leaves the counted span at request i.
+    * ``stamps[p]`` holds request p's stamp code while p is the latest
+      request of a resident, 255 once a hit or an eviction supersedes it.
+      So the residents, least-recent first, are the positions of the live
+      stamps, and the least-recent one is the first, which a monotone
+      pointer finds.  ``state`` holds one residency byte per rank.
+    * ``follows[c1 * C + c2]`` is F[c1][c2], ``levels[c1 * (span + 1) +
+      v]`` counts row c1's entries equal to v (slot v = 0 is never read),
+      and ``score[c1]`` is the row maximum.  A count moves by 1, so a row
+      maximum rises with the entry that passes it and falls, by 1, only
+      when its last entry leaves it.  ``table`` and ``classes`` are the
+      hook's score classes, moved only when a score does.
+    * The victim is the least (score, latest position) among the residents:
+      the least-recent resident if its client scores 0, else the stamp
+      search `_marked_victim`, or past `_STAMP_SPAN` requests per resident
+      `_coded_victim`, which does no work per request in the span.
+
+    Victims map to packed keys through ``cat_keys``.
+    """
+    n = len(ranks)
+    slots = min(math.floor(capacity), n)
+    if slots == 0:
+        return np.zeros(n, dtype=bool), n, 0, [] if record_evictions else None
+    # 4-byte entries wherever they hold every position and rank
+    itype = "i" if max(n, len(cat_keys)) < 2**31 else "q"
+    n_clients, stamps, ranks_a, cids_a, prev_a, cand_a, back_a = _follow_tables(
+        ranks, clients, span, itype
+    )
+    state = bytearray(len(cat_keys))
+    hit = bytearray(n)
+    follows = _counts(n_clients * n_clients, n)
+    width = span + 1
+    levels = _counts(n_clients * width, n)
+    score = [0] * n_clients
+    table = bytearray(255) + b"\xff"
+    class_counts = [255] + [0] * 255
+    classes = [0]
+
+    n_codes = min(n_clients, 255)
+    bound = _STAMP_SPAN * slots
+    victims = array(itype) if record_evictions else None
+    lo = 0  # no live stamp before lo
+    free = slots
+    for i, r, c, b in zip(itertools.count(), ranks_a, cids_a, back_a):
+        missed = not state[r]
+        if missed:
+            cand_a[i] = out = -1
+        else:
+            hit[i] = 1
+            stamps[prev_a[i]] = 255
+            out = cand_a[i]
+        gone = cand_a[b]
+        if gone != out:
+            if gone >= 0:
+                f = gone * n_clients + c
+                v = follows[f]
+                follows[f] = v - 1
+                lv = gone * width + v
+                levels[lv] -= 1
+                levels[lv - 1] += 1
+                if v == score[gone] and not levels[lv]:
+                    score[gone] = v - 1
+                    if gone < 254 and v <= 254:
+                        table[gone] = v - 1
+                        _class_moved(class_counts, classes, v, v - 1)
+            if out >= 0:
+                f = out * n_clients + c
+                v = follows[f] + 1
+                follows[f] = v
+                lv = out * width + v
+                levels[lv] += 1
+                levels[lv - 1] -= 1
+                if v > score[out]:
+                    score[out] = v
+                    if out < 254 and v <= 254:
+                        table[out] = v
+                        _class_moved(class_counts, classes, v - 1, v)
+        if not missed:
+            continue
+        if free:
+            free -= 1
+        else:
+            if stamps[lo] == 255:
+                lo = _LIVE_STAMP(stamps, lo).start()
+            if not score[cids_a[lo]]:
+                p = lo
+                lo += 1
+            elif i - lo <= bound:
+                p = _marked_victim(stamps, lo, i, table, classes, score, cids_a)
+            else:
+                p = _coded_victim(stamps, lo, i, table, n_codes, classes, score, cids_a)
+            stamps[p] = 255
+            v = ranks_a[p]
+            state[v] = 0
+            if victims is not None:
+                victims.append(v)
+        state[r] = 1
+    hit_flags = np.frombuffer(hit, dtype=bool, count=n)
+    evictions = n - int(hit_flags.sum()) - (slots - free)
+    ev_log = None if victims is None else cat_keys[np.asarray(victims)].tolist()
+    return hit_flags, 0, evictions, ev_log
+
+
+def _follow_tables(ranks: np.ndarray, clients: np.ndarray, span: int, itype: str):
+    """`_unit_follow_replay`'s per-request tables: (client count, stamps,
+    then ranks, dense client ids, each key's previous request, ``cand``
+    and ``back`` as `array.array`s of ``itype``).
+
+    The loop iterates and indexes these arrays rather than lists, and every
+    numpy temporary is freed before it starts."""
+    n = len(ranks)
+    ids, cids = np.unique(clients, return_inverse=True)
+    by_key, same = _key_runs(ranks)
+    later, earlier = by_key[1:][same], by_key[:-1][same]
+    del by_key, same
+    prev = np.zeros(n, dtype=itype)
+    prev[later] = earlier
+    cand = np.full(n + 1, -1, dtype=itype)
+    followed = cids[earlier]
+    other = followed != cids[later]
+    cand[later[other]] = followed[other]
+    del later, earlier, followed, other
+    by_client = _stable_argsort(cids)
+    back = np.full(n, n, dtype=itype)
+    ok = cids[by_client[span:]] == cids[by_client[:-span]]
+    back[by_client[span:][ok]] = by_client[:-span][ok]
+    del by_client, ok
+    stamps = bytearray(np.minimum(cids, 254).astype(np.uint8))
+    tables = []
+    for values in (ranks, cids, prev, cand, back):
+        tables.append(array(itype))
+        tables[-1].frombytes(memoryview(values.astype(itype, copy=False)).cast("B"))
+    return len(ids), stamps, *tables
+
+
+# the first live stamp at or after a position
+_LIVE_STAMP = re.compile(b"[^\xff]").search
+
+
+def _marked_victim(stamps, lo, end, table, classes, score, cids) -> int:
+    """The position of the least (score, position) live stamp in [lo, end):
+    `LFRUSPolicy._stamp_victim`'s search, over stamps that are all live.
+
+    The stamps are translated to score classes, and each class is searched
+    in ascending order with ``find``.  A class is a lower bound on the
+    score: the first stamp of a class wins it, unless its exact score is
+    higher (the shared code 254, class 254), in which case the search goes
+    on through that class."""
+    marks = stamps[lo:end].translate(table)
+    best, best_p = math.inf, end
+    for c in classes:
+        if best < c:
+            break
+        j = marks.find(c)
+        while j >= 0:
+            p = lo + j
+            if c == best and p > best_p:
+                break  # this class has no better resident left
+            s = score[cids[p]]
+            if s < best or (s == best and p < best_p):
+                best, best_p = s, p
+            if s == c:
+                break  # the class is exact here: later stamps lose
+            j = marks.find(c, j + 1)
+    return best_p
+
+
+def _coded_victim(stamps, lo, end, table, n_codes, classes, score, cids) -> int:
+    """`_marked_victim` without the translation: for each class in
+    ascending order, each of its codes is found in the stamps directly.
+
+    A code below 254 is one client, whose first stamp wins the code; the
+    shared code 254 goes on while its stamps may win.  Once a class holds
+    the best score, only stamps before the best one are searched."""
+    best, best_p = math.inf, end
+    for c in classes:
+        if best < c:
+            break
+        k = table.find(c, 0, n_codes)
+        while k >= 0:
+            p = stamps.find(k, lo, best_p if c == best else end)
+            while p >= 0:
+                s = score[cids[p]]
+                if s < best or (s == best and p < best_p):
+                    best, best_p = s, p
+                if k < 254 or s == c:
+                    break
+                p = stamps.find(k, p + 1, best_p if c == best else end)
+            k = table.find(c, k + 1, n_codes)
+    return best_p
+
+
 def _replay(
     pol: Policy,
     keys: list[int],
@@ -466,11 +692,14 @@ def simulate(
     Over forwarded requests that all have size 1.0, ``PolicyParams("lru")``
     without an eviction log replays through the C-level ``lru_cache`` of
     `_unit_lru_replay`, ``PolicyParams("lfu")`` and ``PolicyParams("belady")``,
-    with or without one, through the heap loop of `_unit_heap_replay`, and
+    with or without one, through the heap loop of `_unit_heap_replay`,
     ``PolicyParams("sieve")``, with or without one, through the rank loop of
-    `_unit_sieve_replay`; every other run (other sizes, an lru eviction log, a
-    prebuilt policy, other policies) takes the engine loop, which gives the
-    same metrics.  ``PolicyParams("static_opt")`` is not replayed: the set
+    `_unit_sieve_replay`, and ``PolicyParams("lfru")`` and
+    ``PolicyParams("lfrus")`` with a window > 0 and a counted span
+    (`LFRUSPolicy._span`), with or without one, through the position loop of
+    `_unit_follow_replay`; every other run (other sizes, an lru eviction log,
+    a prebuilt policy, window 0, an lfrus gamma on the float path) takes the
+    engine loop, which gives the same metrics.  ``PolicyParams("static_opt")`` is not replayed: the set
     `static_optimal_select` picks from its rates stays resident throughout,
     so a forwarded request hits exactly when its identity is in that set.
     """
@@ -508,10 +737,14 @@ def _replay_stream(
         pol = build_policy(policy) if fresh else policy
         if pol.requires_unit_sizes and not stream.catalog.unit_sized():
             raise ConfigurationError(f"policy {pol.name!r} supports unit-size catalogs only")
-        # the kinds with a hook-free unit-size replay
+        # the kinds with a hook-free unit-size replay; follow policies only
+        # where their counts run over a span of outcomes
         unit = (
             fresh
-            and policy.kind in ("lru", "lfu", "belady", "sieve")
+            and (
+                policy.kind in ("lru", "lfu", "belady", "sieve")
+                or (policy.kind in ("lfru", "lfrus") and pol.window > 0 and pol._span is not None)
+            )
             and (stream.sizes == 1.0).all()
         )
         if unit and policy.kind == "lru" and not record_evictions:
@@ -521,7 +754,12 @@ def _replay_stream(
             hit_flags, oversized, evictions, ev_log = _unit_sieve_replay(
                 stream.ranks, stream.catalog.size_arrays()[0], config.capacity, record_evictions
             )
-        elif unit and policy.kind != "lru":
+        elif unit and policy.kind in ("lfru", "lfrus"):
+            hit_flags, oversized, evictions, ev_log = _unit_follow_replay(
+                stream.ranks, stream.clients, stream.catalog.size_arrays()[0], config.capacity,
+                pol._span, record_evictions,
+            )
+        elif unit and policy.kind in ("lfu", "belady"):
             hit_flags, oversized, evictions, ev_log = _unit_heap_replay(
                 pol._priorities, stream.keys, stream.ranks, config.capacity, record_evictions
             )

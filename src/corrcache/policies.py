@@ -446,6 +446,18 @@ def _newest_outcome_decides(gamma: float, window: int) -> bool:
     return True
 
 
+def _class_moved(counts: list[int], classes: list[int], old: int, new: int) -> None:
+    """Keep ``classes`` the sorted distinct score classes of a code table,
+    whose ``counts`` of codes per class change as one code moves from class
+    ``old`` to ``new``."""
+    counts[old] -= 1
+    if not counts[old]:
+        classes.remove(old)
+    if not counts[new]:
+        bisect.insort(classes, new)
+    counts[new] += 1
+
+
 class LFRUSPolicy(Policy):
     """Follow-aware eviction with geometric recency weights.
 
@@ -460,6 +472,13 @@ class LFRUSPolicy(Policy):
     whose last requester has the lowest row score, breaking ties toward
     least-recently-used.  window=0 is the degenerate case and behaves exactly
     like LRU.
+
+    This class is the hook twin and the test oracle of
+    `engine._unit_follow_replay`, which replays fresh lfru and lfrus params
+    at unit sizes without hooks wherever window > 0 and ``_span`` is set.
+    It runs every other replay: sized traces, prebuilt instances (such as
+    `simulate --dump-follow-matrix` passes), window 0 and the float-path
+    gammas.
 
     With window > 0 every request, a miss too, records its position as its
     object's latest request in ``_seen``, which survives eviction; so the
@@ -693,20 +712,9 @@ class LFRUSPolicy(Policy):
                     old = table[c]
                     if old != cls:
                         table[c] = cls
-                        self._class_moved(old, cls)
+                        _class_moved(self._class_counts, self._classes, old, cls)
             self._touched.clear()
         return self._scores
-
-    def _class_moved(self, old: int, new: int) -> None:
-        """Keep ``_classes`` the sorted distinct classes of ``_table`` when
-        one code moves from class ``old`` to ``new``."""
-        counts, classes = self._class_counts, self._classes
-        counts[old] -= 1
-        if not counts[old]:
-            classes.remove(old)
-        if not counts[new]:
-            bisect.insort(classes, new)
-        counts[new] += 1
 
     def window_snapshot(self) -> dict[int, tuple]:
         """Outcome windows, oldest first (for consistency checks)."""

@@ -8,6 +8,8 @@ optimized implementations under test.
 from __future__ import annotations
 
 import math
+import signal
+import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -25,6 +27,35 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+# A test that runs longer than this fails, so that a loop that never ends
+# fails the suite instead of hanging it.  The slowest test takes ~16 s.
+TEST_SECONDS = 120
+
+
+class WallClockExceeded(BaseException):
+    """Raised inside a test that runs past TEST_SECONDS.  It is no
+    Exception, so hypothesis passes it on at once instead of shrinking,
+    which would rerun the examples that may never end."""
+
+
+@pytest.fixture(autouse=True)
+def _wall_clock_bound():
+    if not hasattr(signal, "setitimer") or threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def expire(signum, frame):
+        raise WallClockExceeded(f"test still running after {TEST_SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------

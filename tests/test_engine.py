@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrcache import engine, harness
+from corrcache import cli, engine, harness
 from corrcache.engine import (
     CacheConfig,
     ConfigurationError,
@@ -25,11 +25,15 @@ from corrcache.engine import (
 from corrcache.harness import CapacityGrid, ExperimentConfig, run_sweep
 from corrcache.policies import (
     BeladyPolicy,
+    LFRUPolicy,
+    LFRUSPolicy,
     LFUPolicy,
     Policy,
     PolicyConfigError,
     PolicyParams,
     SievePolicy,
+    build_policy,
+    parse_policy_spec,
     static_optimal_select,
 )
 from corrcache.trace import (
@@ -40,11 +44,13 @@ from corrcache.trace import (
     pack_key,
     unpack_key,
     validate_trace,
+    write_trace,
 )
 
 from conftest import (
     NAIVE,
     make_trace,
+    naive_follow,
     naive_local_filter,
     naive_lru,
     naive_sized_local_filter,
@@ -391,10 +397,11 @@ def outcome(m):
     return tuple(getattr(m, f) for f in COUNTERS), tuple(getattr(m, f).tolist() for f in PAIR_FIELDS)
 
 
-def naive_outcome(trace, capacity, local_fraction, size=1, kind="lru"):
+def naive_outcome(trace, capacity, local_fraction, size=1, kind="lru", follow=None):
     """Counters and pair rows of ``kind`` over ``size``-byte objects, from
     the conftest oracles: the private tiers first, then the shared cache;
-    also the shared cache's hit flags and victims."""
+    also the shared cache's hit flags and victims.  With ``follow`` =
+    (window, gamma) the shared cache is `naive_follow`."""
     keys = trace.identity_keys().tolist()
     clients = trace.clients.tolist()
     fwd, local_hits = naive_local_filter(keys, clients, math.floor(local_fraction * capacity) // size)
@@ -404,7 +411,11 @@ def naive_outcome(trace, capacity, local_fraction, size=1, kind="lru"):
     if slots == 0:
         hits, victims, oversized = [False] * len(keys), [], len(keys)
     else:
-        (hits, victims), oversized = NAIVE[kind](keys, slots), 0
+        if follow is None:
+            hits, victims = NAIVE[kind](keys, slots)
+        else:
+            hits, victims = naive_follow(keys, clients, slots, *follow)
+        oversized = 0
     pairs: dict = {}
     for c, k, h in zip(clients, keys, hits):
         row = pairs.setdefault((c, k >> 8, (k & 255) - 1), [0, 0])
@@ -785,6 +796,120 @@ def test_unit_size_sieve_params_take_the_sieve_kernel(monkeypatch):
              CacheConfig(7.0))
     simulate(make_trace(events, sizes={1: 2.5}), PolicyParams("sieve"), CacheConfig(7.0))
     assert (kernel.n, loop.n) == (0, 3)
+
+
+def _follow_params(kind, window, gamma):
+    return PolicyParams("lfru", window) if kind == "lfru" else PolicyParams("lfrus", window, gamma)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 20), st.integers(1, 6), st.integers(1, 12), st.sampled_from([None, 0, 1])
+        ),
+        min_size=1,
+        max_size=80,
+    ),
+    st.sampled_from(["lfru", "lfrus"]),
+    st.integers(1, 20),
+    st.sampled_from([1.0, 0.5, 0.3]),
+    st.sampled_from([0.5, 1.0, 2.9999999999999996, 3.0, 7.0, 1e300]),
+    st.sampled_from([0.0, 0.25]),
+    st.booleans(),
+)
+def test_unit_size_follow_kernel_equals_the_hooks_and_the_naive_oracle(
+    events, kind, window, gamma, capacity, local, record
+):
+    tr = make_trace(events, versions=True)
+    config = CacheConfig(capacity, local)
+    params = _follow_params(kind, window, gamma)
+    hooked = build_policy(params)
+    assert hooked._span is not None  # every drawn gamma counts over a span
+    fast = simulate(tr, params, config, record_evictions=record)
+    slow = simulate(tr, hooked, config, record_evictions=record)
+    assert outcome(fast) == outcome(slow)
+    assert fast.eviction_log == slow.eviction_log
+    counters, pairs, hits, victims = naive_outcome(tr, capacity, local, follow=(window, hooked.gamma))
+    assert tuple(getattr(fast, f) for f in COUNTERS) == counters
+    assert sorted_pairs(fast) == pairs
+    assert fast.eviction_log == (victims if record else None)
+    # hit flags of the kernel and of the hook loop on the forwarded stream
+    (stream,) = engine._streams(tr, [config])
+    kernel = engine._unit_follow_replay(
+        stream.ranks, stream.clients, stream.catalog.size_arrays()[0], capacity, hooked._span,
+        record,
+    )
+    loop = engine._replay(
+        build_policy(params), stream.keys.tolist(), stream.clients.tolist(),
+        stream.sizes.tolist(), capacity, record,
+    )
+    assert kernel[0].tolist() == loop[0].tolist() == hits
+    assert kernel[1:] == loop[1:]
+
+
+def test_unit_size_follow_params_take_the_follow_kernel(monkeypatch, tmp_path):
+    monkeypatch.setattr(harness, "_sweep_workers", lambda cells: 1)  # count in this process
+    kernel = Calls(monkeypatch, "_unit_follow_replay")
+    loop = Calls(monkeypatch, "_replay")
+    built = Calls(monkeypatch, "build_policy")
+    tr = random_unit_trace(5, 400, 30, 4)
+    specs = ("lfru:w=20", "lfru:w=1", "lfrus:w=20:g=0.5", "lfrus:w=2:g=0.3", "lfrus:w=3:g=1")
+    for spec in specs:
+        for record in (False, True):
+            simulate(tr, parse_policy_spec(spec), CacheConfig(6.0), record_evictions=record)
+    # a sweep's cells: one per (policy, capacity)
+    run_sweep(ExperimentConfig(
+        trace="preset:grouped-4.1",
+        policies=(PolicyParams("lfru", 20), PolicyParams("lfrus", 20, 0.5)),
+        capacities=CapacityGrid((0.01, 0.02), "volume"),
+        seeds=(1,),
+        scale=0.02,
+        horizon=100.0,
+    ))
+    # the tracer's policy tag: every kernel run still builds its policy
+    assert (kernel.n, loop.n, built.n) == (10 + 4, 0, 10 + 4)
+    kernel.n = 0
+    # prebuilt instances, the CLI's follow-matrix dump, the float path,
+    # window 0, equal non-unit sizes and mixed sizes keep the loop
+    simulate(tr, LFRUPolicy(20), CacheConfig(6.0))
+    simulate(tr, LFRUSPolicy(20, 0.5), CacheConfig(6.0))
+    write_trace(tr, tmp_path / "t.trace")
+    assert cli.main([
+        "simulate", "--trace", str(tmp_path / "t.trace"), "--policy", "lfru:w=20",
+        "--capacity", "6", "--capacity-base", "absolute",
+        "--dump-follow-matrix", str(tmp_path / "follow.csv"),
+    ]) == 0
+    for spec in ("lfrus:w=20:g=0.7", "lfru:w=0", "lfrus:w=0:g=0.5"):
+        simulate(tr, parse_policy_spec(spec), CacheConfig(6.0))
+    events = [(t, 1 + t % 3, 1 + t * 7 % 11) for t in range(60)]
+    simulate(make_trace(events, sizes={o: 2.0 for o in range(1, 12)}), PolicyParams("lfru"),
+             CacheConfig(7.0))
+    simulate(make_trace(events, sizes={1: 2.5}), PolicyParams("lfrus"), CacheConfig(7.0))
+    assert (kernel.n, loop.n) == (0, 8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 300), st.integers(1, 120))
+def test_follow_victim_searches_find_the_least_score_and_position(data, n_clients, n):
+    # stamps of live requests in [lo, end) among dead ones (255); codes as
+    # the kernel gives them, scores past the class cap, the shared code 254
+    cids = data.draw(st.lists(st.integers(0, n_clients - 1), min_size=n, max_size=n))
+    live = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    live[data.draw(st.integers(0, n - 1))] = True
+    top = data.draw(st.sampled_from([3, 260, 400]))
+    score = data.draw(st.lists(st.integers(0, top), min_size=n_clients, max_size=n_clients))
+    lo = live.index(True)
+    end = data.draw(st.integers(lo + 1, n))  # the stamps from end on are not searched
+    stamps = bytearray(min(c, 254) if alive else 255 for c, alive in zip(cids, live))
+    table = bytearray(255) + b"\xff"
+    for c in range(min(n_clients, 254)):
+        table[c] = min(score[c], 254)
+    classes = sorted(set(table[:255]))
+    want = min((score[cids[p]], p) for p in range(lo, end) if live[p])[1]
+    args = (stamps, lo, end, table, classes, score, cids)
+    assert engine._marked_victim(*args) == want
+    assert engine._coded_victim(*args[:4], min(n_clients, 255), *args[4:]) == want
 
 
 def test_heap_kernel_keeps_its_heap_within_the_lfu_bound(monkeypatch):

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 from collections import OrderedDict
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corrcache import policies
+from corrcache import engine, policies
 from corrcache.engine import CacheConfig, ConfigurationError, simulate
 from corrcache.policies import (
     BeladyPolicy,
@@ -926,6 +928,68 @@ def test_lfru_stamp_search_span_is_bounded_by_the_residents():
     # each search is shorter, and there are fewer searches than evictions
     assert max(spans) <= policies._STAMP_SPAN * 3
     assert 0 < len(spans) <= policies._STAMP_SPAN * 3
+
+
+@contextlib.contextmanager
+def _engine_calls(*names):
+    """Counts the calls of engine functions, still calling them."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, original):
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return call
+
+    with contextlib.ExitStack() as stack:
+        for name in names:
+            stack.enter_context(
+                mock.patch.object(engine, name, counted(name, getattr(engine, name)))
+            )
+        yield calls
+
+
+def _fresh_lfru_matches_naive(requests, window, capacity):
+    """Replays (client, object) ``requests`` under fresh lfru params and a
+    prebuilt `LFRUPolicy`, checks both against `naive_follow`, and returns
+    the engine calls counted during the fresh run."""
+    tr = make_trace([(t, c, o) for t, (c, o) in enumerate(requests, start=1)])
+    config = CacheConfig(float(capacity))
+    with _engine_calls("_unit_follow_replay", "_coded_victim") as calls:
+        fast = simulate(tr, PolicyParams("lfru", window), config, record_evictions=True)
+    hooked = simulate(tr, LFRUPolicy(window), config, record_evictions=True)
+    hits, victims = naive_follow(tr.objects.tolist(), tr.clients.tolist(), capacity, window, 1.0)
+    assert unpacked_eviction_objects(fast) == unpacked_eviction_objects(hooked) == victims
+    assert fast.hits == hooked.hits == sum(hits)
+    assert calls["_unit_follow_replay"] == 1
+    return calls
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**16), st.sampled_from([2, 5, 20]), st.integers(4, 12))
+def test_lfru_params_with_more_clients_than_codes_match_naive_reference(seed, window, capacity):
+    objects, clients = _shared_code_trace(seed, 900)
+    _fresh_lfru_matches_naive(list(zip(clients, objects)), window, capacity)
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(0, 2**16), st.sampled_from([280, 300]), st.integers(3, 8))
+def test_lfru_params_with_saturated_scores_match_naive_reference(seed, window, capacity):
+    _fresh_lfru_matches_naive(_saturated_trace(seed, 1300), window, capacity)
+
+
+@pytest.mark.parametrize("leader", [1, 5000], ids=["own-code", "shared-code"])
+def test_lfru_params_search_past_the_stamp_span_by_codes(leader):
+    # the idle follower of test_lfru_stamp_search_span_is_bounded_by_the_residents,
+    # with 260 clients streaming new objects: past _STAMP_SPAN requests per
+    # resident the kernel searches each code's stamps.  A leader past the
+    # 254th client shares code 254 (class 0) with streamers that score 0.
+    follower = leader + 1
+    requests = [(leader, 1), (follower, 1), (leader, 2)]
+    requests += [(10 + t % 260, o) for t, o in enumerate(range(3, 703))]
+    calls = _fresh_lfru_matches_naive(requests, 20, 3)
+    assert calls["_coded_victim"] > 400
 
 
 # ---------------------------------------------------------------------------
