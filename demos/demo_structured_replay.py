@@ -16,7 +16,7 @@ import numpy as np
 
 from corrcache.analysis import WorkingSetModel
 from corrcache.engine import CacheConfig, simulate
-from corrcache.policies import LFRUPolicy, PolicyParams
+from corrcache.policies import PolicyParams, follow_matrix_csv
 from corrcache.workloads import GroupSpec, StructuredDelays, gen_grouped_trace
 
 STEP = 4.0
@@ -43,11 +43,10 @@ def main() -> None:
         print(f"  follower hit ratios {[round(r, 3) for r in ratios]} "
               f"vs model {predicted:.3f}")
 
-    policy = LFRUPolicy(window=8)
-    simulate(trace, policy, CacheConfig(capacity=1.3 * threshold))
-    print("\nfollow matrix recorded by lfru(w=8) on the same trace")
+    lfru = simulate(trace, PolicyParams("lfru", window=8), CacheConfig(capacity=1.3 * threshold))
+    print(f"\nfollow matrix recorded by {lfru.policy} on the same trace")
     print("(client 1 is the leader; 2 and 3 replay it):")
-    print(policy.follow_matrix_csv(), end="")
+    print(follow_matrix_csv(lfru.follow_counts), end="")
 
 
 if __name__ == "__main__":

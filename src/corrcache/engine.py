@@ -7,13 +7,8 @@ forwarded to the shared cache, and all policy state and reported hit ratios
 concern the forwarded stream, a `_Stream` derived once per trace and private tier.
 
 Fresh policy params over forwarded requests that all have size 1.0 replay
-without Python hooks: lru (without an eviction log) through
-`_unit_lru_replay`, lfu and belady through `_unit_heap_replay`, sieve through
-`_unit_sieve_replay`, and lfru and lfrus with a window through
-`_unit_follow_replay` wherever their follow counts run over a span of
-outcomes (`LFRUSPolicy._span`: gamma = 1, or a gamma whose newest outcome
-decides every floor).  Every other run takes the hook loop `_replay`, which
-gives the same metrics.
+through loops without Python hooks, where `simulate` lists one; every other
+run takes the hook loop `_replay`, which gives the same metrics.
 """
 
 from __future__ import annotations
@@ -34,6 +29,7 @@ import numpy as np
 
 from .policies import (
     _STAMP_SPAN,
+    LFRUSPolicy,
     Policy,
     PolicyConfigError,
     PolicyParams,
@@ -101,6 +97,8 @@ class SimulationMetrics:
     pair_hits: np.ndarray
     eviction_log: list[int] | None = None
     static_exact: bool | None = None  # static_opt only
+    # lfru/lfrus only: the end-of-run follow matrix, in no byte-compared file
+    follow_counts: dict[tuple[int, int], int] | None = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -331,7 +329,7 @@ def _unit_follow_replay(
 ):
     """lfru or lfrus replay of unit-size requests whose follow counts run
     over each client's newest ``span`` outcomes (`LFRUSPolicy._span`): (hit
-    flags, oversized misses, evictions, eviction log or None).
+    flags, oversized misses, evictions, eviction log or None, follow counts).
 
     `LFRUSPolicy`'s algorithm on request positions, with no hooks and no
     recency dict:
@@ -363,13 +361,14 @@ def _unit_follow_replay(
     """
     n = len(ranks)
     slots = min(math.floor(capacity), n)
-    if slots == 0:
-        return np.zeros(n, dtype=bool), n, 0, [] if record_evictions else None
+    if slots == 0:  # every request misses, so no outcome is a follow
+        return np.zeros(n, dtype=bool), n, 0, [] if record_evictions else None, {}
     # 4-byte entries wherever they hold every position and rank
     itype = "i" if max(n, len(cat_keys)) < 2**31 else "q"
-    n_clients, stamps, ranks_a, cids_a, prev_a, cand_a, back_a = _follow_tables(
+    ids, stamps, ranks_a, cids_a, prev_a, cand_a, back_a = _follow_tables(
         ranks, clients, span, itype
     )
+    n_clients = len(ids)
     state = bytearray(len(cat_keys))
     hit = bytearray(n)
     follows = _counts(n_clients * n_clients, n)
@@ -442,13 +441,16 @@ def _unit_follow_replay(
     hit_flags = np.frombuffer(hit, dtype=bool, count=n)
     evictions = n - int(hit_flags.sum()) - (slots - free)
     ev_log = None if victims is None else cat_keys[np.asarray(victims)].tolist()
-    return hit_flags, 0, evictions, ev_log
+    ids = ids.tolist()
+    flat = follows.items() if isinstance(follows, dict) else enumerate(follows)
+    counts = {(ids[f // n_clients], ids[f % n_clients]): v for f, v in flat if v}
+    return hit_flags, 0, evictions, ev_log, counts
 
 
 def _follow_tables(ranks: np.ndarray, clients: np.ndarray, span: int, itype: str):
-    """`_unit_follow_replay`'s per-request tables: (client count, stamps,
-    then ranks, dense client ids, each key's previous request, ``cand``
-    and ``back`` as `array.array`s of ``itype``).
+    """`_unit_follow_replay`'s per-request tables: (the clients by dense id,
+    stamps, then ranks, dense client ids, each key's previous request,
+    ``cand`` and ``back`` as `array.array`s of ``itype``).
 
     The loop iterates and indexes these arrays rather than lists, and every
     numpy temporary is freed before it starts."""
@@ -474,7 +476,7 @@ def _follow_tables(ranks: np.ndarray, clients: np.ndarray, span: int, itype: str
     for values in (ranks, cids, prev, cand, back):
         tables.append(array(itype))
         tables[-1].frombytes(memoryview(values.astype(itype, copy=False)).cast("B"))
-    return len(ids), stamps, *tables
+    return ids, stamps, *tables
 
 
 # the first live stamp at or after a position
@@ -689,17 +691,16 @@ def simulate(
     that `validate_trace` rejects raises ConfigurationError.
 
     The run replays the `_Stream` that ``config``'s private tier forwards.
-    Over forwarded requests that all have size 1.0, ``PolicyParams("lru")``
-    without an eviction log replays through the C-level ``lru_cache`` of
-    `_unit_lru_replay`, ``PolicyParams("lfu")`` and ``PolicyParams("belady")``,
-    with or without one, through the heap loop of `_unit_heap_replay`,
-    ``PolicyParams("sieve")``, with or without one, through the rank loop of
-    `_unit_sieve_replay`, and ``PolicyParams("lfru")`` and
-    ``PolicyParams("lfrus")`` with a window > 0 and a counted span
-    (`LFRUSPolicy._span`), with or without one, through the position loop of
-    `_unit_follow_replay`; every other run (other sizes, an lru eviction log,
-    a prebuilt policy, window 0, an lfrus gamma on the float path) takes the
-    engine loop, which gives the same metrics.  ``PolicyParams("static_opt")`` is not replayed: the set
+    Fresh params over forwarded requests that all have size 1.0 take a loop
+    with no policy hooks: `_unit_lru_replay` for lru without an eviction log,
+    `_unit_heap_replay` for lfu and belady, `_unit_sieve_replay` for sieve and
+    `_unit_follow_replay` for lfru and lfrus with a counted span
+    (`LFRUSPolicy._span`).  Fresh lfru and lfrus at window 0 keep no outcomes
+    and replay as lru.  Every other run (other sizes, an lru eviction log, a
+    prebuilt policy, an lfrus gamma on the float path) takes the engine loop,
+    which gives the same metrics.  On either path an lfru or lfrus run
+    reports its end-of-run follow matrix as ``follow_counts``.
+    ``PolicyParams("static_opt")`` is not replayed: the set
     `static_optimal_select` picks from its rates stays resident throughout,
     so a forwarded request hits exactly when its identity is in that set.
     """
@@ -715,7 +716,7 @@ def _replay_stream(
     seed: int,
 ) -> SimulationMetrics:
     """`simulate` of a stream that ``config``'s private tier has filtered."""
-    static_exact = None
+    static_exact = follows = None
     if isinstance(policy, PolicyParams) and policy.kind == "static_opt":
         if policy.rates is None:
             raise PolicyConfigError(
@@ -737,29 +738,29 @@ def _replay_stream(
         pol = build_policy(policy) if fresh else policy
         if pol.requires_unit_sizes and not stream.catalog.unit_sized():
             raise ConfigurationError(f"policy {pol.name!r} supports unit-size catalogs only")
-        # the kinds with a hook-free unit-size replay; follow policies only
-        # where their counts run over a span of outcomes
+        kind = policy.kind if fresh else None
+        if kind in ("lfru", "lfrus") and policy.window == 0:  # no outcomes: lru exactly
+            kind, pol, follows = "lru", Policy(), {}
+        # the fresh kinds with a hook-free unit-size replay; follow policies
+        # only where their counts run over a span of outcomes
         unit = (
-            fresh
-            and (
-                policy.kind in ("lru", "lfu", "belady", "sieve")
-                or (policy.kind in ("lfru", "lfrus") and pol.window > 0 and pol._span is not None)
-            )
+            kind is not None
+            and (kind not in ("lfru", "lfrus") or pol._span is not None)
             and (stream.sizes == 1.0).all()
         )
-        if unit and policy.kind == "lru" and not record_evictions:
+        if unit and kind == "lru" and not record_evictions:
             hit_flags, oversized, evictions = _unit_lru_replay(stream.keys.tolist(), config.capacity)
             ev_log = None
-        elif unit and policy.kind == "sieve":
+        elif unit and kind == "sieve":
             hit_flags, oversized, evictions, ev_log = _unit_sieve_replay(
                 stream.ranks, stream.catalog.size_arrays()[0], config.capacity, record_evictions
             )
-        elif unit and policy.kind in ("lfru", "lfrus"):
-            hit_flags, oversized, evictions, ev_log = _unit_follow_replay(
+        elif unit and kind in ("lfru", "lfrus"):
+            hit_flags, oversized, evictions, ev_log, follows = _unit_follow_replay(
                 stream.ranks, stream.clients, stream.catalog.size_arrays()[0], config.capacity,
                 pol._span, record_evictions,
             )
-        elif unit and policy.kind in ("lfu", "belady"):
+        elif unit and kind in ("lfu", "belady"):
             hit_flags, oversized, evictions, ev_log = _unit_heap_replay(
                 pol._priorities, stream.keys, stream.ranks, config.capacity, record_evictions
             )
@@ -768,13 +769,15 @@ def _replay_stream(
                 pol, stream.keys.tolist(), stream.clients.tolist(), stream.sizes.tolist(),
                 config.capacity, record_evictions,
             )
+            if isinstance(pol, LFRUSPolicy):
+                follows = pol.follow_counts()
 
     pc, po, pv, req_counts, hit_counts = _pair_rows(
         stream.clients, stream.ranks, hit_flags, stream.catalog.size_arrays()[0]
     )
 
     metrics = SimulationMetrics(
-        policy=policy.label() if isinstance(policy, PolicyParams) else policy.name,
+        policy=policy.label(),
         capacity=config.capacity,
         local_cache_fraction=config.local_cache_fraction,
         total_events=stream.total_events,
@@ -790,6 +793,7 @@ def _replay_stream(
         pair_hits=hit_counts,
         eviction_log=ev_log,
         static_exact=static_exact,
+        follow_counts=follows,
         meta={"seed": str(seed)},
     )
     check_metrics(metrics)

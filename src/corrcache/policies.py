@@ -126,6 +126,10 @@ class Policy:
         """Never called: ``victim`` evicts.  Kept only for the benchmark's
         tracer, which reads it (ROADMAP item 5)."""
 
+    def label(self) -> str:
+        """The run's policy label, as equal `PolicyParams` give it."""
+        return self.name
+
     def victim(self) -> tuple[int, float]:
         # least recently used: the front of the recency order
         if not self.order:
@@ -475,10 +479,10 @@ class LFRUSPolicy(Policy):
 
     This class is the hook twin and the test oracle of
     `engine._unit_follow_replay`, which replays fresh lfru and lfrus params
-    at unit sizes without hooks wherever window > 0 and ``_span`` is set.
-    It runs every other replay: sized traces, prebuilt instances (such as
-    `simulate --dump-follow-matrix` passes), window 0 and the float-path
-    gammas.
+    at unit sizes without hooks wherever window > 0 and ``_span`` is set
+    (`simulate --dump-follow-matrix` among them).  Fresh params at window 0
+    replay as lru.  This class runs every other replay: sized traces,
+    prebuilt instances and the float-path gammas.
 
     With window > 0 every request, a miss too, records its position as its
     object's latest request in ``_seen``, which survives eviction; so the
@@ -720,16 +724,12 @@ class LFRUSPolicy(Policy):
         """Outcome windows, oldest first (for consistency checks)."""
         return {c: tuple(dq) for c, dq in self.windows.items()}
 
+    def label(self) -> str:
+        return PolicyParams(self.name, self.window, self.gamma).label()
+
     def follow_counts(self) -> dict[tuple[int, int], int]:
         self._row_scores()  # patches stale columns into rows
         return {(c1, c2): n for c1, row in self.rows.items() for c2, n in row.items()}
-
-    def follow_matrix_csv(self) -> str:
-        """Current follow matrix as ``c1,c2,count`` rows (debugging aid)."""
-        lines = ["c1,c2,count"]
-        for (c1, c2), n in sorted(self.follow_counts().items()):
-            lines.append(f"{c1},{c2},{n}")
-        return "\n".join(lines) + "\n"
 
     def victim(self) -> tuple[int, float]:
         scores = self._row_scores()
@@ -793,6 +793,12 @@ class LFRUPolicy(LFRUSPolicy):
 
     def __init__(self, window: int = 20):
         super().__init__(window, gamma=1.0)
+
+
+def follow_matrix_csv(counts: Mapping[tuple[int, int], int]) -> str:
+    """A follow matrix {(c1, c2): count} as ``c1,c2,count`` rows, by (c1, c2)."""
+    rows = sorted(counts.items())
+    return "c1,c2,count\n" + "".join(f"{c1},{c2},{n}\n" for (c1, c2), n in rows)
 
 
 def build_policy(params: PolicyParams) -> Policy:

@@ -318,16 +318,19 @@ def naive_follow_scores(windows, gamma) -> dict:
     return scores
 
 
-def naive_follow(keys, clients, capacity: int, window: int, gamma: float):
+def naive_follow(keys, clients, capacity: int, window: int, gamma: float, windows=None):
     """Follow-aware eviction (lfrus; lfru at gamma=1) scored from scratch.
 
     Each client keeps the outcomes of its last window+1 requests: the other
     client it followed on a hit, else None.  Every victim choice rebuilds the
     follow matrix from the windows, then takes the least-recent resident
-    among those whose last requester has the lowest row score.
+    among those whose last requester has the lowest row score.  A given
+    ``windows`` dict is filled with them and holds the final ones after the
+    run.
     """
     last_req: dict = {}
-    windows: dict = {}
+    if windows is None:
+        windows = {}
 
     def on_request(pos, key, hit):
         c = clients[pos]

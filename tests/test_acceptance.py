@@ -29,6 +29,7 @@ from corrcache.policies import (
     static_optimal_select,
 )
 from corrcache.presets import get_preset
+from corrcache.trace import Trace
 from corrcache.workloads import (
     GroupSpec,
     StructuredDelays,
@@ -481,6 +482,7 @@ class _CheckpointedLFRU(LFRUPolicy):
         self._event = 0
         self.visited = 0
         self.mismatches = 0
+        self.scratch: dict[int, dict] = {}  # checkpoint -> from-scratch matrix
 
     def _recomputed(self):
         out: dict[tuple[int, int], int] = {}
@@ -495,7 +497,8 @@ class _CheckpointedLFRU(LFRUPolicy):
         self._event += 1
         if self._event in self._checkpoints:
             self.visited += 1
-            if self.follow_counts() != self._recomputed():
+            self.scratch[self._event] = self._recomputed()
+            if self.follow_counts() != self.scratch[self._event]:
                 self.mismatches += 1
 
 
@@ -561,9 +564,20 @@ def test_criterion_09_degeneracy_and_checkpoints():
     simulate(trace, plain, CacheConfig(capacity=15.0))
     smoothed = _CheckpointedLFRUS(3, 0.7, checkpoints)
     simulate(trace, smoothed, CacheConfig(capacity=15.0))
+    # the unit-size kernel's end-of-run matrix, at the end of 20 prefixes
+    # replayed through fresh params, equals the from-scratch one there
+    prefixes = sorted(checkpoints)[::50]
+    kernel_mismatches = 0
+    for end in prefixes:
+        columns = (trace.times, trace.clients, trace.objects, trace.versions)
+        prefix = Trace(*(c[:end] for c in columns), trace.catalog)
+        m = simulate(prefix, PolicyParams("lfru", window=4), CacheConfig(capacity=15.0))
+        kernel_mismatches += m.follow_counts != plain.scratch[end]
     checkpoint_ok = (
         plain.visited == smoothed.visited == 1000
         and plain.mismatches == smoothed.mismatches == 0
+        and len(prefixes) == 20
+        and kernel_mismatches == 0
     )
 
     ok = identity_ok and hit_free_ok and checkpoint_ok
@@ -574,7 +588,9 @@ def test_criterion_09_degeneracy_and_checkpoints():
         f"smoothed(gamma=1) == undiscounted event-level: {identity_ok}; "
         f"follow-aware on a hit-free trace == lru: {hit_free_ok}; "
         f"incremental == from-scratch at {plain.visited}+{smoothed.visited} "
-        f"checkpoints with {plain.mismatches + smoothed.mismatches} mismatches",
+        f"checkpoints with {plain.mismatches + smoothed.mismatches} mismatches; "
+        f"kernel == from-scratch at {len(prefixes)} prefix ends with "
+        f"{kernel_mismatches} mismatches",
     )
 
 

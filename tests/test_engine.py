@@ -51,6 +51,7 @@ from conftest import (
     NAIVE,
     make_trace,
     naive_follow,
+    naive_follow_counts,
     naive_local_filter,
     naive_lru,
     naive_sized_local_filter,
@@ -126,6 +127,19 @@ def test_policy_label_recorded_from_params():
     tr = make_trace([(1, 1, 1)])
     m2 = simulate(tr, PolicyParams("lfru", window=3), CacheConfig(2.0))
     assert m2.policy == "lfru(w=3)"
+
+
+@pytest.mark.parametrize(
+    "spec", ["lru", "lfu", "sieve", "belady", "lfru:w=20", "lfrus:w=20:g=0.5", "lfrus:w=3:g=1",
+             "lfrus:w=2:g=0.30000000000000004", "lfru:w=0"],
+)
+def test_prebuilt_policy_reports_the_label_of_equal_params(spec):
+    tr = random_unit_trace(4, 300, 20, 3)
+    params = parse_policy_spec(spec)
+    by_params = simulate(tr, params, CacheConfig(5.0))
+    prebuilt = simulate(tr, build_policy(params), CacheConfig(5.0))
+    assert prebuilt.summary_dict() == by_params.summary_dict()
+    assert prebuilt.policy == params.label()
 
 
 def test_unknown_catalog_object_is_rejected():
@@ -401,7 +415,8 @@ def naive_outcome(trace, capacity, local_fraction, size=1, kind="lru", follow=No
     """Counters and pair rows of ``kind`` over ``size``-byte objects, from
     the conftest oracles: the private tiers first, then the shared cache;
     also the shared cache's hit flags and victims.  With ``follow`` =
-    (window, gamma) the shared cache is `naive_follow`."""
+    (window, gamma) or (window, gamma, windows) the shared cache is
+    `naive_follow`."""
     keys = trace.identity_keys().tolist()
     clients = trace.clients.tolist()
     fwd, local_hits = naive_local_filter(keys, clients, math.floor(local_fraction * capacity) // size)
@@ -830,22 +845,30 @@ def test_unit_size_follow_kernel_equals_the_hooks_and_the_naive_oracle(
     slow = simulate(tr, hooked, config, record_evictions=record)
     assert outcome(fast) == outcome(slow)
     assert fast.eviction_log == slow.eviction_log
-    counters, pairs, hits, victims = naive_outcome(tr, capacity, local, follow=(window, hooked.gamma))
+    windows: dict = {}  # each client's final outcome window, from the oracle
+    counters, pairs, hits, victims = naive_outcome(
+        tr, capacity, local, follow=(window, hooked.gamma, windows)
+    )
     assert tuple(getattr(fast, f) for f in COUNTERS) == counters
     assert sorted_pairs(fast) == pairs
     assert fast.eviction_log == (victims if record else None)
+    # the end-of-run follow matrix: kernel, hook class and from-scratch sums
+    want = naive_follow_counts(windows, hooked.gamma)
+    assert fast.follow_counts == slow.follow_counts == hooked.follow_counts() == want
     # hit flags of the kernel and of the hook loop on the forwarded stream
     (stream,) = engine._streams(tr, [config])
     kernel = engine._unit_follow_replay(
         stream.ranks, stream.clients, stream.catalog.size_arrays()[0], capacity, hooked._span,
         record,
     )
+    loop_pol = build_policy(params)
     loop = engine._replay(
-        build_policy(params), stream.keys.tolist(), stream.clients.tolist(),
+        loop_pol, stream.keys.tolist(), stream.clients.tolist(),
         stream.sizes.tolist(), capacity, record,
     )
     assert kernel[0].tolist() == loop[0].tolist() == hits
-    assert kernel[1:] == loop[1:]
+    assert kernel[1:4] == loop[1:]
+    assert kernel[4] == loop_pol.follow_counts() == want
 
 
 def test_unit_size_follow_params_take_the_follow_kernel(monkeypatch, tmp_path):
@@ -870,23 +893,57 @@ def test_unit_size_follow_params_take_the_follow_kernel(monkeypatch, tmp_path):
     # the tracer's policy tag: every kernel run still builds its policy
     assert (kernel.n, loop.n, built.n) == (10 + 4, 0, 10 + 4)
     kernel.n = 0
-    # prebuilt instances, the CLI's follow-matrix dump, the float path,
-    # window 0, equal non-unit sizes and mixed sizes keep the loop
-    simulate(tr, LFRUPolicy(20), CacheConfig(6.0))
-    simulate(tr, LFRUSPolicy(20, 0.5), CacheConfig(6.0))
+    # the CLI's follow-matrix dump takes the kernel
     write_trace(tr, tmp_path / "t.trace")
     assert cli.main([
         "simulate", "--trace", str(tmp_path / "t.trace"), "--policy", "lfru:w=20",
         "--capacity", "6", "--capacity-base", "absolute",
         "--dump-follow-matrix", str(tmp_path / "follow.csv"),
     ]) == 0
-    for spec in ("lfrus:w=20:g=0.7", "lfru:w=0", "lfrus:w=0:g=0.5"):
-        simulate(tr, parse_policy_spec(spec), CacheConfig(6.0))
+    assert (kernel.n, loop.n) == (1, 0)
+    kernel.n = 0
+    # window 0 takes lru: the lru_cache path, or the loop with an eviction log
+    lru = Calls(monkeypatch, "_unit_lru_replay")
+    for spec in ("lfru:w=0", "lfrus:w=0:g=0.5"):
+        for record in (False, True):
+            simulate(tr, parse_policy_spec(spec), CacheConfig(6.0), record_evictions=record)
+    assert (kernel.n, lru.n, loop.n) == (0, 2, 2)
+    loop.n = 0
+    # prebuilt instances, the float path, equal non-unit sizes and mixed
+    # sizes keep the loop
+    simulate(tr, LFRUPolicy(20), CacheConfig(6.0))
+    simulate(tr, LFRUSPolicy(20, 0.5), CacheConfig(6.0))
+    simulate(tr, parse_policy_spec("lfrus:w=20:g=0.7"), CacheConfig(6.0))
     events = [(t, 1 + t % 3, 1 + t * 7 % 11) for t in range(60)]
     simulate(make_trace(events, sizes={o: 2.0 for o in range(1, 12)}), PolicyParams("lfru"),
              CacheConfig(7.0))
     simulate(make_trace(events, sizes={1: 2.5}), PolicyParams("lfrus"), CacheConfig(7.0))
-    assert (kernel.n, loop.n) == (0, 8)
+    assert (kernel.n, loop.n) == (0, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 20), st.integers(1, 6), st.integers(1, 12), st.sampled_from([None, 0, 1])
+        ),
+        min_size=1,
+        max_size=80,
+    ),
+    st.sampled_from(["lfru:w=0", "lfrus:w=0:g=0.5", "lfrus:w=0:g=0.7", "lfrus:w=0:g=1"]),
+    st.sampled_from([0.5, 1.0, 2.9999999999999996, 3.0, 7.0, 1e300]),
+    st.sampled_from([0.0, 0.25]),
+    st.booleans(),
+)
+def test_window_zero_follow_params_replay_as_lru(events, spec, capacity, local, record):
+    tr = make_trace(events, versions=True)
+    params = parse_policy_spec(spec)
+    m = simulate(tr, params, CacheConfig(capacity, local), record_evictions=record)
+    counters, pairs, _, victims = naive_outcome(tr, capacity, local)  # naive_lru
+    assert tuple(getattr(m, f) for f in COUNTERS) == counters
+    assert sorted_pairs(m) == pairs
+    assert m.eviction_log == (victims if record else None)
+    assert (m.policy, m.follow_counts) == (params.label(), {})
 
 
 @settings(max_examples=200, deadline=None)

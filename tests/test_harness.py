@@ -41,7 +41,7 @@ from corrcache.harness import (
     run_sweep,
     summarize_capacities,
 )
-from corrcache.policies import PolicyParams, parse_policy_spec
+from corrcache.policies import PolicyParams, build_policy, follow_matrix_csv, parse_policy_spec
 from corrcache.presets import PresetError, get_preset, preset_names
 from corrcache.trace import ObjectCatalog, Trace, read_trace, validate_trace, write_trace
 
@@ -271,7 +271,9 @@ def version_aliasing_another_identity() -> Trace:
     ],
 )
 @pytest.mark.parametrize("local", [0.0, 0.2])
-def test_invalid_traces_are_refused_by_every_entry_point(tmp_path, build, violation, local):
+def test_invalid_traces_are_refused_by_every_entry_point(
+    tmp_path, capsys, build, violation, local
+):
     tr = build()
     report = validate_trace(tr)
     assert not report.ok and report.violations[0].startswith(violation)
@@ -280,6 +282,19 @@ def test_invalid_traces_are_refused_by_every_entry_point(tmp_path, build, violat
         simulate(tr, PolicyParams("lru"), CacheConfig(10.0, local_cache_fraction=local))
     path = tmp_path / "bad.trace"
     write_trace(tr, str(path))
+    # the CLI leaves the check to simulate, past every capacity base
+    for base in ("absolute", "volume", "footprint"):
+        assert cli.main([
+            "simulate", "--trace", str(path), "--capacity", "10", "--capacity-base", base,
+            "--local-frac", str(local),
+        ]) == 2
+        assert capsys.readouterr().err.startswith("error: trace failed validation: " + violation)
+    # a follow-matrix dump for a policy without one is refused before the trace
+    assert cli.main([
+        "simulate", "--trace", str(path), "--capacity", "10",
+        "--dump-follow-matrix", str(tmp_path / "follow.csv"),
+    ]) == 2
+    assert "needs a follow-aware policy" in capsys.readouterr().err
     cfg = small_config(
         trace=str(path), capacities=CapacityGrid((10.0,), "absolute"), local_fraction=local
     )
@@ -1010,6 +1025,29 @@ def test_cli_simulate_follow_matrix_dump(trace_file, tmp_path, capsys):
     ])
     assert rc == 2
     assert "follow-aware" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "preset,scale,horizon", [("grouped-4.1", 0.1, 1000.0), ("toroid-switch", 0.1, None)]
+)
+def test_cli_follow_matrix_dump_equals_the_hook_class(tmp_path, capsys, preset, scale, horizon):
+    path = str(tmp_path / "t.trace")
+    write_trace(get_preset(preset).build_trace(scale=scale, seed=101, horizon=horizon), path)
+    tr = read_trace(path)
+    capacity = CapacityGrid((0.02,), "volume").resolve(tr)[0]
+    dump = tmp_path / "follow.csv"
+    for spec in ("lfru:w=20", "lfrus:w=20:g=0.5"):
+        for local in (0.0, 0.05):
+            assert cli.main([
+                "simulate", "--trace", path, "--policy", spec, "--capacity", "0.02",
+                "--capacity-base", "volume", "--local-frac", str(local),
+                "--dump-follow-matrix", str(dump),
+            ]) == 0
+            hooked = build_policy(parse_policy_spec(spec))
+            simulate(tr, hooked, CacheConfig(capacity, local))
+            assert hooked.follow_counts()  # the matrix has entries to compare
+            assert dump.read_bytes() == follow_matrix_csv(hooked.follow_counts()).encode()
+    capsys.readouterr()
 
 
 def test_cli_simulate_bad_inputs(trace_file, tmp_path, capsys):

@@ -25,6 +25,7 @@ from corrcache.policies import (
     PolicyParams,
     SievePolicy,
     build_policy,
+    follow_matrix_csv,
     parse_policy_spec,
     static_optimal_select,
 )
@@ -1110,7 +1111,7 @@ def test_static_optimal_keeps_the_first_best_subset_of_a_plain_scan():
 def test_follow_recorded_on_cross_client_hit():
     _, pol = run_policy([(1, 1, 1), (2, 2, 1)], LFRUPolicy(window=5))
     assert pol.follow_counts() == {(1, 2): 1}
-    assert pol.follow_matrix_csv() == "c1,c2,count\n1,2,1\n"
+    assert follow_matrix_csv(pol.follow_counts()) == "c1,c2,count\n1,2,1\n"
 
 
 def test_self_follow_is_not_recorded():
