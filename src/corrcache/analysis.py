@@ -17,14 +17,20 @@ quadrature for independent delays, and is estimated by Monte Carlo for
 arbitrary joint delay distributions (with samples drawn once per group and
 reused across t, so solves stay monotone and deterministic).
 
-One evaluation of p(., t) is a few whole-catalog numpy ops: the groups'
-integrals I_g(t), repeated over each group's objects, times the rates of
-every group's objects concatenated in group order, summed per object by one
-``np.bincount``, then 1 - exp(-x) by in-place ``expm1``.  bincount adds an
-object's terms in input order onto 0.0, which is the order and the additions
-of a per-group ``exponent[idx] += rates * I_g(t)`` loop, so every bit equals
-that loop's (the test suite keeps the loop as its oracle).  ``hit_report``
-evaluates p once at t* and builds every role table from it.
+One evaluation of p(., t) is one pass over the objects in object order.  The
+model keeps each object's (group, rate) terms in layers: layer 0 holds every
+object's first term, layer l the l-th term of the objects in more than l
+groups, with rates negated.  An evaluation repeats the groups' integrals
+I_g(t) over layer 0's runs of one group, multiplies by its rates, adds each
+higher layer at its objects in turn and takes ``expm1`` in place:
+p = -expm1(x) and the cached volume is -sum(expm1(x) * size).  Each object's terms are added in
+group order onto its first, as a per-group ``exponent[idx] += rates * I_g(t)``
+loop adds them onto 0.0, and negation commutes with rounding, so every bit
+equals that loop's (the test suite keeps the loop as its oracle).
+``hit_report`` evaluates p once at t* and builds each distinct role column
+once: one follower column per structured group, one per run of followers
+with equal delays otherwise.  Every role still gets its own array, and the
+normalised rate multiplies and sums each distinct column once.
 """
 
 from __future__ import annotations
@@ -193,8 +199,13 @@ class ModelGroup:
             raise ModelError("object_ids and rates must be 1-D and aligned")
         if len(np.unique(self.object_ids)) != len(self.object_ids):
             raise ModelError("object_ids within a group must be distinct")
-        if (self.rates < 0).any():
-            raise ModelError("rates must be nonnegative")
+        bad = np.flatnonzero(~(np.isfinite(self.rates) & (self.rates >= 0)))
+        if len(bad):
+            i = bad[0]
+            raise ModelError(
+                f"rates must be finite and nonnegative: object {self.object_ids[i]} "
+                f"has rate {float(self.rates[i])!r}"
+            )
         if self.followers < 0:
             raise ModelError("followers must be >= 0")
         implied = delay_count(self.delays)
@@ -279,20 +290,60 @@ def normalized_model_hit_rate(
     the total request rate, so it is directly comparable to a measured hit
     ratio.
     """
-    num = 0.0
-    den = 0.0
+    tables = []
     for (rates, followers), (leader_p, follower_ps) in zip(groups, hit_probs):
-        rates = np.asarray(rates, dtype=float)
         if len(follower_ps) != followers:
             raise ValueError("follower probability vectors do not match the follower count")
+        tables.append((rates, followers, [(leader_p, 1), *((v, 1) for v in follower_ps)]))
+    return _normalized_rate(tables)
+
+
+def _normalized_rate(tables) -> float:
+    """The normalised hit rate of (rates, followers, columns) per group.
+
+    ``columns`` are the group's role vectors in role order (leader, then
+    followers 1, 2, ...) as (vector, count) runs of roles sharing one vector;
+    a run's vector is weighted once and its sum added once per role, the
+    additions of weighting every role.
+    """
+    num = 0.0
+    den = 0.0
+    for rates, followers, columns in tables:
+        rates = np.asarray(rates, dtype=float)
         den += float(rates.sum()) * (1 + followers)
         weighted = np.empty_like(rates)
-        for vec in (leader_p, *follower_ps):
+        for vec, count in columns:
             np.multiply(rates, np.asarray(vec, dtype=float), out=weighted)
-            num += float(weighted.sum())
+            total = float(weighted.sum())
+            for _ in range(count):
+                num += total
     if den == 0:
         raise ValueError("total request rate is zero")
     return num / den
+
+
+def _follower_column_runs(g: ModelGroup) -> list[tuple[int, int]]:
+    """Group g's followers as (first follower, count) runs that share one
+    hit column, in follower order.
+
+    Structured followers all share one.  A fixed or uniform follower's
+    factor reads its own delay and the others' in order, and followers i < k
+    read equal inputs exactly when delays i..k are bitwise equal, so the
+    runs of bitwise-equal neighbours are the distinct inputs.  Joint
+    followers each read their own sample column.
+    """
+    if g.followers == 0:
+        return []
+    d = g.delays
+    if isinstance(d, StructuredDelays):
+        return [(0, g.followers)]
+    if isinstance(d, (FixedDelays, UniformDelays)):
+        spec = np.asarray(d.values if isinstance(d, FixedDelays) else d.bounds, dtype=float)
+        bits = spec.reshape(g.followers, -1).view(np.int64)
+        starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
+    else:
+        starts = np.arange(g.followers)
+    return list(zip(starts.tolist(), np.diff(starts, append=g.followers).tolist()))
 
 
 class WorkingSetModel:
@@ -313,27 +364,55 @@ class WorkingSetModel:
             raise ModelError("model needs at least one group")
         self.groups = list(groups)
         self.mc_samples = int(mc_samples)
+        if self.mc_samples < 1:
+            raise ModelError(f"mc_samples must be >= 1, got {self.mc_samples}")
         self.mc_seed = int(mc_seed)
         self.object_ids = np.unique(np.concatenate([g.object_ids for g in self.groups]))
         self._scatter = [
             np.searchsorted(self.object_ids, g.object_ids) for g in self.groups
         ]
-        # every group's (object, rate) pairs in group order, for p_requested
-        self._lengths = np.array([len(s) for s in self._scatter])
-        self._all_scatter = np.concatenate(self._scatter)
-        self._all_rates = np.concatenate([g.rates for g in self.groups])
+        self._follower_runs = [_follower_column_runs(g) for g in self.groups]
+        # every object's (group, negated rate) terms in group order, in
+        # layers: layer 0 holds each object's first term in object order,
+        # layer l the l-th term of the objects in more than l groups
+        objects = np.concatenate(self._scatter)
+        order = np.argsort(objects, kind="stable")
+        objects = objects[order]
+        group_of = np.repeat(np.arange(len(self.groups)), [len(s) for s in self._scatter])[order]
+        neg_rates = -np.concatenate([g.rates for g in self.groups])[order]
+        layer = np.arange(len(objects)) - np.searchsorted(objects, objects)
+        # layer 0's groups as runs of one group: repeating the integrals over
+        # run lengths is cheaper than gathering them per object
+        firsts = group_of[layer == 0]
+        starts = np.flatnonzero(np.diff(firsts, prepend=-1))
+        self._run_groups = firsts[starts]
+        self._run_lengths = np.diff(starts, append=len(firsts))
+        self._neg_rates = neg_rates[layer == 0]
+        self._layers = [
+            (objects[at], group_of[at], neg_rates[at])
+            for at in (layer == l for l in range(1, int(layer.max(initial=0)) + 1))
+        ]
+        ids = self.object_ids.tolist()
         if sizes is None:
             self.sizes = np.ones(len(self.object_ids))
         elif np.isscalar(sizes):
             self.sizes = np.full(len(self.object_ids), float(sizes))
         elif isinstance(sizes, Mapping):
-            self.sizes = np.array([float(sizes[o]) for o in self.object_ids.tolist()])
+            try:
+                self.sizes = np.array([float(sizes[o]) for o in ids])
+            except KeyError as exc:
+                raise ModelError(f"sizes has no entry for object {exc.args[0]!r}") from None
         elif callable(sizes):
-            self.sizes = np.array([float(sizes(o)) for o in self.object_ids.tolist()])
+            self.sizes = np.array([float(sizes(o)) for o in ids])
         else:
             raise ModelError("sizes must be None, a scalar, a mapping, or a callable")
-        if (self.sizes <= 0).any():
-            raise ModelError("object sizes must be positive")
+        bad = np.flatnonzero(~(np.isfinite(self.sizes) & (self.sizes > 0)))
+        if len(bad):
+            i = bad[0]
+            raise ModelError(
+                f"object sizes must be finite and positive: object {ids[i]} "
+                f"has size {float(self.sizes[i])!r}"
+            )
         # summed once: every solve reads it, and a sequential sum costs more
         # than numpy's pairwise one
         self._volume = _sequential_sum(self.sizes)
@@ -371,24 +450,32 @@ class WorkingSetModel:
 
     def p_requested(self, t: float) -> np.ndarray:
         """P(object is inside the cache window of length t), per object."""
-        if t < 0:
-            raise ModelError("window length must be >= 0")
-        integrals = [self.group_integral(gi, t) for gi in range(len(self.groups))]
-        terms = np.array(integrals, dtype=float).repeat(self._lengths)
-        terms *= self._all_rates
-        # bincount adds each object's terms in group order onto 0.0, the
-        # additions the per-group loop made, so the bits are the same
-        exponent = np.bincount(
-            self._all_scatter, weights=terms, minlength=len(self.object_ids)
-        )
-        np.negative(exponent, out=exponent)
-        np.expm1(exponent, out=exponent)
-        return np.negative(exponent, out=exponent)
+        p = self._expm1_exponent(t)
+        return np.negative(p, out=p)
 
     def expected_cached_volume(self, t: float) -> float:
-        p = self.p_requested(t)
-        p *= self.sizes
-        return float(p.sum())
+        miss = self._expm1_exponent(t)
+        miss *= self.sizes
+        # a sum of p * size is never -0.0; subtracting from 0.0 keeps it so
+        return 0.0 - float(miss.sum())
+
+    def _expm1_exponent(self, t: float) -> np.ndarray:
+        """expm1(-sum of rate * I_g(t) over each object's groups), i.e. -p.
+
+        The terms are negated and added in group order onto each object's
+        first; (-a) + (-b) == -(a + b) exactly, so the bits are those of the
+        per-group loop's positive sums, negated.
+        """
+        if t < 0:
+            raise ModelError("window length must be >= 0")
+        integrals = np.array(
+            [self.group_integral(gi, t) for gi in range(len(self.groups))], dtype=float
+        )
+        x = integrals[self._run_groups].repeat(self._run_lengths)
+        x *= self._neg_rates
+        for at, group_of, neg_rates in self._layers:
+            x[at] += integrals[group_of] * neg_rates
+        return np.expm1(x, out=x)
 
     def solve_characteristic_time(self, capacity: float, max_iter: int = 500) -> CharacteristicTime:
         """Solve expected_cached_volume(t*) = capacity by bracketed bisection,
@@ -498,64 +585,70 @@ class WorkingSetModel:
 
     def leader_hit_probs(self, t: float) -> list[np.ndarray]:
         """Per-group leader hit probability vectors at window length t."""
-        return self._leader_tables(self.p_requested(t), t)
+        p = self.p_requested(t)
+        return [self._leader_table(gi, p[at], t) for gi, at in enumerate(self._scatter)]
 
     def follower_hit_probs(self, t: float) -> list[list[np.ndarray]]:
         """Per-group, per-follower hit probability vectors at window length t."""
-        return self._follower_tables(self.p_requested(t), t)
+        p = self.p_requested(t)
+        return [self._follower_table(gi, p[at], t)[0] for gi, at in enumerate(self._scatter)]
 
-    def _leader_tables(self, p: np.ndarray, t: float) -> list[np.ndarray]:
-        out = []
-        for gi in range(len(self.groups)):
-            pg = p[self._scatter[gi]]  # fancy indexing copies, so pg is ours
-            factor = self._leader_factor(gi, t)
-            # factor 1 means the miss probability is untouched; keep p itself
-            # so the closed-form identity holds bit-exactly
-            out.append(pg if factor == 1.0 else _hit_probs(pg, factor, out=pg))
-        return out
+    def _leader_table(self, gi: int, pg: np.ndarray, t: float) -> np.ndarray:
+        """The leader's hit vector of group gi, written over ``pg``."""
+        factor = self._leader_factor(gi, t)
+        # factor 1 means the miss probability is untouched; keep p itself
+        # so the closed-form identity holds bit-exactly
+        return pg if factor == 1.0 else _hit_probs(pg, factor, out=pg)
 
-    def _follower_tables(self, p: np.ndarray, t: float) -> list[list[np.ndarray]]:
-        out: list[list[np.ndarray]] = []
-        for gi, g in enumerate(self.groups):
-            pg = p[self._scatter[gi]]
+    def _follower_table(
+        self, gi: int, pg: np.ndarray, t: float
+    ) -> tuple[list[np.ndarray], list[tuple[np.ndarray, int]]]:
+        """Group gi's follower hit vectors, each its own array, and its
+        distinct columns as (vector, count) runs in follower order.
+
+        Each run's column is built once; ``pg`` is only read.
+        """
+        g = self.groups[gi]
+        vecs: list[np.ndarray] = []
+        runs = []
+        for first, count in self._follower_runs[gi]:
             if isinstance(g.delays, StructuredDelays):
                 # every follower trails some request by exactly step
-                src = np.ones_like(pg) if g.delays.step < t else pg
-                vecs = [src.copy() for _ in range(g.followers)]
+                own = np.ones_like(pg) if g.delays.step < t else pg.copy()
             else:
-                vecs = []
-                for i in range(g.followers):
-                    factor = self._follower_factor(gi, i, t)
-                    vecs.append(pg.copy() if factor == 1.0 else _hit_probs(pg, factor))
-            out.append(vecs)
-        return out
+                factor = self._follower_factor(gi, first, t)
+                own = pg.copy() if factor == 1.0 else _hit_probs(pg, factor)
+            vecs += [own, *(own.copy() for _ in range(count - 1))]
+            runs.append((own, count))
+        return vecs, runs
 
     def hit_report(self, capacity: float) -> HitReport:
         """Solve for t*, then tabulate hit probabilities for every role."""
         ct = self.solve_characteristic_time(capacity)
         t = ct.t_star
         p = self.p_requested(t)
-        leaders = self._leader_tables(p, t)
-        followers = self._follower_tables(p, t)
-        groups = tuple(
-            GroupHitProbs(
-                object_ids=g.object_ids,
-                rates=g.rates,
-                followers=g.followers,
-                leader=leaders[gi],
-                follower_list=tuple(followers[gi]),
+        groups = []
+        tables = []
+        for gi, (g, at) in enumerate(zip(self.groups, self._scatter)):
+            pg = p[at]  # fancy indexing copies, so pg is ours
+            followers, runs = self._follower_table(gi, pg, t)
+            leader = self._leader_table(gi, pg, t)  # last: it may write over pg
+            groups.append(
+                GroupHitProbs(
+                    object_ids=g.object_ids,
+                    rates=g.rates,
+                    followers=g.followers,
+                    leader=leader,
+                    follower_list=tuple(followers),
+                )
             )
-            for gi, g in enumerate(self.groups)
-        )
-        rate = normalized_model_hit_rate(
-            [(g.rates, g.followers) for g in self.groups],
-            [(leaders[gi], followers[gi]) for gi in range(len(self.groups))],
-        )
+            tables.append((g.rates, g.followers, [(leader, 1), *runs]))
+        rate = _normalized_rate(tables)
         return HitReport(
             capacity=capacity,
             t_star=ct.t_star,
             residual=ct.residual,
             iterations=ct.iterations,
-            groups=groups,
+            groups=tuple(groups),
             normalized_hit_rate=rate,
         )

@@ -635,6 +635,47 @@ def naive_p_requested(model, t: float) -> np.ndarray:
     return -np.expm1(-exponent)
 
 
+def naive_expected_cached_volume(model, t: float) -> float:
+    """``WorkingSetModel.expected_cached_volume`` as the naive p times the
+    sizes, summed."""
+    return float((naive_p_requested(model, t) * model.sizes).sum())
+
+
+def naive_role_tables(model, t: float) -> list:
+    """Every role's hit vector at window length t, one factor per role.
+
+    One (leader vector, follower vectors) pair per group, each vector its
+    own array, from the naive p and the model's per-role factors.
+    """
+    from corrcache.workloads import StructuredDelays
+
+    p = naive_p_requested(model, t)
+    out = []
+    for gi, g in enumerate(model.groups):
+        pg = p[np.searchsorted(model.object_ids, g.object_ids)]
+        factor = model._leader_factor(gi, t)
+        leader = pg.copy() if factor == 1.0 else 1.0 - (1.0 - pg) * factor
+        followers = []
+        for i in range(g.followers):
+            if isinstance(g.delays, StructuredDelays):
+                followers.append(np.ones_like(pg) if g.delays.step < t else pg.copy())
+                continue
+            factor = model._follower_factor(gi, i, t)
+            followers.append(pg.copy() if factor == 1.0 else 1.0 - (1.0 - pg) * factor)
+        out.append((leader, followers))
+    return out
+
+
+def naive_normalized_rate(model, tables) -> float:
+    """The normalised hit rate with every role's vector weighted and summed."""
+    num = den = 0.0
+    for g, (leader, followers) in zip(model.groups, tables, strict=True):
+        den += float(g.rates.sum()) * (1 + g.followers)
+        for vec in (leader, *followers):
+            num += float((g.rates * vec).sum())
+    return num / den
+
+
 def trace_event_set(trace) -> set:
     return set(
         zip(

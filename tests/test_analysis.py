@@ -31,11 +31,21 @@ from corrcache.workloads import (
 )
 from corrcache.presets import get_preset
 
-from conftest import naive_p_requested
+from conftest import (
+    naive_expected_cached_volume,
+    naive_normalized_rate,
+    naive_p_requested,
+    naive_role_tables,
+)
 
 
 def iid_uniform_sampler(lo, hi, f):
     return JointDelays(sampler=lambda rng, n: rng.uniform(lo, hi, (n, f)), count=f)
+
+
+def bits(x) -> bytes:
+    """The raw float64 bytes, so that 0.0 and -0.0 differ."""
+    return np.asarray(x, dtype=float).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +116,36 @@ def test_working_set_model_validation():
         WorkingSetModel([g], sizes=0.0)
     with pytest.raises(ModelError):
         WorkingSetModel([g]).p_requested(-1.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_model_group_rejects_a_rate_that_is_not_finite(bad):
+    # NaN compares false with 0, so a `rates < 0` check lets it through
+    with pytest.raises(ModelError, match=f"object 4 has rate {bad!r}"):
+        ModelGroup(np.array([3, 4]), np.array([0.1, bad]), 0)
+
+
+def test_model_rejects_a_size_mapping_that_misses_an_object():
+    g = ModelGroup(np.array([3, 4]), np.array([0.1, 0.2]), 0)
+    with pytest.raises(ModelError, match="sizes has no entry for object 4"):
+        WorkingSetModel([g], sizes={3: 1.0})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_model_rejects_a_size_that_is_not_finite(bad):
+    g = ModelGroup(np.array([3, 4]), np.array([0.1, 0.2]), 0)
+    for sizes in ({3: 1.0, 4: bad}, lambda o: bad if o == 4 else 1.0):
+        with pytest.raises(ModelError, match=f"object 4 has size {bad!r}"):
+            WorkingSetModel([g], sizes=sizes)
+    with pytest.raises(ModelError, match=f"object 3 has size {bad!r}"):
+        WorkingSetModel([g], sizes=bad)
+
+
+def test_model_rejects_fewer_than_one_monte_carlo_sample():
+    # a joint-delay solve divided by the sample count: ZeroDivisionError
+    g = ModelGroup(np.array([1, 2]), np.array([0.1, 0.2]), 2, iid_uniform_sampler(0, 5, 2))
+    with pytest.raises(ModelError, match="mc_samples must be >= 1, got 0"):
+        WorkingSetModel([g], mc_samples=0)
 
 
 def test_sizes_accept_scalar_mapping_and_callable():
@@ -190,19 +230,23 @@ def model_groups(draw):
     for _ in range(draw(st.integers(1, 4))):
         ids = draw(st.lists(st.integers(0, 11), min_size=1, max_size=8, unique=True))
         rates = draw(st.lists(st.floats(0.0, 5.0), min_size=len(ids), max_size=len(ids)))
-        followers = draw(st.integers(0, 3))
-        kind = draw(st.sampled_from(["structured", "fixed", "uniform", "joint"]))
+        followers = draw(st.integers(0, 4))
+        kind = draw(st.sampled_from(["structured", "fixed", "uniform", "iid", "joint"]))
         if followers == 0:
             delays = None
         elif kind == "structured":
             delays = StructuredDelays(draw(st.floats(0.1, 20.0)))
         elif kind == "fixed":
-            delays = FixedDelays(
-                draw(st.lists(st.floats(-10.0, 30.0), min_size=followers, max_size=followers))
-            )
+            # a small pool repeats values, and followers with equal delays
+            # share one column
+            value = st.sampled_from([-3.0, 0.0, 2.0, 6.5]) | st.floats(-10.0, 30.0)
+            delays = FixedDelays(draw(st.lists(value, min_size=followers, max_size=followers)))
         elif kind == "uniform":
             los = draw(st.lists(st.floats(-10.0, 20.0), min_size=followers, max_size=followers))
             delays = UniformDelays(tuple((lo, lo + draw(st.floats(0.5, 15.0))) for lo in los))
+        elif kind == "iid":
+            lo = draw(st.floats(-10.0, 20.0))
+            delays = UniformDelays.iid(lo, lo + draw(st.floats(0.5, 15.0)), followers)
         else:
             lo = draw(st.floats(-10.0, 20.0))
             delays = iid_uniform_sampler(lo, lo + draw(st.floats(0.5, 15.0)), followers)
@@ -221,8 +265,8 @@ def test_p_requested_bitwise_equals_the_per_group_loop(groups, sizes, t):
     size_arg = {"none": None, "scalar": 2.5, "mapping": {o: 1.0 + o % 4 for o in ids}}[sizes]
     model = WorkingSetModel(groups, sizes=size_arg, mc_samples=64, mc_seed=3)
     ref = naive_p_requested(model, t)
-    assert np.array_equal(model.p_requested(t), ref)
-    assert model.expected_cached_volume(t) == float((ref * model.sizes).sum())
+    assert bits(model.p_requested(t)) == bits(ref)
+    assert bits(model.expected_cached_volume(t)) == bits(naive_expected_cached_volume(model, t))
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +399,23 @@ def test_iid_uniform_followers_share_one_column():
         assert np.array_equal(v, vecs[0])
 
 
+def test_iid_uniform_group_computes_one_follower_factor(monkeypatch):
+    g = ModelGroup(np.arange(1, 8), np.full(7, 0.1), 4, UniformDelays.iid(0, 60, 4))
+    model = WorkingSetModel([g])
+    capacity = 0.3 * model.total_volume()
+    t_star = model.solve_characteristic_time(capacity).t_star
+    want = naive_role_tables(model, t_star)[0][1]
+    calls = []
+    factor = model._follower_factor
+    monkeypatch.setattr(
+        model, "_follower_factor", lambda gi, i, t: calls.append(i) or factor(gi, i, t)
+    )
+    vecs = model.hit_report(capacity).groups[0].follower_list
+    assert calls == [0]
+    assert [bits(v) for v in vecs] == [bits(v) for v in want]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(vecs) for b in vecs[i + 1 :])
+
+
 def test_follower_quadrature_matches_monte_carlo():
     rates = np.array([0.05, 0.02])
     quad_g = ModelGroup(np.array([1, 2]), rates, 3, UniformDelays.iid(-10, 20, 3))
@@ -420,6 +481,9 @@ def test_hit_report_bitwise_equals_the_per_group_loop(monkeypatch):
     preset = get_preset("grouped-4.1")
     fast, ref = preset.build_model(1.0), preset.build_model(1.0)
     monkeypatch.setattr(ref, "p_requested", lambda t: naive_p_requested(ref, t))
+    monkeypatch.setattr(
+        ref, "expected_cached_volume", lambda t: naive_expected_cached_volume(ref, t)
+    )
     volume = fast.total_volume()
     for k in range(1, 65):
         got, want = fast.hit_report(k / 400 * volume), ref.hit_report(k / 400 * volume)
@@ -436,6 +500,45 @@ def test_hit_report_bitwise_equals_the_per_group_loop(monkeypatch):
         assert not any(
             np.shares_memory(a, b) for i, a in enumerate(vectors) for b in vectors[i + 1 :]
         )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    groups=model_groups(),
+    sizes=st.sampled_from(["none", "scalar", "mapping"]),
+    frac=st.floats(0.05, 0.9),
+)
+def test_hit_report_bitwise_equals_the_naive_path(groups, sizes, frac):
+    ids = np.unique(np.concatenate([g.object_ids for g in groups])).tolist()
+    size_arg = {"none": None, "scalar": 2.5, "mapping": {o: 1.0 + o % 4 for o in ids}}[sizes]
+    model = WorkingSetModel(groups, sizes=size_arg, mc_samples=64, mc_seed=3)
+    ref = WorkingSetModel(groups, sizes=size_arg, mc_samples=64, mc_seed=3)
+    ref.expected_cached_volume = lambda t: naive_expected_cached_volume(ref, t)
+    capacity = frac * model.total_volume()
+    try:
+        ct = ref.solve_characteristic_time(capacity)
+    except ModelError as exc:  # a catalog of zero rates never fills
+        with pytest.raises(ModelError, match=str(exc)):
+            model.hit_report(capacity)
+        return
+    report = model.hit_report(capacity)
+    for field in ("t_star", "residual", "iterations"):
+        assert bits(getattr(report, field)) == bits(getattr(ct, field)), field
+    tables = naive_role_tables(ref, ct.t_star)
+    assert bits(report.normalized_hit_rate) == bits(naive_normalized_rate(ref, tables))
+    vectors = []
+    for g, (leader, followers) in zip(report.groups, tables, strict=True):
+        assert bits(g.leader) == bits(leader)
+        assert [bits(v) for v in g.follower_list] == [bits(v) for v in followers]
+        vectors += [g.leader, *g.follower_list]
+    assert not any(
+        np.shares_memory(a, b) for i, a in enumerate(vectors) for b in vectors[i + 1 :]
+    )
+    # the report's rate is the public aggregation of its own tables
+    assert report.normalized_hit_rate == normalized_model_hit_rate(
+        [(g.rates, g.followers) for g in report.groups],
+        [(g.leader, list(g.follower_list)) for g in report.groups],
+    )
 
 
 def test_hit_report_evaluates_p_once_beyond_the_solve(monkeypatch):
