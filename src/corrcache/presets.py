@@ -74,6 +74,7 @@ class Preset:
     def groups(self, scale: float = 1.0, variant: str | None = None) -> tuple[GroupSpec, ...]:
         if self.groups_fn is None:
             raise PresetError(f"preset {self.name!r} has no analytic group structure")
+        _check_scale(scale)
         return self.groups_fn(scale, self._check_variant(variant))
 
     def build_model(self, scale: float = 1.0, variant: str | None = None) -> WorkingSetModel:
@@ -86,8 +87,9 @@ class Preset:
         horizon: float | None = None,
         variant: str | None = None,
     ) -> Trace:
-        if scale <= 0:
-            raise PresetError("scale must be positive")
+        _check_scale(scale)
+        if horizon is not None and not math.isfinite(horizon):
+            raise PresetError(f"horizon must be finite, got {horizon!r}")
         variant = self._check_variant(variant)
         meta = {
             "preset": self.name,
@@ -124,6 +126,12 @@ class Preset:
                 key = pack_key(oid, None)
                 weights[key] = weights.get(key, 0.0) + rate * mult
         return weights
+
+
+def _check_scale(scale: float) -> None:
+    # a non-finite scale would reach round() and int() in the preset functions
+    if not 0 < scale < math.inf:
+        raise PresetError(f"scale must be finite and positive, got {scale!r}")
 
 
 def _scaled_count(base: int, scale: float) -> int:

@@ -105,6 +105,31 @@ class ObjectCatalog:
         self._sizes[(int(object_id), version)] = size
         self._arrays = self._table = None
 
+    @classmethod
+    def _from_arrays(cls, objects, versions, sizes) -> "ObjectCatalog":
+        """The catalog that `add(objects[i], sizes[i], versions[i])` builds,
+        called for each i in order; it raises what the first failing `add`
+        raises."""
+        objects = np.asarray(objects, dtype=np.int64)
+        versions = np.asarray(versions, dtype=np.int64)
+        sizes = np.asarray(sizes, dtype=np.float64)
+        ok = (objects >= _OBJECT_RANGE[0]) & (objects < _OBJECT_RANGE[1])
+        ok &= (versions >= _VERSION_RANGE[0]) & (versions < _VERSION_RANGE[1])
+        ok &= sizes > 0
+        catalog = cls()
+        if not ok.all():
+            # `add` refuses the first identity that fails a check
+            bad = int(np.flatnonzero(~ok)[0])
+            catalog.add(int(objects[bad]), float(sizes[bad]), int(versions[bad]))
+        if (versions == NO_VERSION).all():
+            identities = zip(objects.tolist(), [None] * len(objects))
+        else:
+            identities = zip(
+                objects.tolist(), [None if v == NO_VERSION else v for v in versions.tolist()]
+            )
+        catalog._sizes = dict(zip(identities, sizes.tolist()))
+        return catalog
+
     def size(self, object_id: int, version: int | None = None) -> float:
         return self._sizes[(object_id, None if version == NO_VERSION else version)]
 
@@ -404,6 +429,15 @@ def _fmt_version(v: int) -> str:
     return "-" if v == NO_VERSION else str(v)
 
 
+# Events are written in blocks of at most this many, each one joined string,
+# so that only one block's strings are held at a time.
+_WRITE_BLOCK = 1 << 11
+
+# Whole-number times below this bound are written as their digits plus
+# ".0", which is what repr() gives; from 1e16 up repr() switches to exponents.
+_WHOLE_BOUND = 1e16
+
+
 def write_trace(trace: Trace, path_or_file) -> None:
     """Write the text format: #meta lines, #obj catalog lines, event lines."""
     own = isinstance(path_or_file, (str, os.PathLike))
@@ -417,26 +451,54 @@ def write_trace(trace: Trace, path_or_file) -> None:
         ids, vers = _unpack_keys(cat_keys)
         for o, v, s in zip(ids.tolist(), vers.tolist(), cat_sizes.tolist()):
             f.write(f"#obj {o} {_fmt_version(v)} {_fmt_float(s)}\n")
-        times = trace.times.tolist()
-        clients = trace.clients.tolist()
-        objects = trace.objects.tolist()
-        versions = trace.versions.tolist()
-        write = f.write
-        for t, c, o, v in zip(times, clients, objects, versions):
-            write(f"{_fmt_float(t)} {c} {o} {_fmt_version(v)}\n")
+        _write_events(trace, f)
     finally:
         if own:
             f.close()
 
 
+def _write_events(trace: Trace, f) -> None:
+    """The event lines of `write_trace`, one block at a time.
+
+    A line is four strings, each ending in the separator that follows it,
+    interleaved into one list per block and joined.  Client, object and
+    version strings come from tables kept across blocks.  When every time in
+    a block is a whole number in [0, `_WHOLE_BOUND`) other than -0.0, the
+    time strings come from a table of the block's distinct times; otherwise
+    each is its repr().
+    """
+    columns = (
+        (trace.clients, {}, str, " "),
+        (trace.objects, {}, str, " "),
+        (trace.versions, {}, _fmt_version, "\n"),
+    )
+    for start in range(0, len(trace), _WRITE_BLOCK):
+        block = slice(start, start + _WRITE_BLOCK)
+        times = trace.times[block]
+        parts = [""] * (4 * len(times))
+        whole = (times < _WHOLE_BOUND) & (times == np.floor(times)) & ~np.signbit(times)
+        if whole.all():
+            ints = times.astype(np.int64).tolist()
+            strings = {t: f"{t}.0 " for t in set(ints)}
+            parts[0::4] = map(strings.__getitem__, ints)
+        else:
+            parts[0::4] = [f"{t!r} " for t in times.tolist()]
+        for i, (column, table, fmt, end) in enumerate(columns, start=1):
+            values = column[block].tolist()
+            for value in set(values).difference(table):
+                table[value] = fmt(value) + end
+            parts[i::4] = map(table.__getitem__, values)
+        f.write("".join(parts))
+
+
 def read_trace(path_or_file) -> Trace:
     """Parse the text format written by write_trace (round-trip identity).
 
-    The leading #meta/#obj lines go through the line loop `_read_lines`; the
-    event lines after them are parsed in blocks of whole lines.  When a block
-    is not plain `write_trace` output (see `_plain_block`) or does not
-    convert, the whole text is parsed again by `_read_lines`, which alone
-    reports `TraceFormatError`s and their line numbers.
+    The leading #meta/#obj lines are parsed by `_parse_header`, the event
+    lines after them in blocks of whole lines.  When a header line or an
+    event block is not plain `write_trace` output (see `_plain_block`) or
+    does not convert, that part is parsed again by `_read_lines`, which
+    alone reports `TraceFormatError`s and their line numbers.
     """
     if isinstance(path_or_file, (str, os.PathLike)):
         with open(path_or_file, "r", encoding="utf-8") as f:
@@ -448,20 +510,52 @@ def read_trace(path_or_file) -> Trace:
         body = text.find("\n", body) + 1
         if body == 0:
             body = len(text)
-    head = _read_lines(text[:body])
+    head = _parse_header(text[:body])
+    if head is None:
+        parsed = _read_lines(text[:body])
+        head = parsed.meta, parsed.catalog
     columns = _parse_event_blocks(text, body)
     if columns is None:
         return _read_lines(text)
-    return Trace(*columns, head.catalog, head.meta)
+    meta, catalog = head
+    return Trace(*columns, catalog, meta)
+
+
+def _parse_header(head: str) -> tuple[dict[str, str], ObjectCatalog] | None:
+    """The meta and catalog of the header lines in `head`, or None when one
+    needs the line loop: a line that is neither "#meta key=value" nor a
+    plain "#obj" line, or an #obj line that does not convert or that
+    `ObjectCatalog.add` refuses."""
+    meta: dict[str, str] = {}
+    objs: list[str] = []
+    for line in head.split("\n"):
+        if line.startswith("#obj "):
+            objs.append(line[len("#obj "):])
+        elif line.startswith("#meta ") and "=" in line:
+            key, value = line[len("#meta "):].split("=", 1)
+            meta[key] = value
+        elif line:
+            return None
+    if not objs:
+        return meta, ObjectCatalog()
+    columns = _token_columns("\n".join(objs) + "\n", 3)
+    if columns is None:
+        return None
+    objects, versions, sizes = columns
+    try:
+        catalog = ObjectCatalog._from_arrays(
+            np.array(objects, dtype=np.int64),
+            _version_column(versions),
+            np.array(sizes, dtype=np.float64),
+        )
+    except (ValueError, OverflowError):
+        return None
+    return meta, catalog
 
 
 # Event text is cut into blocks of about this many characters, so that only
 # one block's tokens are held as Python strings at a time.
 _BLOCK_CHARS = 1 << 16
-
-# Per line: three spaces, then the newline.
-_LINE_SEPARATORS = np.array([ord(" ")] * 3 + [ord("\n")], dtype=np.uint8)
-
 
 def _parse_event_blocks(text: str, start: int) -> tuple[np.ndarray, ...] | None:
     """(times, clients, objects, versions) of the event lines in
@@ -491,40 +585,56 @@ def _parse_event_blocks(text: str, start: int) -> tuple[np.ndarray, ...] | None:
 
 def _parse_block(block: str) -> tuple[np.ndarray, ...] | None:
     """The four columns of one block, or None when it needs the line loop."""
-    if not _plain_block(block):
+    columns = _token_columns(block, 4)
+    if columns is None:
         return None
-    tokens = block.split()
-    versions = tokens[3::4]
-    dashes = versions.count("-")
+    times, clients, objects, versions = columns
     try:
-        times = np.array(tokens[0::4], dtype=np.float64)
-        clients = np.array(tokens[1::4], dtype=np.int64)
-        objects = np.array(tokens[2::4], dtype=np.int64)
-        if dashes == len(versions):
-            versions = np.full(len(versions), NO_VERSION, dtype=np.int64)
-        else:
-            if dashes:
-                versions = [NO_VERSION if v == "-" else v for v in versions]
-            versions = np.array(versions, dtype=np.int64)
+        return (
+            np.array(times, dtype=np.float64),
+            np.array(clients, dtype=np.int64),
+            np.array(objects, dtype=np.int64),
+            _version_column(versions),
+        )
     except (ValueError, OverflowError):
         # numpy converts each token with int()/float(), like the line loop,
         # which reports the failure with its line number
         return None
-    return times, clients, objects, versions
 
 
-def _plain_block(block: str) -> bool:
-    """True when every line of `block` is four non-empty fields separated by
-    single spaces and ended by a newline, with no other whitespace, no other
-    control character, no non-ASCII character and no '#'."""
+def _token_columns(block: str, fields: int) -> list[list[str]] | None:
+    """The tokens of a `_plain_block` of `fields` fields a line, one list
+    per field, or None when the block is not plain."""
+    if not _plain_block(block, fields):
+        return None
+    tokens = block.split()
+    return [tokens[i::fields] for i in range(fields)]
+
+
+def _version_column(tokens: list[str]) -> np.ndarray:
+    """Version tokens as int64, "-" as NO_VERSION; raises what int() raises."""
+    dashes = tokens.count("-")
+    if dashes == len(tokens):
+        return np.full(len(tokens), NO_VERSION, dtype=np.int64)
+    if dashes:
+        tokens = [NO_VERSION if v == "-" else v for v in tokens]
+    return np.array(tokens, dtype=np.int64)
+
+
+def _plain_block(block: str, fields: int = 4) -> bool:
+    """True when every line of `block` is `fields` non-empty fields
+    separated by single spaces and ended by a newline, with no other
+    whitespace, no other control character, no non-ASCII character and no
+    '#'."""
     if not block.endswith("\n") or "#" in block or not block.isascii():
         return False
     chars = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
     # spaces, newlines and every other control character
     seps = np.flatnonzero(chars <= ord(" "))
-    if len(seps) % 4:
+    if len(seps) % fields:
         return False
-    if not (chars[seps].reshape(-1, 4) == _LINE_SEPARATORS).all():
+    line_seps = np.frombuffer((" " * (fields - 1) + "\n").encode("ascii"), dtype=np.uint8)
+    if not (chars[seps].reshape(-1, fields) == line_seps).all():
         return False
     # no empty field: no two separators in a row, none at the start
     return bool((np.diff(seps, prepend=-1) > 1).all())

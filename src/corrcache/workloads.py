@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .trace import ObjectCatalog, Trace
+from .trace import NO_VERSION, ObjectCatalog, Trace
 
 # ---------------------------------------------------------------------------
 # Follower delay specifications
@@ -225,14 +225,15 @@ def gen_grouped_trace(
     size_of = _size_lookup(object_sizes)
     clients = group_clients(groups)
 
+    ids = np.concatenate([g.object_ids() for g in groups])
+    catalog = ObjectCatalog._from_arrays(
+        ids, np.full(len(ids), NO_VERSION), [size_of(oid) for oid in ids.tolist()]
+    )
+
     times_parts: list[np.ndarray] = []
     client_parts: list[np.ndarray] = []
     object_parts: list[np.ndarray] = []
-    catalog = ObjectCatalog()
-
     for g, (leader, followers) in zip(groups, clients):
-        for oid in g.object_ids().tolist():
-            catalog.add(oid, size_of(oid))
         n = rng.poisson(g.leader_rate * horizon)
         arrivals = np.sort(rng.uniform(0.0, horizon, n))
         objs = g.first_object + rng.choice(g.num_objects, size=n, p=g.pmf())
@@ -251,6 +252,9 @@ def gen_grouped_trace(
     times = np.concatenate(times_parts)
     cl = np.concatenate(client_parts)
     ob = np.concatenate(object_parts)
+    # the parts would otherwise stay alive, a second copy of the columns,
+    # through the sort
+    del times_parts, client_parts, object_parts
     base_meta = {"generator": "grouped", "seed": str(seed), "horizon": repr(float(horizon))}
     if meta:
         base_meta.update(meta)
@@ -480,7 +484,7 @@ def gen_toroid_trace(
 
     Every client stands on some leader's path point in every slot it is
     active, so visibility is computed once per path point and gathered per
-    (client, slot).
+    (slot, client), which leaves the events in canonical order.
     """
     n_leaders = len(spec.groups)
     if isinstance(dynamics, LeaderSwitch) and len(dynamics.probabilities) > n_leaders:
@@ -494,59 +498,60 @@ def gen_toroid_trace(
 
     objects_pos = rng.uniform(0.0, side, size=(spec.num_objects, 3))
 
-    # leader paths: new isotropic unit direction every direction_period slots
-    paths = np.empty((n_leaders, H, 3))
-    for li in range(n_leaders):
-        pos = rng.uniform(0.0, side, size=3)
-        direction = _unit_vector(rng)
-        for n in range(H):
-            if n > 0 and n % spec.direction_period == 0:
-                direction = _unit_vector(rng)
-            if n > 0:
-                pos = (pos + spec.speed * direction) % side
-            paths[li, n] = pos
+    # leader paths: new isotropic unit direction every direction_period slots.
+    # A step is `(pos + speed * direction) % side` per axis on Python floats:
+    # the same IEEE operations as numpy's elementwise add and np.remainder.
+    paths = []
+    for _ in range(n_leaders):
+        x, y, z = rng.uniform(0.0, side, size=3).tolist()
+        dx, dy, dz = (spec.speed * _unit_vector(rng)).tolist()
+        path = [x, y, z]
+        for n in range(1, H):
+            if n % spec.direction_period == 0:
+                dx, dy, dz = (spec.speed * _unit_vector(rng)).tolist()
+            x, y, z = (x + dx) % side, (y + dy) % side, (z + dz) % side
+            path += (x, y, z)
+        paths.append(path)
 
-    # follower assignment per slot, replaying dynamics at period boundaries
+    # follower assignments, replaying dynamics at period boundaries; runs[k]
+    # is (first slot, assignments) of the k-th run of unchanged assignments
     assignments: list[tuple[int, int]] = []
     for li, g in enumerate(spec.groups):
         assignments.extend((li, d) for d in g.follower_delays)
-    n_followers = len(assignments)
-    leader_by_slot = np.empty((n_followers, H), dtype=np.int64)
-    delay_by_slot = np.empty((n_followers, H), dtype=np.int64)
-    for n in range(H):
-        if dynamics is not None:
+    runs = [(0, assignments)]
+    if dynamics is not None:
+        for n in range(H):
             if isinstance(dynamics, OrderShuffle):
-                assignments = apply_order_shuffle(assignments, dynamics.period, n)
+                step = apply_order_shuffle(assignments, dynamics.period, n)
             else:
-                assignments = apply_leader_switch(assignments, dynamics, n, rng)
-        for fi, (li, d) in enumerate(assignments):
-            leader_by_slot[fi, n] = li
-            delay_by_slot[fi, n] = d
+                step = apply_leader_switch(assignments, dynamics, n, rng)
+            if step is not assignments:
+                assignments = step
+                runs.append((n, assignments))
 
-    # src_pt[c, n]: flat index li * H + slot of the path point client c stands
+    # src_pt[n, c]: flat index li * H + slot of the path point client c stands
     # on in slot n, -1 before a follower starts.  Client numbering mirrors the
     # grouped generator: leader then its followers.
     C = spec.client_count()
-    slots = np.arange(H)
-    src_pt = np.empty((C, H), dtype=np.int64)
-    ci = fi = 0
-    for li, g in enumerate(spec.groups):
-        src_pt[ci] = li * H + slots
-        ci += 1
-        for _ in g.follower_delays:
-            src = slots - delay_by_slot[fi]
-            src_pt[ci] = np.where(src >= 0, leader_by_slot[fi] * H + src, -1)
-            ci += 1
-            fi += 1
+    slots = np.arange(H)[:, None]
+    src_pt = np.empty((H, C), dtype=np.int64)
+    leader_cols = np.cumsum([0] + [1 + len(g.follower_delays) for g in spec.groups][:-1])
+    follower_cols = np.setdiff1d(np.arange(C), leader_cols)  # in assignment order
+    src_pt[:, leader_cols] = np.arange(n_leaders) * H + slots
+    for (first, run), (stop, _) in zip(runs, runs[1:] + [(H, None)]):
+        leaders = np.array([li for li, _ in run], dtype=np.int64)
+        src = slots[first:stop] - np.array([d for _, d in run], dtype=np.int64)
+        src_pt[first:stop, follower_cols] = np.where(src >= 0, leaders * H + src, -1)
 
     # visible objects of every path point, as CSR rows in object order
     pair_pt, pair_obj, pair_d2 = _torus_visible_pairs(
-        paths.reshape(-1, 3), objects_pos, side, spec.visibility_radius
+        np.array(paths).reshape(-1, 3), objects_pos, side, spec.visibility_radius
     )
     row_start = np.zeros(n_leaders * H + 1, dtype=np.int64)
     np.cumsum(np.bincount(pair_pt, minlength=n_leaders * H), out=row_start[1:])
 
-    # gather: one event per pair in the row of each active (client, slot);
+    # gather slot-major: one event per pair in the row of each active (slot,
+    # client), so events come out in canonical (time, client, object) order;
     # an event's pair index is its row start plus its rank within the row
     flat = src_pt.ravel()
     active = np.flatnonzero(flat >= 0)
@@ -554,25 +559,27 @@ def gen_toroid_trace(
     width = row_start[pt + 1] - row_start[pt]
     ev = np.repeat(row_start[pt] - (np.cumsum(width) - width), width)
     ev += np.arange(len(ev), dtype=np.int64)
-    ev_cs = np.repeat(active, width)  # client * H + slot of each event
+    ev_sc = np.repeat(active, width)  # slot * C + client of each event
     if spec.newly_visible_only:
-        # drop (c, n, o) when o was visible from the point c stood on at n-1.
+        # drop (n, c, o) when o was visible from the point c stood on at n-1.
         # Keys pt * D + o are unique and below L * H * D; an inactive previous
         # slot (point -1, or n == 0) gives a negative key that matches nothing.
         D = spec.num_objects
-        prev = np.where(ev_cs % H > 0, flat[ev_cs - 1], -1)
+        prev = np.where(ev_sc >= C, flat[ev_sc - C], -1)
         keep = ~np.isin(prev * D + pair_obj[ev], pair_pt * D + pair_obj)
-        ev, ev_cs = ev[keep], ev_cs[keep]
-    ev_ci, ev_slot = np.divmod(ev_cs, H)
+        ev, ev_sc = ev[keep], ev_sc[keep]
+    ev_slot, ev_ci = np.divmod(ev_sc, C)
 
-    catalog = ObjectCatalog()
+    ids = np.arange(1, spec.num_objects + 1)
     if spec.versioned:
-        for oid in range(1, spec.num_objects + 1):
-            for tier, size in enumerate(spec.tier_sizes):
-                catalog.add(oid, size, tier)
+        tiers = len(spec.tier_sizes)
+        catalog = ObjectCatalog._from_arrays(
+            np.repeat(ids, tiers),
+            np.tile(np.arange(tiers), len(ids)),
+            np.tile(np.asarray(spec.tier_sizes, dtype=np.float64), len(ids)),
+        )
     else:
-        for oid in range(1, spec.num_objects + 1):
-            catalog.add(oid, 1.0)
+        catalog = ObjectCatalog._from_arrays(ids, np.full(len(ids), NO_VERSION), np.ones(len(ids)))
 
     times = ev_slot.astype(np.float64)
     cl = ev_ci + 1
@@ -591,9 +598,7 @@ def gen_toroid_trace(
         base_meta["dynamics"] = type(dynamics).__name__.lower()
     if meta:
         base_meta.update(meta)
-    trace = Trace(times, cl, ob, vr, catalog, base_meta)
-    trace.sort_events()
-    return trace
+    return Trace(times, cl, ob, vr, catalog, base_meta)
 
 
 def _unit_vector(rng: np.random.Generator) -> np.ndarray:

@@ -92,6 +92,21 @@ def make_trace(events, sizes=None, versions=False, meta=None) -> Trace:
     return tr
 
 
+def naive_write_trace(trace: Trace, f) -> None:
+    """`write_trace` one line at a time: every float through repr(), every
+    int through str(), version -1 as "-".  The block writer must give the
+    same text."""
+    for k, v in trace.meta.items():
+        f.write(f"#meta {k}={v}\n")
+    for oid, ver in sorted(trace.catalog._sizes, key=lambda i: (i[0], -1 if i[1] is None else i[1])):
+        size = trace.catalog.size(oid, ver)
+        f.write(f"#obj {oid} {'-' if ver is None else ver} {size!r}\n")
+    for t, c, o, v in zip(
+        trace.times.tolist(), trace.clients.tolist(), trace.objects.tolist(), trace.versions.tolist()
+    ):
+        f.write(f"{t!r} {c} {o} {'-' if v == -1 else v}\n")
+
+
 def random_unit_trace(seed: int, n_events: int, n_objects: int, n_clients: int) -> Trace:
     """Random unit-size trace with skewed popularity and integer-ish times."""
     rng = np.random.default_rng(seed)

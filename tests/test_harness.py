@@ -824,6 +824,32 @@ def test_reproduce_unknown_preset_lists_names():
         reproduce("no-such-preset")
 
 
+NON_FINITE = [
+    (field, value, preset)
+    for field in ("scale", "horizon")
+    for value in ("inf", "nan")
+    for preset in ("toroid-trace1", "grouped-4.1", "fig2-setup", "fig3a-setup")
+]
+
+
+@pytest.mark.parametrize("field, value, preset", NON_FINITE)
+def test_non_finite_scale_or_horizon_is_a_preset_error(field, value, preset):
+    options = {field: float(value)}
+    with pytest.raises(PresetError, match=f"{field} must be finite"):
+        get_preset(preset).build_trace(**options)
+    with pytest.raises(PresetError, match=f"{field} must be finite"):
+        reproduce(preset, **options)
+
+
+@pytest.mark.parametrize("field, value, preset", NON_FINITE)
+@pytest.mark.parametrize("verb", ["generate", "reproduce"])
+def test_cli_non_finite_scale_or_horizon_exits_2(tmp_path, capsys, verb, field, value, preset):
+    out = tmp_path / "out"
+    assert cli.main([verb, preset, f"--{field}={value}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
+    assert not out.exists()
+
+
 def test_reproduce_overlay_tables(tmp_path):
     result = reproduce(
         "fig2-setup", scale=0.02, seed=1, horizon=120.0, out_dir=str(tmp_path)

@@ -27,7 +27,7 @@ from corrcache.trace import (
     write_trace,
 )
 
-from conftest import make_trace
+from conftest import make_trace, naive_write_trace
 
 
 def empty_trace() -> Trace:
@@ -373,6 +373,55 @@ def test_reader_matches_the_line_loop(name, block_chars):
         assert_same_trace(got, want)
 
 
+EVENTS = "0.5 1 1 -\n1.5 2 10 0\n"
+
+# header lines that `_parse_header` must hand to the line loop, or parse as it
+HEADER_CASES = {
+    "plain": HEAD + EVENTS,
+    "no #obj lines": "#meta a=b\n#meta c=d=e\n",
+    "#meta only, no final newline": "#meta a=b",
+    "#obj before #meta": "#obj 1 - 1.0\n#meta a=b\n#obj 10 0 2.0\n#obj 10 - 2.0\n" + EVENTS,
+    "repeated identity": HEAD + "#obj 1 - 3.0\n#obj 1 -1 4.0\n" + EVENTS,
+    "signs, underscores, exponents": "#obj +1 -1 1_0.5\n#obj 1_0 +0 2e0\n#obj 10 - inf\n" + EVENTS,
+    "#meta without '='": "#meta a=b\n#meta ab\n#obj 1 - 1.0\n",
+    "#meta with '=' only in the key part": "#meta =\n#obj 1 - 1.0\n",
+    "#metax": "#metax a=b\n#obj 1 - 1.0\n",
+    "#obj with 3 fields": "#obj 1 - 1.0\n#obj 1 1.0\n",
+    "#obj with 5 fields": "#obj 1 - 1.0\n#obj 1 - 1.0 2\n",
+    "#obj with a tab": "#obj 1\t- 1.0\n",
+    "#obj with two spaces": "#obj 1 -  1.0\n",
+    "#obj with CRLF": "#obj 1 - 1.0\r\n#obj 2 - 1.0\r\n",
+    "#obj, no final newline": "#obj 1 - 1.0\n#obj 2 - 3.0",
+    "#obj size 0": "#obj 1 - 1.0\n#obj 2 - 0\n",
+    "#obj size nan": "#obj 1 - 1.0\n#obj 2 - nan\n",
+    "#obj size negative": "#obj 1 - 1.0\n#obj 2 - -1.0\n",
+    "#obj size not a number": "#obj 1 - 1.0\n#obj 2 - big\n",
+    "#obj id 0": "#obj 1 - 1.0\n#obj 0 - 1.0\n",
+    "#obj id 2**32": "#obj 1 - 1.0\n#obj 4294967296 - 1.0\n",
+    "#obj id too large for int64": "#obj 1 - 1.0\n#obj 99999999999999999999 - 1.0\n",
+    "#obj version 255": "#obj 1 - 1.0\n#obj 2 255 1.0\n",
+    "#obj version -2": "#obj 1 - 1.0\n#obj 2 -2 1.0\n",
+    "#obj float id": "#obj 1 - 1.0\n#obj 2.0 - 1.0\n",
+    "#obj non-ASCII digit": "#obj 1 - 1.0\n#obj \u0663 - 1.0\n",
+    "#obj with '#' inside": "#obj 1 - 1.0\n#obj 2 #obj 1.0\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HEADER_CASES))
+def test_header_parser_matches_the_line_loop(name):
+    text = HEADER_CASES[name]
+    want = parse_outcome(_read_lines, text)
+    got = parse_outcome(lambda t: read_trace(io.StringIO(t)), text)
+    if isinstance(want, Exception):
+        assert type(got) is type(want)
+        assert str(got) == str(want)
+        assert getattr(got, "line", None) == getattr(want, "line", None)
+    else:
+        assert isinstance(got, Trace), got
+        assert_same_trace(got, want)
+        assert list(got.catalog._sizes.items()) == list(want.catalog._sizes.items())
+
+
 def test_reader_cases_cover_errors_and_traces():
     outcomes = {name: parse_outcome(_read_lines, text) for name, text in READER_CASES.items()}
     assert isinstance(outcomes["3 then 5 fields"], TraceFormatError)
@@ -449,15 +498,72 @@ def test_writer_output_never_falls_back_to_the_line_loop(monkeypatch):
     for variant in (text, text.rstrip("\n")):  # also without the final newline
         parsed.clear()
         assert_same_trace(read_trace(io.StringIO(variant)), tr)
-        assert [line[0] for chunk in parsed for line in chunk.splitlines()] == ["#"] * (
-            len(tr.meta) + len(tr.catalog)
-        )
+        # neither the header nor any event block reaches the line loop
+        assert parsed == []
 
 
 def test_catalog_rejects_nonpositive_size():
     cat = ObjectCatalog()
     with pytest.raises(ValueError, match="size must be > 0"):
         cat.add(1, 0.0)
+
+
+def added_one_by_one(objects, versions, sizes):
+    """What `ObjectCatalog.add` builds from the identities in order, or the
+    exception it raises."""
+    catalog = ObjectCatalog()
+    try:
+        for o, v, s in zip(objects, versions, sizes):
+            catalog.add(o, s, v)
+    except ValueError as exc:
+        return exc
+    return catalog
+
+
+@pytest.mark.parametrize(
+    "objects, versions, sizes",
+    [
+        ([1, 0], [-1, -1], [1.0, 1.0]),
+        ([1, -5], [-1, 0], [1.0, 1.0]),
+        ([1, 2**32], [-1, -1], [1.0, 1.0]),
+        ([1, 2], [-1, -2], [1.0, 1.0]),
+        ([1, 2], [0, 255], [1.0, 1.0]),
+        ([1, 2], [0, 1], [1.0, 0.0]),
+        ([1, 2], [0, 1], [1.0, -0.0]),
+        ([1, 2], [0, 1], [-2.5, 1.0]),
+        ([1, 2], [0, 1], [1.0, float("nan")]),
+        # the first failing identity is reported, in whichever check fails
+        ([1, 0, 3], [-1, 0, 300], [float("nan"), 1.0, 0.0]),
+        ([5, 2**32, 3], [300, 0, 0], [1.0, 0.0, 1.0]),
+    ],
+)
+def test_bulk_catalog_raises_what_add_raises(objects, versions, sizes):
+    want = added_one_by_one(objects, versions, sizes)
+    with pytest.raises(ValueError) as got:
+        ObjectCatalog._from_arrays(objects, versions, sizes)
+    assert type(got.value) is type(want)
+    assert str(got.value) == str(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(1, 2**32 - 1) | st.integers(1, 4),
+            st.integers(-1, 254) | st.integers(-1, 1),
+            st.sampled_from([0.5, 1.0, 2.0, 1e300, float("inf")]),
+        ),
+        max_size=20,
+    )
+)
+def test_bulk_catalog_equals_adds_in_order(identities):
+    objects, versions, sizes = (list(c) for c in zip(*identities)) if identities else ([], [], [])
+    want = added_one_by_one(objects, versions, sizes)
+    got = ObjectCatalog._from_arrays(objects, versions, sizes)
+    # same identities, sizes and insertion order, a repeated identity keeping
+    # its first position and its last size
+    assert list(got._sizes.items()) == list(want._sizes.items())
+    assert got.size_arrays()[0].tobytes() == want.size_arrays()[0].tobytes()
 
 
 def test_catalog_volume_and_unit_checks():
@@ -571,6 +677,40 @@ def test_round_trip_identity_property(events, data, meta, block_chars):
     assert_same_trace(back, tr)
     assert_same_trace(back, _read_lines(text))
     assert validate_trace(back).ok == validate_trace(tr).ok
+
+
+# times that repr() writes as digits plus ".0", and their edges: -0.0, the
+# exponent form from 1e16 on, non-finite values and fractions
+writer_time = st.one_of(
+    st.integers(0, 3000).map(float),
+    st.integers(2**53 - 4, 2**53 + 4).map(float),
+    st.integers(10**16 - 4, 10**16 + 4).map(float),
+    st.sampled_from([-0.0, -1.0, -2.0**53, 1e16 - 2, 1e16, 2.0**53, 1e300, 5e-324]),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    st.floats(allow_nan=True, allow_infinity=True, width=64),
+)
+writer_ids = (st.integers(1, 2**23 - 1), st.integers(1, 2**32 - 1), st.integers(-1, 254))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.tuples(writer_time, *writer_ids), max_size=40),
+        # whole-number times only, so that whole blocks take the table path
+        st.lists(st.tuples(st.integers(0, 50).map(float), *writer_ids), max_size=40),
+    ),
+    st.integers(1, 9),
+)
+def test_block_writer_equals_the_line_writer(events, block):
+    times, clients, objects, versions = (np.array(c) for c in list(zip(*events)) or [()] * 4)
+    identities = sorted({(o, v) for _, _, o, v in events} | {(1, -1)})
+    catalog = ObjectCatalog._from_arrays(*zip(*identities), [0.5] * len(identities))
+    tr = Trace(times, clients, objects, versions, catalog, {"k": "v"})
+    want = io.StringIO()
+    naive_write_trace(tr, want)
+    with mock.patch.object(trace_mod, "_WRITE_BLOCK", block):
+        assert trace_to_string(tr) == want.getvalue()
+    assert trace_to_string(tr) == want.getvalue()
 
 
 @settings(max_examples=30, deadline=None)

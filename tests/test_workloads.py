@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from corrcache.trace import trace_to_string, validate_trace
+from corrcache.trace import Trace, trace_to_string, validate_trace
 from corrcache.workloads import (
     FixedDelays,
     GroupSpec,
@@ -509,6 +509,12 @@ def test_toroid_matches_dense_reference(case):
     fast = gen_toroid_trace(spec, dynamics=dynamics, seed=seed)
     slow = naive_toroid_trace(spec, dynamics, seed)
     assert trace_to_string(fast) == trace_to_string(slow)
+    # generated in canonical order: sorting a copy moves no event
+    resorted = Trace(fast.times, fast.clients, fast.objects, fast.versions, fast.catalog)
+    resorted.sort_events()
+    for name in ("times", "clients", "objects", "versions"):
+        assert getattr(resorted, name).tobytes() == getattr(fast, name).tobytes(), name
+    assert validate_trace(fast).ok
 
 
 class _ScriptedRng:
