@@ -121,13 +121,8 @@ class ObjectCatalog:
             # `add` refuses the first identity that fails a check
             bad = int(np.flatnonzero(~ok)[0])
             catalog.add(int(objects[bad]), float(sizes[bad]), int(versions[bad]))
-        if (versions == NO_VERSION).all():
-            identities = zip(objects.tolist(), [None] * len(objects))
-        else:
-            identities = zip(
-                objects.tolist(), [None if v == NO_VERSION else v for v in versions.tolist()]
-            )
-        catalog._sizes = dict(zip(identities, sizes.tolist()))
+        stored = [None if v == NO_VERSION else v for v in versions.tolist()]
+        catalog._sizes = dict(zip(zip(objects.tolist(), stored), sizes.tolist()))
         return catalog
 
     def size(self, object_id: int, version: int | None = None) -> float:
