@@ -41,7 +41,7 @@ from .policies import (
     build_policy,
     static_optimal_select,
 )
-from .trace import ObjectCatalog, Trace, _checked_sizes, _unpack_keys
+from .trace import ObjectCatalog, Trace, _checked_sizes, _tabled, _unpack_keys
 
 # Per-pair and follow counts go through dense tables while a table holds at
 # most this many slots per forwarded request (see `_pair_rows`, `_counts`).
@@ -109,36 +109,52 @@ class SimulationMetrics:
 
     def per_client(self) -> dict[int, tuple[int, int]]:
         """client -> (forwarded requests, hits)."""
-        clients, inverse = np.unique(self.pair_clients, return_inverse=True)
-        requests = np.bincount(inverse, weights=self.pair_requests, minlength=len(clients))
-        hits = np.bincount(inverse, weights=self.pair_hits, minlength=len(clients))
-        return dict(
-            zip(
-                clients.tolist(),
-                zip(requests.astype(np.int64).tolist(), hits.astype(np.int64).tolist()),
-            )
+        order = np.argsort(self.pair_clients, kind="stable")
+        totals = _client_totals(
+            self.pair_clients[order], self.pair_requests[order], self.pair_hits[order]
         )
+        clients, requests, hits = (column.tolist() for column in totals)
+        return dict(zip(clients, zip(requests, hits)))
 
     def to_csv(self, fh: IO[str]) -> None:
-        """Per-pair rows, then per-client aggregates, then the overall row.
+        """Per-pair rows in ascending (client, object, version, requests,
+        hits) order, then per-client aggregates, then the overall row.
 
-        Aggregate rows use -1 for the collapsed columns.
+        Aggregate rows use -1 for the collapsed columns.  Pair rows are
+        written `_CSV_BLOCK` at a time, each block one joined string whose
+        fields come from per-column tables.
         """
         fh.write("client,object,version,requests,hits\n")
-        rows = sorted(
-            zip(
-                self.pair_clients.tolist(),
-                self.pair_objects.tolist(),
-                self.pair_versions.tolist(),
-                self.pair_requests.tolist(),
-                self.pair_hits.tolist(),
+        columns = (
+            self.pair_clients,
+            self.pair_objects,
+            self.pair_versions,
+            self.pair_requests,
+            self.pair_hits,
+        )
+        order = np.lexsort(columns[::-1])
+        columns = tuple(column[order] for column in columns)
+        formats = (
+            "{},".format,
+            "{},".format,
+            lambda v: "-," if v < 0 else f"{v},",
+            "{},".format,
+            "{}\n".format,
+        )
+        tables: list[dict] = [{} for _ in columns]
+        for start in range(0, len(order), _CSV_BLOCK):
+            block = slice(start, start + _CSV_BLOCK)
+            parts = [""] * (len(columns) * len(order[block]))
+            for i, (column, table, fmt) in enumerate(zip(columns, tables, formats)):
+                parts[i :: len(columns)] = _tabled(column[block].tolist(), table, fmt)
+            fh.write("".join(parts))
+        clients, requests, hits = _client_totals(columns[0], columns[3], columns[4])
+        fh.write(
+            "".join(
+                f"{c},-1,-,{r},{h}\n"
+                for c, r, h in zip(clients.tolist(), requests.tolist(), hits.tolist())
             )
         )
-        for c, o, v, r, h in rows:
-            ver = "-" if v < 0 else str(v)
-            fh.write(f"{c},{o},{ver},{r},{h}\n")
-        for c, (r, h) in sorted(self.per_client().items()):
-            fh.write(f"{c},-1,-,{r},{h}\n")
         fh.write(f"-1,-1,-,{self.forwarded},{self.hits}\n")
 
     def summary_dict(self) -> dict:
@@ -162,6 +178,21 @@ class SimulationMetrics:
     def write_summary(self, fh: IO[str]) -> None:
         json.dump(self.summary_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+# `SimulationMetrics.to_csv` writes pair rows in blocks of at most this many.
+_CSV_BLOCK = 1 << 12
+
+
+def _client_totals(
+    clients: np.ndarray, requests: np.ndarray, hits: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(clients, requests, hits) summed over each run of equal clients, in
+    int64, for pair rows grouped by client."""
+    first = np.ones(len(clients), dtype=bool)
+    first[1:] = clients[1:] != clients[:-1]
+    starts = np.flatnonzero(first)
+    return clients[starts], np.add.reduceat(requests, starts), np.add.reduceat(hits, starts)
 
 
 def config_digest(policy_label: str, config: CacheConfig, trace: Trace) -> str:

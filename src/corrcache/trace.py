@@ -463,9 +463,9 @@ def _write_events(trace: Trace, f) -> None:
     each is its repr().
     """
     columns = (
-        (trace.clients, {}, str, " "),
-        (trace.objects, {}, str, " "),
-        (trace.versions, {}, _fmt_version, "\n"),
+        (trace.clients, {}, "{} ".format),
+        (trace.objects, {}, "{} ".format),
+        (trace.versions, {}, lambda v: _fmt_version(v) + "\n"),
     )
     for start in range(0, len(trace), _WRITE_BLOCK):
         block = slice(start, start + _WRITE_BLOCK)
@@ -478,12 +478,17 @@ def _write_events(trace: Trace, f) -> None:
             parts[0::4] = map(strings.__getitem__, ints)
         else:
             parts[0::4] = [f"{t!r} " for t in times.tolist()]
-        for i, (column, table, fmt, end) in enumerate(columns, start=1):
-            values = column[block].tolist()
-            for value in set(values).difference(table):
-                table[value] = fmt(value) + end
-            parts[i::4] = map(table.__getitem__, values)
+        for i, (column, table, fmt) in enumerate(columns, start=1):
+            parts[i::4] = _tabled(column[block].tolist(), table, fmt)
         f.write("".join(parts))
+
+
+def _tabled(values: list, table: dict, fmt) -> map:
+    """The strings ``fmt(value)`` of `values`, each formatted once into
+    `table`, which is kept across the blocks of one column."""
+    for value in set(values).difference(table):
+        table[value] = fmt(value)
+    return map(table.__getitem__, values)
 
 
 def read_trace(path_or_file) -> Trace:
@@ -509,7 +514,7 @@ def read_trace(path_or_file) -> Trace:
     if head is None:
         parsed = _read_lines(text[:body])
         head = parsed.meta, parsed.catalog
-    columns = _parse_event_blocks(text, body)
+    columns = _parse_blocks(text, body, _EVENT_FIELDS)
     if columns is None:
         return _read_lines(text)
     meta, catalog = head
@@ -519,55 +524,56 @@ def read_trace(path_or_file) -> Trace:
 def _parse_header(head: str) -> tuple[dict[str, str], ObjectCatalog] | None:
     """The meta and catalog of the header lines in `head`, or None when one
     needs the line loop: a line that is neither "#meta key=value" nor a
-    plain "#obj" line, or an #obj line that does not convert or that
-    `ObjectCatalog.add` refuses."""
+    plain "#obj" line, a "#meta" line after an "#obj" line, or an #obj line
+    that does not convert or that `ObjectCatalog.add` refuses."""
     meta: dict[str, str] = {}
-    objs: list[str] = []
-    for line in head.split("\n"):
-        if line.startswith("#obj "):
-            objs.append(line[len("#obj "):])
-        elif line.startswith("#meta ") and "=" in line:
-            key, value = line[len("#meta "):].split("=", 1)
-            meta[key] = value
-        elif line:
+    start = 0
+    while head.startswith("#meta ", start):
+        end = head.find("\n", start) + 1 or len(head)
+        line = head[start + len("#meta "):end].rstrip("\n")
+        if "=" not in line:
             return None
-    if not objs:
+        key, value = line.split("=", 1)
+        meta[key] = value
+        start = end
+    if start == len(head):
         return meta, ObjectCatalog()
-    columns = _token_columns("\n".join(objs) + "\n", 3)
+    if not head.startswith("#obj ", start):
+        return None
+    # without their "#obj " prefixes the lines are blocks of three fields;
+    # a '#' left in them marks a line that had none
+    lines = head[start + len("#obj "):].replace("\n#obj ", "\n")
+    columns = _parse_blocks(lines, 0, _OBJ_FIELDS) if lines else None
     if columns is None:
         return None
-    objects, versions, sizes = columns
     try:
-        catalog = ObjectCatalog._from_arrays(
-            np.array(objects, dtype=np.int64),
-            _version_column(versions),
-            np.array(sizes, dtype=np.float64),
-        )
-    except (ValueError, OverflowError):
+        catalog = ObjectCatalog._from_arrays(*columns)
+    except ValueError:
         return None
     return meta, catalog
 
 
 # Event text is cut into blocks of about this many characters, so that only
-# one block's tokens are held as Python strings at a time.
+# one block's arrays, and the tokens of a block that needs them, are held at
+# a time.
 _BLOCK_CHARS = 1 << 16
 
-def _parse_event_blocks(text: str, start: int) -> tuple[np.ndarray, ...] | None:
-    """(times, clients, objects, versions) of the event lines in
-    ``text[start:]``, or None when a block needs the line loop.
+def _parse_blocks(text: str, start: int, fields) -> tuple[np.ndarray, ...] | None:
+    """The columns of the lines in ``text[start:]``, one per field kind of
+    `fields`, or None when a block needs the line loop.
 
     The columns are allocated once, one row per line, and filled block by
     block, so no block's arrays outlive it.
     """
     rows = text.count("\n", start) + (start < len(text) and not text.endswith("\n"))
-    columns = (np.empty(rows, np.float64),) + tuple(np.empty(rows, np.int64) for _ in range(3))
+    columns = tuple(np.empty(rows, dtype) for dtype, _, _ in fields)
     row = 0
     while start < len(text):
         end = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or len(text)
         block = text[start:end]
         if not block.endswith("\n"):
             block += "\n"
-        parsed = _parse_block(block)
+        parsed = _parse_block(block, fields)
         if parsed is None:
             return None
         n = len(parsed[0])
@@ -578,32 +584,94 @@ def _parse_event_blocks(text: str, start: int) -> tuple[np.ndarray, ...] | None:
     return columns
 
 
-def _parse_block(block: str) -> tuple[np.ndarray, ...] | None:
-    """The four columns of one block, or None when it needs the line loop."""
-    columns = _token_columns(block, 4)
-    if columns is None:
+def _parse_block(block: str, fields) -> list[np.ndarray] | None:
+    """The columns of one block, or None when it needs the line loop.
+
+    Each field is converted from the block's bytes when its tokens allow
+    (see `_digit_values`), else from its tokens by int()/float(), as numpy
+    converts strings; a token neither accepts sends the block to the line
+    loop, which reports the failure with its line number.
+    """
+    plain = _plain_block(block, len(fields))
+    if plain is None:
         return None
-    times, clients, objects, versions = columns
-    try:
-        return (
-            np.array(times, dtype=np.float64),
-            np.array(clients, dtype=np.int64),
-            np.array(objects, dtype=np.int64),
-            _version_column(versions),
-        )
-    except (ValueError, OverflowError):
-        # numpy converts each token with int()/float(), like the line loop,
-        # which reports the failure with its line number
-        return None
+    chars, ends = plain
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    starts, ends = starts.reshape(-1, len(fields)).T, ends.reshape(-1, len(fields)).T
+    tokens = None
+    columns = []
+    for i, (_, from_bytes, from_tokens) in enumerate(fields):
+        values = from_bytes(chars, starts[i], ends[i])
+        if values is None:
+            if tokens is None:
+                tokens = block.split()
+            try:
+                values = from_tokens(tokens[i :: len(fields)])
+            except (ValueError, OverflowError):
+                return None
+        columns.append(values)
+    return columns
 
 
-def _token_columns(block: str, fields: int) -> list[list[str]] | None:
-    """The tokens of a `_plain_block` of `fields` fields a line, one list
-    per field, or None when the block is not plain."""
-    if not _plain_block(block, fields):
+# 10**17 down to 1: the place values of up to 18 right-aligned digits, the
+# most an int64 holds for every digit string
+_PLACES = 10 ** np.arange(17, -1, -1, dtype=np.int64)
+
+# Whole-number float tokens of at most this many digits before ".0" are
+# below 2**53, so their int64 values convert to float64 exactly.
+_WHOLE_DIGITS = 15
+
+
+def _digit_values(chars: np.ndarray, starts: np.ndarray, ends: np.ndarray, most: int = 18):
+    """The int64 values of the tokens ``chars[starts[i]:ends[i]]`` when each
+    is 1 to `most` ASCII digits, else None.
+
+    The digits are gathered right-aligned into a (width, tokens) matrix,
+    zero left of each token, and weighted by their place values in one
+    product.
+    """
+    lengths = ends - starts
+    width = int(lengths.max())
+    if width > most:
         return None
-    tokens = block.split()
-    return [tokens[i::fields] for i in range(fields)]
+    places = np.arange(-width, 0)[:, None]
+    # every end is at least 1 and the widest token and a separator lie in
+    # the block, so an index below 0 counts from the block's end; it falls
+    # left of its token, where the digits are zeroed
+    digits = chars[ends + places] - np.uint8(ord("0"))  # other bytes wrap above 9
+    digits *= places >= -lengths
+    if (digits > 9).any():
+        return None
+    return _PLACES[-width:] @ digits
+
+
+def _digit_versions(chars: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """`_digit_values` of version tokens, with "-" as NO_VERSION."""
+    dash = (ends - starts == 1) & (chars[starts] == ord("-"))
+    versions = np.full(len(dash), NO_VERSION, dtype=np.int64)
+    if not dash.all():
+        values = _digit_values(chars, starts[~dash], ends[~dash])
+        if values is None:
+            return None
+        versions[~dash] = values
+    return versions
+
+
+def _whole_floats(chars: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """The float64 values of tokens that are 1 to `_WHOLE_DIGITS` ASCII
+    digits followed by ".0", as `write_trace` writes whole numbers, else
+    None."""
+    point = ends - 2
+    if not (
+        (point > starts).all()
+        and (chars[point] == ord(".")).all()
+        and (chars[ends - 1] == ord("0")).all()
+    ):
+        return None
+    values = _digit_values(chars, starts, point, _WHOLE_DIGITS)
+    return None if values is None else values.astype(np.float64)
 
 
 def _version_column(tokens: list[str]) -> np.ndarray:
@@ -616,23 +684,44 @@ def _version_column(tokens: list[str]) -> np.ndarray:
     return np.array(tokens, dtype=np.int64)
 
 
-def _plain_block(block: str, fields: int = 4) -> bool:
-    """True when every line of `block` is `fields` non-empty fields
-    separated by single spaces and ended by a newline, with no other
-    whitespace, no other control character, no non-ASCII character and no
-    '#'."""
+def _int_column(tokens: list[str]) -> np.ndarray:
+    return np.array(tokens, dtype=np.int64)
+
+
+def _float_column(tokens: list[str]) -> np.ndarray:
+    return np.array(tokens, dtype=np.float64)
+
+
+# The field kinds of a line: (dtype, conversion from the block's bytes or
+# None, conversion from the field's tokens).
+_INT_FIELD = (np.int64, _digit_values, _int_column)
+_VERSION_FIELD = (np.int64, _digit_versions, _version_column)
+_FLOAT_FIELD = (np.float64, _whole_floats, _float_column)
+# time client object version
+_EVENT_FIELDS = (_FLOAT_FIELD, _INT_FIELD, _INT_FIELD, _VERSION_FIELD)
+# "#obj" object version size
+_OBJ_FIELDS = (_INT_FIELD, _VERSION_FIELD, _FLOAT_FIELD)
+
+
+def _plain_block(block: str, fields: int = 4) -> tuple[np.ndarray, np.ndarray] | None:
+    """The bytes of `block` as uint8 and the positions of its separators
+    when every line is `fields` non-empty fields separated by single spaces
+    and ended by a newline, with no other whitespace, no other control
+    character, no non-ASCII character and no '#'; else None."""
     if not block.endswith("\n") or "#" in block or not block.isascii():
-        return False
+        return None
     chars = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
     # spaces, newlines and every other control character
     seps = np.flatnonzero(chars <= ord(" "))
     if len(seps) % fields:
-        return False
+        return None
     line_seps = np.frombuffer((" " * (fields - 1) + "\n").encode("ascii"), dtype=np.uint8)
     if not (chars[seps].reshape(-1, fields) == line_seps).all():
-        return False
+        return None
     # no empty field: no two separators in a row, none at the start
-    return bool((np.diff(seps, prepend=-1) > 1).all())
+    if not (np.diff(seps, prepend=-1) > 1).all():
+        return None
+    return chars, seps
 
 
 def _read_lines(text: str) -> Trace:

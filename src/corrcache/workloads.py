@@ -470,7 +470,12 @@ def _torus_visible_pairs(
         diff *= diff
         d2 = diff if d2 is None else d2 + diff
     keep = np.flatnonzero(d2 <= radius**2)
-    keep = keep[np.lexsort((oi[keep], pi[keep]))]
+    # by point and then object, on one key: the keys are distinct, as no
+    # object lies in two of a point's cells, and below len(points) *
+    # len(objects), the bound of the caller's keys pt * D + o.  An int64
+    # holds that while the product is below 2**63: object ids stop below
+    # 2**32 (the catalog's range), and 2**31 points take 48 GiB as float64 triples.
+    keep = keep[np.argsort(pi[keep] * len(objects) + oi[keep], kind="stable")]
     return pi[keep], oi[keep], d2[keep]
 
 

@@ -107,6 +107,31 @@ def naive_write_trace(trace: Trace, f) -> None:
         f.write(f"{t!r} {c} {o} {'-' if v == -1 else v}\n")
 
 
+def naive_metrics_csv(metrics, f) -> None:
+    """`SimulationMetrics.to_csv` one row at a time: pair rows in sorted
+    tuple order, then each client's sums in Python ints, then the overall
+    row.  The block writer must give the same text."""
+    f.write("client,object,version,requests,hits\n")
+    rows = sorted(
+        zip(
+            metrics.pair_clients.tolist(),
+            metrics.pair_objects.tolist(),
+            metrics.pair_versions.tolist(),
+            metrics.pair_requests.tolist(),
+            metrics.pair_hits.tolist(),
+        )
+    )
+    totals: dict[int, tuple[int, int]] = {}
+    for c, o, v, r, h in rows:
+        ver = "-" if v < 0 else str(v)
+        f.write(f"{c},{o},{ver},{r},{h}\n")
+        requests, hits = totals.get(c, (0, 0))
+        totals[c] = (requests + r, hits + h)
+    for c, (r, h) in sorted(totals.items()):
+        f.write(f"{c},-1,-,{r},{h}\n")
+    f.write(f"-1,-1,-,{metrics.forwarded},{metrics.hits}\n")
+
+
 def random_unit_trace(seed: int, n_events: int, n_objects: int, n_clients: int) -> Trace:
     """Random unit-size trace with skewed popularity and integer-ish times."""
     rng = np.random.default_rng(seed)

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from corrcache.engine import (
     CacheConfig,
     ConfigurationError,
     ConsistencyError,
+    SimulationMetrics,
     check_metrics,
     config_digest,
     simulate,
@@ -54,6 +56,7 @@ from conftest import (
     naive_follow_counts,
     naive_local_filter,
     naive_lru,
+    naive_metrics_csv,
     naive_sized_local_filter,
     random_unit_trace,
 )
@@ -1038,6 +1041,45 @@ def test_metrics_csv_layout():
         "2,-1,-,1,0",
         "-1,-1,-,3,1",
     ]
+
+
+def pair_metrics(rows, forwarded=0, hits=0) -> SimulationMetrics:
+    """Metrics whose pair rows are (client, object, version, requests, hits)."""
+    columns = [np.array(c, dtype=np.int64) for c in zip(*rows)] or [
+        np.empty(0, dtype=np.int64) for _ in range(5)
+    ]
+    return SimulationMetrics("lru", 1.0, 0.0, forwarded, forwarded, hits, 0, 0, 0, *columns)
+
+
+def test_per_client_sums_are_exact_above_2_pow_53():
+    big = 2**53 + 1
+    m = pair_metrics([(2, 1, -1, big, big), (1, 1, -1, 1, 0), (2, 3, 0, 2, 1)])
+    assert m.per_client() == {1: (1, 0), 2: (big + 2, big + 1)}
+    buf = io.StringIO()
+    m.to_csv(buf)
+    assert f"2,-1,-,{big + 2},{big + 1}" in buf.getvalue().splitlines()
+
+
+pair_row = st.tuples(
+    st.integers(1, 6),
+    st.one_of(st.integers(1, 5), st.integers(2**32 - 3, 2**32 - 1)),
+    st.sampled_from([-1, -1, 0, 1, 7, 254]),
+    st.one_of(st.integers(0, 12), st.integers(2**53 - 2, 2**58)),
+    st.one_of(st.integers(0, 12), st.integers(2**53 - 2, 2**58)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(pair_row, max_size=20), st.integers(1, 5), st.integers(0, 2**62))
+def test_block_csv_writer_equals_the_row_writer(rows, block, forwarded):
+    m = pair_metrics(rows, forwarded, forwarded // 2)
+    want = io.StringIO()
+    naive_metrics_csv(m, want)
+    for size in (block, engine._CSV_BLOCK):
+        got = io.StringIO()
+        with mock.patch.object(engine, "_CSV_BLOCK", size):
+            m.to_csv(got)
+        assert got.getvalue() == want.getvalue()
 
 
 def test_summary_json_contents():

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corrcache.trace as trace_mod
@@ -364,13 +364,7 @@ def test_reader_matches_the_line_loop(name, block_chars):
     want = parse_outcome(_read_lines, text)
     with mock.patch.object(trace_mod, "_BLOCK_CHARS", block_chars or trace_mod._BLOCK_CHARS):
         got = parse_outcome(lambda t: read_trace(io.StringIO(t)), text)
-    if isinstance(want, Exception):
-        assert type(got) is type(want)
-        assert str(got) == str(want)
-        assert getattr(got, "line", None) == getattr(want, "line", None)
-    else:
-        assert isinstance(got, Trace), got
-        assert_same_trace(got, want)
+    assert_same_outcome(got, want)
 
 
 EVENTS = "0.5 1 1 -\n1.5 2 10 0\n"
@@ -412,6 +406,13 @@ def test_header_parser_matches_the_line_loop(name):
     text = HEADER_CASES[name]
     want = parse_outcome(_read_lines, text)
     got = parse_outcome(lambda t: read_trace(io.StringIO(t)), text)
+    assert_same_outcome(got, want)
+
+
+def assert_same_outcome(got, want) -> None:
+    """`read_trace` gave what the line loop gave: an equal exception at the
+    same line, or an equal trace whose catalog and meta keep the same
+    insertion order."""
     if isinstance(want, Exception):
         assert type(got) is type(want)
         assert str(got) == str(want)
@@ -420,6 +421,92 @@ def test_header_parser_matches_the_line_loop(name):
         assert isinstance(got, Trace), got
         assert_same_trace(got, want)
         assert list(got.catalog._sizes.items()) == list(want.catalog._sizes.items())
+        assert list(got.meta.items()) == list(want.meta.items())
+
+
+# Tokens for the reader property.  Digit strings are parsed from their bytes
+# up to 18 digits (15 before ".0" for floats); every other form, and a block
+# that holds one, goes through int()/float() or the line loop.
+DIGITS = "0123456789"
+digit_token = st.one_of(
+    st.integers(1, 300).map(str),
+    st.tuples(st.integers(1, 20), st.integers(0, 999)).map(lambda t: "0" * t[0] + str(t[1])),
+    st.text(DIGITS, min_size=1, max_size=18),
+)
+other_int_token = st.one_of(
+    st.tuples(st.sampled_from("+-"), digit_token).map("".join),
+    st.tuples(st.integers(1, 999), st.integers(0, 999)).map(lambda t: f"{t[0]}_{t[1]:03d}"),
+    st.integers(10**18, 2**63 - 1).map(str),
+)
+bad_int_token = st.sampled_from(
+    ["_1", "1_", "1__0", "+_1", "0x1", "1.0", "1e3", "-", "one", str(2**63), str(-(2**63) - 1)]
+)
+whole_token = st.one_of(
+    st.integers(0, 3000).map(lambda i: f"{i}.0"),
+    st.text(DIGITS, min_size=1, max_size=16).map(lambda d: d + ".0"),
+)
+other_float_token = st.one_of(
+    st.sampled_from(["+1.0", "1e3", "1_0.0", ".5", "5.", "0.5", "1e400", "inf"]),
+    st.integers(0, 3000).map(str),
+    st.text(DIGITS, min_size=15, max_size=16).map(lambda d: d + ".0"),
+    st.floats(min_value=1e-300, allow_infinity=False, width=64).map(repr),
+)
+# refused as times or as sizes: sizes must be above 0
+bad_float_token = st.sampled_from(["x", "1__0.0", "0x1p3", ".", "-", "0.0", "-0.0", "-1.0", "nan"])
+catalog_id_token = st.one_of(
+    st.integers(1, 2**32 - 1).map(str),
+    st.integers(1, 999).map(lambda i: f"{i:06d}"),
+)
+catalog_version_token = st.one_of(st.just("-"), st.integers(0, 254).map(str))
+
+
+@st.composite
+def token_texts(draw) -> str:
+    """A trace text of plain lines whose tokens mix the forms above.  Each
+    field draws its tokens from the byte-parsed forms only or from those and
+    the other forms int()/float() accept, so that some texts take the byte
+    path in every block; in about half the texts one field also draws forms
+    that the line loop refuses."""
+    fields = iter(range(7))
+    refused = draw(st.integers(0, 13))
+
+    def tokens(plain, other, bad):
+        if next(fields) == refused:
+            return st.one_of(plain, other, bad)
+        return draw(st.sampled_from([plain, st.one_of(plain, other)]))
+
+    time = tokens(whole_token, other_float_token, bad_float_token)
+    client = tokens(digit_token, other_int_token, bad_int_token)
+    obj = tokens(digit_token, other_int_token, bad_int_token)
+    version = tokens(st.one_of(st.just("-"), digit_token), other_int_token, bad_int_token)
+    # catalog ids and versions that `ObjectCatalog.add` accepts, then others
+    head_id = tokens(catalog_id_token, st.just("+7"), st.one_of(digit_token, bad_int_token))
+    head_version = tokens(catalog_version_token, st.just("-1"), bad_int_token)
+    size = tokens(whole_token.filter(lambda t: t.strip("0.")), other_float_token, bad_float_token)
+    meta = draw(st.lists(st.tuples(st.text("ab=", max_size=3), st.text("ab=", max_size=3)),
+                         max_size=2))
+    lines = [f"#meta {k}={v}" for k, v in meta]
+    lines += ["#obj " + " ".join(draw(st.tuples(head_id, head_version, size)))
+              for _ in range(draw(st.integers(0, 8)))]
+    lines += [" ".join(draw(st.tuples(time, client, obj, version)))
+              for _ in range(draw(st.integers(0, 30)))]
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(token_texts(), st.sampled_from([None, 1, 9, 40]))
+# 19 digits: the most an int64 holds, one more, and a version with leading
+# zeros; 15 and 16 digits before ".0"; -0.0, whose sign must survive
+@example("0.0 9223372036854775807 1 -\n", None)
+@example("0.0 1 9223372036854775808 -\n", None)
+@example("#obj 1 - 1.0\n1.0 1 1 0000000000000000001\n", None)
+@example("999999999999999.0 1 1 -\n9999999999999999.0 1 1 -\n", 1)
+@example("0.0 1 1 -\n-0.0 1 1 -\n", None)
+def test_reader_matches_the_line_loop_on_every_token_form(text, block_chars):
+    want = parse_outcome(_read_lines, text)
+    with mock.patch.object(trace_mod, "_BLOCK_CHARS", block_chars or trace_mod._BLOCK_CHARS):
+        got = parse_outcome(lambda t: read_trace(io.StringIO(t)), text)
+    assert_same_outcome(got, want)
 
 
 def test_reader_cases_cover_errors_and_traces():
@@ -470,7 +557,7 @@ def test_crlf_file_reads_like_lf_file(tmp_path):
     ],
 )
 def test_plain_block_accepts_only_four_single_spaced_fields_a_line(block, plain):
-    assert _plain_block(block) is plain
+    assert (_plain_block(block) is not None) is plain
 
 
 def test_writer_output_never_falls_back_to_the_line_loop(monkeypatch):
