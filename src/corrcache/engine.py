@@ -6,6 +6,10 @@ cache, replayed by the same LRU code as the shared cache; only its misses are
 forwarded to the shared cache, and all policy state and reported hit ratios
 concern the forwarded stream, a `_Stream` derived once per trace and private tier.
 
+Inside a replay an identity is its catalog rank: its index in the catalog's
+`size_arrays()`.  Every replay path returns its victims as ranks, and
+`_replay_stream` alone maps them to packed keys for the eviction log.
+
 Fresh policy params over forwarded requests that all have size 1.0 replay
 through loops without Python hooks, where `simulate` lists one; every other
 run takes the hook loop `_replay`, which gives the same metrics.
@@ -207,60 +211,55 @@ def config_digest(policy_label: str, config: CacheConfig, trace: Trace) -> str:
     return h.hexdigest()[:16]
 
 
-def _unit_lru_replay(keys: list[int], capacity: float):
+def _unit_lru_replay(ranks: list[int], capacity: float):
     """LRU replay of unit-size requests: (hit flags, oversized misses,
     evictions).
 
     The cache is a C-level ``functools.lru_cache`` of ``floor(capacity)``
     slots around a stamp source: a miss returns a new stamp, larger than
-    every earlier one, and a hit the stamp of that key's last miss.  So
+    every earlier one, and a hit the stamp of that rank's last miss.  So
     request i hits exactly when its stamp is at most the largest stamp
     before it.
     """
-    n = len(keys)
+    n = len(ranks)
     # no more slots than requests: lru_cache refuses sizes beyond an index
     slots = min(math.floor(capacity), n)
-    if slots == 0:
-        return np.zeros(n, dtype=bool), n, 0
     stamp = partial(next, itertools.count())
     # update_wrapper copies these onto the cache; a missing one costs it an
     # AttributeError, which doubles the ~3 us it takes to build a cache
     stamp.__name__ = stamp.__qualname__ = "stamp"
     stamp.__annotations__ = {}
     cache = lru_cache(slots)(stamp)
-    stamps = np.fromiter(map(cache, keys), dtype=np.int64, count=n)
+    stamps = np.fromiter(map(cache, ranks), dtype=np.int64, count=n)
     hits = np.zeros(n, dtype=bool)
     if n > 1:
         hits[1:] = stamps[1:] <= np.maximum.accumulate(stamps)[:-1]
     return hits, 0, n - int(hits.sum()) - cache.cache_info().currsize
 
 
-def _unit_heap_replay(
-    priorities, keys: np.ndarray, ranks: np.ndarray, capacity: float, record_evictions: bool
-):
+def _unit_heap_replay(priorities, ranks: np.ndarray, capacity: float, record_evictions: bool):
     """LFU or Belady replay of unit-size requests: (hit flags, oversized
-    misses, evictions, eviction log or None).
+    misses, evictions, victim ranks or None).
 
     ``priorities`` is the policy class's ``_priorities``: from the requests
-    grouped by key (their catalog ``ranks``) and `_next_requests`, one unique
-    priority per request whose value names it (``p % n``); the least live
-    one is the victim.  A resident's live heap entry is that of its latest
-    request, and stays live until the key's next request.  So a request hits
-    exactly when the entry of its key's previous request was not popped as a
-    victim: ``will_hit`` is set at every repeat request and cleared at each
-    victim's next request.  Before a victim is taken, stale tops (entries
-    whose key was requested since; never the top under Belady) are popped.
-    Once stale entries make the heap longer than the hook classes' bound
-    (`_HeapPolicy`), it keeps only the live ones.
+    grouped by rank and `_next_requests`, one unique priority per request
+    whose value names it (``p % n``); the least live one is the victim.  A
+    resident's live heap entry is that of its latest request, and stays live
+    until the rank's next request.  So a request hits exactly when the entry
+    of its rank's previous request was not popped as a victim: ``will_hit``
+    is set at every repeat request and cleared at each victim's next
+    request.  Before a victim is taken, stale tops (entries whose rank was
+    requested since; never the top under Belady) are popped.  Once stale
+    entries make the heap longer than the hook classes' bound
+    (`_HeapPolicy`), it keeps only the live ones.  The capacity holds at
+    least one request.
     """
     n = len(ranks)
-    slots = min(math.floor(capacity), n)
-    if slots == 0:
-        return np.zeros(n, dtype=bool), n, 0, [] if record_evictions else None
+    slots = math.floor(capacity)
     by_key, same = _key_runs(ranks)
     nxt_arr = _next_requests(by_key, same)
     nxt = nxt_arr.tolist()
-    # a repeat is some request's next; slot n stands for a key's last request
+    # a repeat is some request's next; slot n stands for a rank's last request
     repeats = np.zeros(n + 1, dtype=np.uint8)
     repeats[nxt_arr] = 1
     will_hit = bytearray(repeats)
@@ -288,27 +287,24 @@ def _unit_heap_replay(
                 victims.append(j)
     hit_flags = np.frombuffer(will_hit, dtype=bool, count=n)
     evictions = n - int(hit_flags.sum()) - (slots - free)
-    ev_log = None if victims is None else keys[np.array(victims, dtype=np.intp)].tolist()
-    return hit_flags, 0, evictions, ev_log
+    if victims is not None:  # victims are request positions
+        victims = ranks[np.array(victims, dtype=np.intp)].tolist()
+    return hit_flags, 0, evictions, victims
 
 
-def _unit_sieve_replay(
-    ranks: np.ndarray, cat_keys: np.ndarray, capacity: float, record_evictions: bool
-):
+def _unit_sieve_replay(ranks: np.ndarray, n_ranks: int, capacity: float, record_evictions: bool):
     """SIEVE replay of unit-size requests: (hit flags, oversized misses,
-    evictions, eviction log or None).
+    evictions, victim ranks or None).
 
-    `SievePolicy`'s algorithm on catalog ``ranks`` instead of keys, with no
-    hooks: ``state`` holds one byte per rank (0 absent, 1 resident, 2
-    resident and visited), the queue is the same two deques in scan order
-    from the hand, and the eviction is `SievePolicy.victim`'s scan inline.
-    Victims map to packed keys through ``cat_keys``.
+    `SievePolicy`'s algorithm with no hooks: ``state`` holds one byte per
+    rank of the ``n_ranks`` in the catalog (0 absent, 1 resident, 2 resident
+    and visited), the queue is the same two deques in scan order from the
+    hand, and the eviction is `SievePolicy.victim`'s scan inline.  The
+    capacity holds at least one request.
     """
     n = len(ranks)
-    slots = min(math.floor(capacity), n)
-    if slots == 0:
-        return np.zeros(n, dtype=bool), n, 0, [] if record_evictions else None
-    state = bytearray(len(cat_keys))
+    slots = math.floor(capacity)
+    state = bytearray(n_ranks)
     hit = bytearray(n)
     ahead: deque[int] = deque()
     behind: deque[int] = deque()
@@ -340,8 +336,7 @@ def _unit_sieve_replay(
         behind.appendleft(r)
     hit_flags = np.frombuffer(hit, dtype=bool, count=n)
     evictions = n - int(hit_flags.sum()) - (slots - free)
-    ev_log = None if victims is None else cat_keys[np.array(victims, dtype=np.intp)].tolist()
-    return hit_flags, 0, evictions, ev_log
+    return hit_flags, 0, evictions, victims
 
 
 def _counts(size: int, n: int):
@@ -353,21 +348,21 @@ def _counts(size: int, n: int):
 def _unit_follow_replay(
     ranks: np.ndarray,
     clients: np.ndarray,
-    cat_keys: np.ndarray,
+    n_ranks: int,
     capacity: float,
     span: int,
     record_evictions: bool,
 ):
     """lfru or lfrus replay of unit-size requests whose follow counts run
     over each client's newest ``span`` outcomes (`LFRUSPolicy._span`): (hit
-    flags, oversized misses, evictions, eviction log or None, follow counts).
+    flags, oversized misses, evictions, victim ranks or None, follow counts).
 
     `LFRUSPolicy`'s algorithm on request positions, with no hooks and no
     recency dict:
 
     * Clients get dense ids in ascending order, so ids below 254 are the
       hook's stamp codes.  ``cand[i]`` is the client request i follows if it
-      hits (its key's previous requester, unless that is its own client),
+      hits (its rank's previous requester, unless that is its own client),
       else -1; a miss overwrites it with -1, so ``cand`` ends up holding
       each request's outcome.  ``back[i]`` is the request ``span`` back in
       its client's sequence (n, whose slot holds -1, where there is none):
@@ -388,19 +383,17 @@ def _unit_follow_replay(
       search `_marked_victim`, or past `_STAMP_SPAN` requests per resident
       `_coded_victim`, which does no work per request in the span.
 
-    Victims map to packed keys through ``cat_keys``.
+    The capacity holds at least one request.
     """
     n = len(ranks)
-    slots = min(math.floor(capacity), n)
-    if slots == 0:  # every request misses, so no outcome is a follow
-        return np.zeros(n, dtype=bool), n, 0, [] if record_evictions else None, {}
+    slots = math.floor(capacity)
     # 4-byte entries wherever they hold every position and rank
-    itype = "i" if max(n, len(cat_keys)) < 2**31 else "q"
+    itype = "i" if max(n, n_ranks) < 2**31 else "q"
     ids, stamps, ranks_a, cids_a, prev_a, cand_a, back_a = _follow_tables(
         ranks, clients, span, itype
     )
     n_clients = len(ids)
-    state = bytearray(len(cat_keys))
+    state = bytearray(n_ranks)
     hit = bytearray(n)
     follows = _counts(n_clients * n_clients, n)
     width = span + 1
@@ -471,16 +464,15 @@ def _unit_follow_replay(
         state[r] = 1
     hit_flags = np.frombuffer(hit, dtype=bool, count=n)
     evictions = n - int(hit_flags.sum()) - (slots - free)
-    ev_log = None if victims is None else cat_keys[np.asarray(victims)].tolist()
     ids = ids.tolist()
     flat = follows.items() if isinstance(follows, dict) else enumerate(follows)
     counts = {(ids[f // n_clients], ids[f % n_clients]): v for f, v in flat if v}
-    return hit_flags, 0, evictions, ev_log, counts
+    return hit_flags, 0, evictions, None if victims is None else victims.tolist(), counts
 
 
 def _follow_tables(ranks: np.ndarray, clients: np.ndarray, span: int, itype: str):
     """`_unit_follow_replay`'s per-request tables: (the clients by dense id,
-    stamps, then ranks, dense client ids, each key's previous request,
+    stamps, then ranks, dense client ids, each rank's previous request,
     ``cand`` and ``back`` as `array.array`s of ``itype``).
 
     The loop iterates and indexes these arrays rather than lists, and every
@@ -569,27 +561,27 @@ def _coded_victim(stamps, lo, end, table, n_codes, classes, score, cids) -> int:
 
 def _replay(
     pol: Policy,
-    keys: list[int],
+    ranks: list[int],
     clients: list[int],
     sizes: list[float],
     capacity: float,
     record_evictions: bool,
 ):
-    """The engine loop: (hit flags, oversized misses, evictions, eviction log
+    """The engine loop: (hit flags, oversized misses, evictions, victim ranks
     or None).
 
-    Hooks get the request's position in ``keys``.  ``on_request`` runs on
-    hits, and on misses only for a policy that ``reads_misses``; hooks a
-    class does not override are not called.  ``victim()`` evicts from
-    ``order``; its ``KeyError`` means it chose a key that is not resident.
+    Hooks get the request's position in ``ranks`` and its rank as the key.
+    ``on_request`` runs on hits, and on misses only for a policy that
+    ``reads_misses``; hooks a class does not override are not called.
+    ``victim()`` evicts from ``order``; its ``KeyError`` means it chose a
+    key that is not resident.
     """
-    n = len(keys)
+    n = len(ranks)
     # resident identities in recency order, least-recent first; the value is
     # the object size so eviction can release the bytes
     order: OrderedDict[int, float] = OrderedDict()
-    pol.bind(order, keys, clients)
-    hit_at: list[int] = []
-    record_hit = hit_at.append
+    pol.bind(order, ranks, clients)
+    hit = bytearray(n)
     oversized = 0
     ev_log: list[int] | None = [] if record_evictions else None
 
@@ -598,12 +590,12 @@ def _replay(
     on_admit = None if type(pol).on_admit is Policy.on_admit else pol.on_admit
     victim = pol.victim
     used = 0.0
-    for i, k in enumerate(keys):
+    for i, k in enumerate(ranks):
         if k in order:
             if on_hit is not None:
                 on_hit(i, clients[i], k, True)
             order.move_to_end(k)
-            record_hit(i)
+            hit[i] = 1
             continue
         if on_miss is not None:
             on_miss(i, clients[i], k, False)
@@ -629,15 +621,14 @@ def _replay(
         if on_admit is not None:
             on_admit(i, k)
 
-    hit_flags = np.zeros(n, dtype=bool)
-    hit_flags[np.array(hit_at, dtype=np.intp)] = True
-    # every admitted key is resident or was evicted once
-    evictions = n - len(hit_at) - oversized - len(order)
+    hit_flags = np.frombuffer(hit, dtype=bool, count=n)
+    # every admitted rank is resident or was evicted once
+    evictions = n - int(hit_flags.sum()) - oversized - len(order)
     return hit_flags, oversized, evictions, ev_log
 
 
 def _local_filter(
-    keys_arr: np.ndarray, clients_arr: np.ndarray, sizes_arr: np.ndarray, local_capacity: float
+    ranks_arr: np.ndarray, clients_arr: np.ndarray, sizes_arr: np.ndarray, local_capacity: float
 ) -> tuple[np.ndarray | None, int]:
     """Per-client private LRU prefilter.
 
@@ -648,14 +639,14 @@ def _local_filter(
     `Policy` (LRU).  Objects larger than the private capacity always miss it
     and are forwarded.
     """
-    n = len(keys_arr)
+    n = len(ranks_arr)
     if local_capacity <= 0 or n == 0:
         return None, 0
     # one stable sort puts each client's requests in one run, in request order
     by_client = _stable_argsort(clients_arr)
     sorted_clients = clients_arr[by_client]
     cuts = (np.flatnonzero(sorted_clients[1:] != sorted_clients[:-1]) + 1).tolist()
-    keys = keys_arr[by_client].tolist()
+    ranks = ranks_arr[by_client].tolist()
     unit = (sizes_arr == 1.0).all()
     if not unit:
         clients = sorted_clients.tolist()
@@ -663,9 +654,9 @@ def _local_filter(
     run_hits = []
     for a, b in zip([0, *cuts], [*cuts, n]):
         if unit:
-            hits = _unit_lru_replay(keys[a:b], local_capacity)[0]
+            hits = _unit_lru_replay(ranks[a:b], local_capacity)[0]
         else:
-            hits = _replay(Policy(), keys[a:b], clients[a:b], sizes[a:b], local_capacity, False)[0]
+            hits = _replay(Policy(), ranks[a:b], clients[a:b], sizes[a:b], local_capacity, False)[0]
         run_hits.append(hits)
     hit_flags = np.empty(n, dtype=bool)
     hit_flags[by_client] = np.concatenate(run_hits)
@@ -675,13 +666,12 @@ def _local_filter(
 
 @dataclass(frozen=True, eq=False)
 class _Stream:
-    """The forwarded events' packed keys, clients, sizes and catalog ranks, in
-    trace order; the private tier absorbed the other ``local_hits`` events."""
+    """The forwarded events' catalog ranks, clients and sizes, in trace
+    order; the private tier absorbed the other ``local_hits`` events."""
 
-    keys: np.ndarray
+    ranks: np.ndarray
     clients: np.ndarray
     sizes: np.ndarray
-    ranks: np.ndarray
     catalog: ObjectCatalog
     total_events: int
     local_hits: int
@@ -694,10 +684,10 @@ def _streams(trace: Trace, configs: list[CacheConfig]) -> list[_Stream]:
     problems, sizes, ranks = _checked_sizes(trace, 3)
     if problems:
         raise ConfigurationError("trace failed validation: " + "; ".join(problems[:3]))
-    arrays = (trace.identity_keys(), trace.clients, sizes, ranks)
+    arrays = (ranks, trace.clients, sizes)
     streams = []
     for config in configs:
-        mask, local_hits = _local_filter(*arrays[:3], config.local_capacity())
+        mask, local_hits = _local_filter(*arrays, config.local_capacity())
         # no copies where the private tier forwards every event
         kept = arrays if mask is None else [a[mask] for a in arrays]
         streams.append(_Stream(*kept, trace.catalog, len(trace), local_hits))
@@ -748,20 +738,21 @@ def _replay_stream(
 ) -> SimulationMetrics:
     """`simulate` of a stream that ``config``'s private tier has filtered."""
     static_exact = follows = None
+    ev_log: list[int] | None = []  # victim ranks
+    cat_keys, cat_sizes = stream.catalog.size_arrays()
+    ranks, capacity, n = stream.ranks, config.capacity, len(stream.ranks)
     if isinstance(policy, PolicyParams) and policy.kind == "static_opt":
         if policy.rates is None:
             raise PolicyConfigError(
                 "static_opt needs per-object request rates (available for generator presets)"
             )
-        cat_keys, cat_sizes = stream.catalog.size_arrays()
         selection = static_optimal_select(
-            policy.rates, dict(zip(cat_keys.tolist(), cat_sizes.tolist())), config.capacity
+            policy.rates, dict(zip(cat_keys.tolist(), cat_sizes.tolist())), capacity
         )
         static_exact = selection.exact
         resident = np.fromiter(selection.keys, dtype=np.int64, count=len(selection.keys))
-        hit_flags = np.isin(stream.keys, resident)
+        hit_flags = np.isin(cat_keys, resident)[ranks]
         oversized = evictions = 0
-        ev_log = [] if record_evictions else None
     else:
         fresh = isinstance(policy, PolicyParams)
         # built on the lru_cache path too, which does not use it: the
@@ -779,40 +770,41 @@ def _replay_stream(
             and (kind not in ("lfru", "lfrus") or pol._span is not None)
             and (stream.sizes == 1.0).all()
         )
-        if unit and kind == "lru" and not record_evictions:
-            hit_flags, oversized, evictions = _unit_lru_replay(stream.keys.tolist(), config.capacity)
-            ev_log = None
+        if unit and (math.floor(capacity) == 0 or n == 0):
+            # every request is an oversized miss, so no outcome is a follow
+            hit_flags, oversized, evictions = np.zeros(n, dtype=bool), n, 0
+            follows = {} if kind in ("lfru", "lfrus") else follows
+        elif unit and kind == "lru" and not record_evictions:
+            hit_flags, oversized, evictions = _unit_lru_replay(ranks.tolist(), capacity)
         elif unit and kind == "sieve":
             hit_flags, oversized, evictions, ev_log = _unit_sieve_replay(
-                stream.ranks, stream.catalog.size_arrays()[0], config.capacity, record_evictions
+                ranks, len(cat_keys), capacity, record_evictions
             )
         elif unit and kind in ("lfru", "lfrus"):
             hit_flags, oversized, evictions, ev_log, follows = _unit_follow_replay(
-                stream.ranks, stream.clients, stream.catalog.size_arrays()[0], config.capacity,
-                pol._span, record_evictions,
+                ranks, stream.clients, len(cat_keys), capacity, pol._span, record_evictions
             )
         elif unit and kind in ("lfu", "belady"):
             hit_flags, oversized, evictions, ev_log = _unit_heap_replay(
-                pol._priorities, stream.keys, stream.ranks, config.capacity, record_evictions
+                pol._priorities, ranks, capacity, record_evictions
             )
         else:
             hit_flags, oversized, evictions, ev_log = _replay(
-                pol, stream.keys.tolist(), stream.clients.tolist(), stream.sizes.tolist(),
-                config.capacity, record_evictions,
+                pol, ranks.tolist(), stream.clients.tolist(), stream.sizes.tolist(), capacity,
+                record_evictions,
             )
             if isinstance(pol, LFRUSPolicy):
                 follows = pol.follow_counts()
-
-    pc, po, pv, req_counts, hit_counts = _pair_rows(
-        stream.clients, stream.ranks, hit_flags, stream.catalog.size_arrays()[0]
-    )
+    # the one place victims become packed keys
+    ev_log = cat_keys[np.array(ev_log, dtype=np.intp)].tolist() if record_evictions else None
+    pc, po, pv, req_counts, hit_counts = _pair_rows(stream.clients, ranks, hit_flags, cat_keys)
 
     metrics = SimulationMetrics(
         policy=policy.label(),
-        capacity=config.capacity,
+        capacity=capacity,
         local_cache_fraction=config.local_cache_fraction,
         total_events=stream.total_events,
-        forwarded=len(stream.keys),
+        forwarded=n,
         hits=int(hit_flags.sum()),
         local_hits=stream.local_hits,
         oversized_misses=oversized,
@@ -877,4 +869,6 @@ def check_metrics(metrics: SimulationMetrics) -> None:
         raise ConsistencyError("a pair has more hits than requests")
     if metrics.local_hits + metrics.forwarded != metrics.total_events:
         raise ConsistencyError("private-tier hits plus forwarded do not cover all events")
+    if metrics.eviction_log is not None and len(metrics.eviction_log) != metrics.evictions:
+        raise ConsistencyError("the eviction log does not hold one entry per eviction")
 

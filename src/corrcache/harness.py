@@ -383,7 +383,7 @@ _POOL_MIN_EVENTS = 32_000
 def _sweep_workers(cells: list[_Cell]) -> int:
     """One worker per CPU this process may run on, at most one per cell, and
     one in all when the cells replay too few events to pay for a pool."""
-    if sum(len(cell.stream.keys) for cell in cells) < _POOL_MIN_EVENTS:
+    if sum(len(cell.stream.ranks) for cell in cells) < _POOL_MIN_EVENTS:
         return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))

@@ -1,10 +1,11 @@
 """Eviction policies.
 
-Policies plug into the cache engine through a small hook protocol.  A hook
-gets ``i``, the request's position in the key stream the engine replays:
+Policies plug into the cache engine through a small hook protocol.  A key
+is an identity's catalog rank, its index in the catalog's `size_arrays()`,
+and a hook gets ``i``, the request's position in the ranks the engine replays:
 
 * ``bind(order, keys, clients)`` is called once, before the replay, with
-  the live recency order, that key stream and each request's client.
+  the live recency order, those ranks and each request's client.
   Every field a run changes is made here, not in ``__init__``, so an
   instance replays the same way each time it is run.  Policies that need a
   table per request build it here too: lfru's stamps, and the priorities
@@ -19,7 +20,7 @@ gets ``i``, the request's position in the key stream the engine replays:
   recency order and from the policy's own state, and returns ``(key,
   size)``.  The engine only releases the size.
 
-The engine's recency order (``self.order``, an OrderedDict of resident key
+The engine's recency order (``self.order``, an OrderedDict of resident rank
 to size, least-recent first) doubles as the LRU bookkeeping every policy may
 consult for tie-breaking.
 """
@@ -114,6 +115,7 @@ class Policy:
     reads_misses = False  # on_request on misses too, not only on hits
 
     def bind(self, order, keys: list[int], clients: list[int]) -> None:
+        """Start a run over the catalog ranks ``keys`` (see the module docstring)."""
         self.order = order
 
     def on_request(self, i: int, client: int, key: int, hit: bool) -> None:  # pragma: no cover

@@ -294,7 +294,7 @@ def test_admit_with_free_space_evicts_nothing():
     tr = make_trace([(1, 1, 1), (2, 1, 2)], sizes={1: 4.0, 2: 6.0})
     m = simulate(tr, pol, CacheConfig(10.0), record_evictions=True)
     assert m.eviction_log == []
-    assert list(pol.order) == [key(1), key(2)]
+    assert list(pol.order) == [0, 1]  # the catalog ranks of d1 and d2
 
 
 def test_admit_unit_full_cache_evicts_exactly_one():
@@ -327,7 +327,7 @@ def test_admit_rejects_resident_and_oversized():
     assert m.hits == 1
     assert m.oversized_misses == 1
     assert m.eviction_log == []
-    assert list(pol.order) == [key(1)]
+    assert list(pol.order) == [0]  # the catalog rank of d1
 
 
 def test_admit_detects_non_resident_victim():
@@ -515,7 +515,7 @@ def test_unit_size_lru_takes_the_lru_cache_path_only_for_fresh_lru_params(monkey
 def test_prebuilt_lru_keeps_its_readable_state():
     pol = Policy()
     simulate(make_trace([(1, 1, 1), (2, 1, 2), (3, 1, 3), (4, 1, 2)]), pol, CacheConfig(2.0))
-    assert list(pol.order) == [key(3), key(2)]
+    assert list(pol.order) == [2, 1]  # the catalog ranks of d3 and d2
 
 
 @pytest.mark.parametrize("local", [0.0, 0.5])
@@ -663,7 +663,7 @@ def test_private_tier_with_mixed_sizes_matches_the_naive_oracle(events, sizes, c
     assert sorted_pairs(m) == want_pairs
     (stream,) = engine._streams(tr, [config])
     assert (stream.local_hits, stream.total_events) == (local_hits, len(tr))
-    assert stream.keys.tolist() == keys
+    assert tr.catalog.size_arrays()[0][stream.ranks].tolist() == keys
     assert stream.clients.tolist() == clients
 
 
@@ -701,17 +701,18 @@ def test_unit_size_heap_kernel_equals_the_hooks_and_the_naive_oracles(
     assert tuple(getattr(fast, f) for f in COUNTERS) == counters
     assert sorted_pairs(fast) == pairs
     assert fast.eviction_log == (victims if record else None)
-    # hit flags of the kernel and of the hook loop on the forwarded stream
+    # hit flags and victim ranks of the kernel and of the hook loop on the
+    # forwarded stream; below one slot `_replay_stream` calls no kernel
     (stream,) = engine._streams(tr, [config])
-    kernel = engine._unit_heap_replay(
-        HOOKED[kind]._priorities, stream.keys, stream.ranks, capacity, record
-    )
     loop = engine._replay(
-        HOOKED[kind](), stream.keys.tolist(), stream.clients.tolist(), stream.sizes.tolist(),
+        HOOKED[kind](), stream.ranks.tolist(), stream.clients.tolist(), stream.sizes.tolist(),
         capacity, record,
     )
-    assert kernel[0].tolist() == loop[0].tolist() == hits
-    assert kernel[1:] == loop[1:]
+    assert loop[0].tolist() == hits
+    if capacity >= 1:
+        kernel = engine._unit_heap_replay(HOOKED[kind]._priorities, stream.ranks, capacity, record)
+        assert kernel[0].tolist() == loop[0].tolist()
+        assert kernel[1:] == loop[1:]
 
 
 def test_unit_size_lfu_and_belady_params_take_the_heap_kernel(monkeypatch):
@@ -734,8 +735,9 @@ def test_unit_size_lfu_and_belady_params_take_the_heap_kernel(monkeypatch):
         scale=0.02,
         horizon=100.0,
     ))
-    # the tracer's policy tag: every kernel run still builds its policy
-    assert (kernel.n, loop.n, built.n) == (5 + 4, 0, 5 + 4)
+    # the tracer's policy tag: every run still builds its policy, and the
+    # sweep's 1% cells (0.6 of a volume of 60) hold no slot and call no kernel
+    assert (kernel.n, loop.n, built.n) == (5 + 2, 0, 5 + 4)
     kernel.n = 0
     # prebuilt instances, equal non-unit sizes and mixed-size lfu keep the loop
     simulate(tr, LFUPolicy(), CacheConfig(6.0))
@@ -774,17 +776,18 @@ def test_unit_size_sieve_kernel_equals_the_hooks_and_the_naive_oracle(
     assert tuple(getattr(fast, f) for f in COUNTERS) == counters
     assert sorted_pairs(fast) == pairs
     assert fast.eviction_log == (victims if record else None)
-    # hit flags of the kernel and of the hook loop on the forwarded stream
+    # hit flags and victim ranks of the kernel and of the hook loop on the
+    # forwarded stream; below one slot `_replay_stream` calls no kernel
     (stream,) = engine._streams(tr, [config])
-    kernel = engine._unit_sieve_replay(
-        stream.ranks, stream.catalog.size_arrays()[0], capacity, record
-    )
     loop = engine._replay(
-        SievePolicy(), stream.keys.tolist(), stream.clients.tolist(), stream.sizes.tolist(),
+        SievePolicy(), stream.ranks.tolist(), stream.clients.tolist(), stream.sizes.tolist(),
         capacity, record,
     )
-    assert kernel[0].tolist() == loop[0].tolist() == hits
-    assert kernel[1:] == loop[1:]
+    assert loop[0].tolist() == hits
+    if capacity >= 1:
+        kernel = engine._unit_sieve_replay(stream.ranks, len(tr.catalog), capacity, record)
+        assert kernel[0].tolist() == loop[0].tolist()
+        assert kernel[1:] == loop[1:]
 
 
 def test_unit_size_sieve_params_take_the_sieve_kernel(monkeypatch):
@@ -804,8 +807,9 @@ def test_unit_size_sieve_params_take_the_sieve_kernel(monkeypatch):
         scale=0.02,
         horizon=100.0,
     ))
-    # the tracer's policy tag: every kernel run still builds its policy
-    assert (kernel.n, loop.n, built.n) == (2 + 2, 0, 2 + 2)
+    # the tracer's policy tag: every run still builds its policy, and the
+    # sweep's 1% cell (0.6 of a volume of 60) holds no slot and calls no kernel
+    assert (kernel.n, loop.n, built.n) == (2 + 1, 0, 2 + 2)
     kernel.n = 0
     # a prebuilt instance, equal non-unit sizes and mixed sizes keep the loop
     simulate(tr, SievePolicy(), CacheConfig(6.0))
@@ -858,20 +862,24 @@ def test_unit_size_follow_kernel_equals_the_hooks_and_the_naive_oracle(
     # the end-of-run follow matrix: kernel, hook class and from-scratch sums
     want = naive_follow_counts(windows, hooked.gamma)
     assert fast.follow_counts == slow.follow_counts == hooked.follow_counts() == want
-    # hit flags of the kernel and of the hook loop on the forwarded stream
+    # hit flags, victim ranks and follow counts of the kernel and of the hook
+    # loop on the forwarded stream; below one slot `_replay_stream` calls no
+    # kernel
     (stream,) = engine._streams(tr, [config])
-    kernel = engine._unit_follow_replay(
-        stream.ranks, stream.clients, stream.catalog.size_arrays()[0], capacity, hooked._span,
-        record,
-    )
     loop_pol = build_policy(params)
     loop = engine._replay(
-        loop_pol, stream.keys.tolist(), stream.clients.tolist(),
+        loop_pol, stream.ranks.tolist(), stream.clients.tolist(),
         stream.sizes.tolist(), capacity, record,
     )
-    assert kernel[0].tolist() == loop[0].tolist() == hits
-    assert kernel[1:4] == loop[1:]
-    assert kernel[4] == loop_pol.follow_counts() == want
+    assert loop[0].tolist() == hits
+    assert loop_pol.follow_counts() == want
+    if capacity >= 1:
+        kernel = engine._unit_follow_replay(
+            stream.ranks, stream.clients, len(tr.catalog), capacity, hooked._span, record
+        )
+        assert kernel[0].tolist() == loop[0].tolist()
+        assert kernel[1:4] == loop[1:]
+        assert kernel[4] == want
 
 
 def test_unit_size_follow_params_take_the_follow_kernel(monkeypatch, tmp_path):
@@ -893,8 +901,9 @@ def test_unit_size_follow_params_take_the_follow_kernel(monkeypatch, tmp_path):
         scale=0.02,
         horizon=100.0,
     ))
-    # the tracer's policy tag: every kernel run still builds its policy
-    assert (kernel.n, loop.n, built.n) == (10 + 4, 0, 10 + 4)
+    # the tracer's policy tag: every run still builds its policy, and the
+    # sweep's 1% cells (0.6 of a volume of 60) hold no slot and call no kernel
+    assert (kernel.n, loop.n, built.n) == (10 + 2, 0, 10 + 4)
     kernel.n = 0
     # the CLI's follow-matrix dump takes the kernel
     write_trace(tr, tmp_path / "t.trace")
@@ -947,6 +956,75 @@ def test_window_zero_follow_params_replay_as_lru(events, spec, capacity, local, 
     assert sorted_pairs(m) == pairs
     assert m.eviction_log == (victims if record else None)
     assert (m.policy, m.follow_counts) == (params.label(), {})
+
+
+@pytest.mark.parametrize("kind", ["lru", "lfu", "belady", "sieve", "lfru", "lfrus"])
+def test_unit_streams_without_a_slot_or_a_request_call_no_kernel(monkeypatch, kind):
+    paths = ("_unit_lru_replay", "_unit_heap_replay", "_unit_sieve_replay",
+             "_unit_follow_replay", "_replay")
+    calls = [Calls(monkeypatch, name) for name in paths]
+    events = [(1, 1, 1), (2, 2, 1), (3, 1, 2), (4, 1, 1)]
+    for tr, capacity in ((make_trace(events), 0.5), (make_trace([]), 3.0)):
+        for record in (False, True):
+            m = simulate(tr, PolicyParams(kind), CacheConfig(capacity), record_evictions=record)
+            n = len(tr)
+            assert (m.forwarded, m.hits, m.oversized_misses, m.evictions) == (n, 0, n, 0)
+            assert m.pair_requests.sum() == n
+            assert m.eviction_log == ([] if record else None)
+            assert m.follow_counts == ({} if kind in ("lfru", "lfrus") else None)
+    assert [c.n for c in calls] == [0] * len(paths)
+
+
+class RecordingPolicy(Policy):
+    """LRU that records the ranks its hooks get and the victims it returns."""
+
+    reads_misses = True
+
+    def bind(self, order, keys, clients):
+        super().bind(order, keys, clients)
+        self.bound = list(keys)
+        self.hook_keys: list[int] = []
+        self.victims: list[int] = []
+
+    def on_request(self, i, client, key, hit):
+        self.hook_keys.append(key)
+
+    def on_admit(self, i, key):
+        self.hook_keys.append(key)
+
+    def victim(self):
+        key, size = super().victim()
+        self.victims.append(key)
+        return key, size
+
+
+@pytest.mark.parametrize("local", [0.0, 0.25])
+def test_user_policy_hooks_get_catalog_ranks(local):
+    rng = np.random.default_rng(3)
+    events = [
+        (t, int(c), int(o), (None, 0, 1)[int(v)])
+        for t, (c, o, v) in enumerate(zip(
+            rng.integers(1, 5, 400), rng.integers(1, 12, 400), rng.integers(0, 3, 400)
+        ))
+    ]
+    tr = make_trace(events, sizes={o: (0.5, 1.0, 2.0)[o % 3] for o in range(1, 12)}, versions=True)
+    config = CacheConfig(8.0, local)
+    pol = RecordingPolicy()
+    m = simulate(tr, pol, config, record_evictions=True)
+    # bind gets the forwarded requests' ranks, in request order
+    keys = tr.identity_keys().tolist()
+    sizes = [tr.catalog.size(*unpack_key(k)) for k in keys]
+    fwd, local_hits = naive_sized_local_filter(
+        keys, sizes, tr.clients.tolist(), math.floor(local * 8.0)
+    )
+    assert m.local_hits == local_hits and (local_hits > 0) == (local > 0)
+    cat_keys = tr.catalog.size_arrays()[0]
+    assert cat_keys[pol.bound].tolist() == [k for k, f in zip(keys, fwd) if f]
+    assert pol.hook_keys and max(pol.hook_keys) < len(tr.catalog)
+    # the log holds the packed keys of the victims, in eviction order
+    assert len(pol.victims) == m.evictions > 0
+    assert m.eviction_log == cat_keys[pol.victims].tolist()
+    assert outcome(m) == outcome(simulate(tr, PolicyParams("lru"), config))
 
 
 @settings(max_examples=200, deadline=None)
@@ -1099,6 +1177,18 @@ def test_check_metrics_rejects_tampered_counters():
     m.hits = 5
     with pytest.raises(ConsistencyError):
         check_metrics(m)
+
+
+def test_check_metrics_wants_one_logged_victim_per_eviction():
+    m = pair_metrics([(1, 1, -1, 3, 0)], forwarded=3)
+    m.evictions = 2
+    for log in (None, [7, 8]):
+        m.eviction_log = log
+        check_metrics(m)
+    for log in ([], [7], [7, 8, 9]):
+        m.eviction_log = log
+        with pytest.raises(ConsistencyError, match="one entry per eviction"):
+            check_metrics(m)
 
 
 def test_versioned_pairs_reported_with_version_column():

@@ -503,9 +503,15 @@ def _recording(cls):
     return Recording
 
 
+def _ranks(tr):
+    """Each event's catalog rank: the key a hook gets."""
+    return tr.catalog._ranks(tr.objects, tr.versions).tolist()
+
+
 def _check_positions(pol, keys, clients, hits):
     """``pol`` got on_request at every hit (and at every miss if it reads
-    misses) and on_admit at every miss, with request i's key and client."""
+    misses) and on_admit at every miss, with request i's key (its catalog
+    rank) and client."""
     want = [(i, clients[i], keys[i], h) for i, h in enumerate(hits) if h or pol.reads_misses]
     assert pol.requests == want
     assert pol.admits == [(i, keys[i]) for i, h in enumerate(hits) if not h]
@@ -524,7 +530,7 @@ def test_on_request_fires_at_exactly_the_hits(cls, kind):
     hits, victims = NAIVE[kind](objects, 12)
     assert unpacked_eviction_objects(m) == victims
     assert not pol.reads_misses and 0 < sum(hits) < len(hits)
-    _check_positions(pol, tr.identity_keys().tolist(), tr.clients.tolist(), hits)
+    _check_positions(pol, _ranks(tr), tr.clients.tolist(), hits)
 
 
 @pytest.mark.parametrize(
@@ -539,7 +545,7 @@ def test_follow_policies_get_on_request_at_every_position(cls, args):
     assert unpacked_eviction_objects(m) == victims
     assert pol.reads_misses
     assert [r[0] for r in pol.requests] == list(range(len(tr)))
-    _check_positions(pol, tr.identity_keys().tolist(), tr.clients.tolist(), hits)
+    _check_positions(pol, _ranks(tr), tr.clients.tolist(), hits)
 
 
 @pytest.mark.parametrize(
@@ -554,7 +560,7 @@ def test_hook_positions_index_the_forwarded_stream(cls, args):
     objects, clients = tr.objects.tolist(), tr.clients.tolist()
     forwarded, local_hits = naive_local_filter(objects, clients, 3)
     assert local_hits > 0
-    keys = [k for k, f in zip(tr.identity_keys().tolist(), forwarded) if f]
+    keys = [k for k, f in zip(_ranks(tr), forwarded) if f]
     fwd_clients = [c for c, f in zip(clients, forwarded) if f]
     fwd_objects = [o for o, f in zip(objects, forwarded) if f]
     if cls is SievePolicy:
